@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -83,16 +84,23 @@ PATTERNS = {
 }
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite: {text}")
+    return value
+
+
 def _scale_int(text: str) -> int:
     """Positive integer, scientific notation accepted (1e4 -> 10000)."""
-    value = float(text)
+    value = _finite_float(text)
     if value != int(value) or value < 1:
         raise argparse.ArgumentTypeError(f"not a positive integer scale: {text}")
     return int(value)
 
 
 def _positive_float(text: str) -> float:
-    value = float(text)
+    value = _finite_float(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive: {text}")
     return value
@@ -168,6 +176,8 @@ def _csv_cell(value) -> str:
 
 
 def _emit(args: argparse.Namespace, record: dict) -> None:
+    # strict JSON: a NaN or infinite value raises ValueError in either format
+    text = json.dumps(record, allow_nan=False)
     if getattr(args, "csv", False):
         flat: dict = {}
         _flatten("", record, flat)
@@ -175,7 +185,7 @@ def _emit(args: argparse.Namespace, record: dict) -> None:
         print(",".join(keys))
         print(",".join(_csv_cell(flat[k]) for k in keys))
     else:
-        print(json.dumps(record))
+        print(text)
 
 
 def _record(command: str, parameters: dict, result: dict, seed=None) -> dict:
@@ -575,8 +585,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scale_opts(sub)
     sub.add_argument("--delta", type=_positive_float, required=True)
     sub.add_argument("--eps", type=_positive_float, required=True)
-    sub.add_argument("--c-bar", type=float, default=0.0)
-    sub.add_argument("--c-star", type=float, default=0.0)
+    sub.add_argument("--c-bar", type=_finite_float, default=0.0)
+    sub.add_argument("--c-star", type=_finite_float, default=0.0)
     sub.add_argument("--strong", action="store_true")
     sub.add_argument("--copy-budget", type=int, default=None)
     sub.add_argument("--emit-edges", action="store_true")

@@ -4,10 +4,6 @@ Labelled copies are injective vertex maps preserving every pattern edge.
 The kernel backtracks over a connected search order of the pattern, so each
 candidate set is an intersection of host neighborhoods, computed on integer
 bitmasks. Counts are arbitrary-precision integers throughout.
-
-The search forest is partitioned by the image of the first pattern vertex
-and partial sums are combined by exact integer addition, so results do not
-depend on enumeration schedule.
 """
 
 from __future__ import annotations
@@ -75,13 +71,14 @@ def count_labelled(h: Graph | PatternGraph, g: Graph) -> int:
     k = h.vertex_count
     if k == 0:
         return 1
-    if k > g.vertex_count:
+    gdeg = [len(a) for a in g.adjacency]
+    starts = [v for v in range(g.vertex_count) if gdeg[v] >= 1]
+    # every pattern vertex has degree >= 1, so its image lies in the support
+    if k > len(starts):
         return 0
     order, backs = _plan(h)
     gmask = g.adjacency_masks
-    gdeg = [len(a) for a in g.adjacency]
     need = [h.degree(v) for v in order]
-    starts = [v for v in range(g.vertex_count) if gdeg[v] >= 1]
     assign = [0] * k
     last = k - 1
 

@@ -383,26 +383,32 @@ def random_regular_bipartite(delta: int, m: int, rng_seed: int) -> Graph:
 # edge-list text format: header "n m", then m lines "u v"; '#' starts a comment
 
 
+def _int_pair(lineno: int, line: str, what: str) -> tuple[int, int]:
+    parts = line.split()
+    if len(parts) != 2:
+        raise GraphInputError(
+            f"line {lineno}: {what} must be two integers, got {line!r}"
+        )
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError:
+        raise GraphInputError(
+            f"line {lineno}: non-integer value in {what} {line!r}"
+        ) from None
+
+
 def parse_edge_list(text: str) -> Graph:
-    rows: list[str] = []
-    for raw in text.splitlines():
+    rows: list[tuple[int, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            rows.append(line)
+            rows.append((lineno, line))
     if not rows:
         raise GraphInputError("empty edge-list input")
-    head = rows[0].split()
-    if len(head) != 2:
-        raise GraphInputError(f"header must be 'n m', got {rows[0]!r}")
-    n, m = int(head[0]), int(head[1])
+    n, m = _int_pair(*rows[0], "header 'n m'")
     if len(rows) - 1 != m:
         raise GraphInputError(f"header promises {m} edges, found {len(rows) - 1}")
-    pairs = []
-    for line in rows[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphInputError(f"bad edge line {line!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
+    pairs = [_int_pair(lineno, line, "edge line") for lineno, line in rows[1:]]
     return from_edge_list(n, pairs)
 
 

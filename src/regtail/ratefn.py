@@ -10,6 +10,11 @@ inside g gives
 where span A drops isolated vertices and the falling factorial places the
 pattern vertices missed by A. With rational p the identity is evaluated
 in exact arithmetic.
+
+The term for A depends only on the isomorphism type of span A, so the sum
+is taken once per orbit of Aut(H) acting on edge subsets, weighted by the
+orbit size. Orbits are visited in ascending order of their least edge
+mask, which fixes the floating-point summation order.
 """
 
 from __future__ import annotations
@@ -18,11 +23,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import log, perm
 
-from .counting import count_K12_centered, count_labelled
+from .counting import _enumerate, _plan, count_K12_centered, count_labelled
 from .graphs import (
     Graph,
     PatternGraph,
     SparsityContext,
+    _canon,
     as_graph,
     cycle,
     from_edge_list,
@@ -95,16 +101,49 @@ def rate_function(
     )
 
 
+def _edge_orbits(h: Graph) -> list[tuple[int, int]]:
+    """(least edge mask, orbit size) for each Aut(h)-orbit of edge subsets.
+
+    The labelled copies of h in h are its automorphisms: an injective
+    edge-preserving self-map keeps all e(h) edges, so it permutes them.
+    Orbits come in ascending order of their least mask.
+    """
+    edges = h.edges
+    index = {e: i for i, e in enumerate(edges)}
+    order, _ = _plan(h)
+    perms: list[list[int]] = []
+
+    def visit(assign: list[int]) -> None:
+        image = dict(zip(order, assign))
+        perms.append([index[_canon(image[u], image[v])] for u, v in edges])
+
+    _enumerate(h, h, visit)
+    m = len(edges)
+    seen = bytearray(1 << m)
+    out = []
+    for mask in range(1 << m):
+        if seen[mask]:
+            continue
+        bits = [i for i in range(m) if mask >> i & 1]
+        orbit = {sum(1 << s[i] for i in bits) for s in perms}
+        for image_mask in orbit:
+            seen[image_mask] = 1
+        out.append((mask, len(orbit)))
+    return out
+
+
 def _subset_terms(g: Graph, h: PatternGraph):
-    """Yield (|A|, v_A, N(span A, g)) over all pattern edge subsets A."""
-    edges = as_graph(h).edges
+    """Yield (|A|, v_A, N(span A, g), orbit size), one term per Aut(H)-orbit
+    of pattern edge subsets A, in ascending order of the least mask."""
+    hg = as_graph(h)
+    edges = hg.edges
     m = len(edges)
     if m > 20:
         raise PatternTooLargeError(f"{m} pattern edges; subset sum capped at 20")
-    for mask in range(1 << m):
+    for mask, orbit_size in _edge_orbits(hg):
         chosen = [edges[i] for i in range(m) if mask >> i & 1]
         span = span_of_edges(chosen)
-        yield len(chosen), span.vertex_count, count_labelled(span, g)
+        yield len(chosen), span.vertex_count, count_labelled(span, g), orbit_size
 
 
 def exact_conditional_expectation(
@@ -125,9 +164,9 @@ def exact_conditional_expectation(
     p: Fraction | float = Fraction(ctx.p) if exact else ctx.p
     q = 1 / p - 1
     total: Fraction | float = 0
-    for size, va, cnt in _subset_terms(g, h):
+    for size, va, cnt, orbit in _subset_terms(g, h):
         if cnt:
-            total += q**size * cnt * perm(n - va, h.v_h - va)
+            total += q**size * (cnt * orbit * perm(n - va, h.v_h - va))
     return p**h.e_h * total
 
 
@@ -141,10 +180,11 @@ def asymptotic_conditional_gain(
     """
     n, p = ctx.n, ctx.p
     total = 0.0
-    for size, va, cnt in _subset_terms(g, h):
+    for size, va, cnt, orbit in _subset_terms(g, h):
         if size and cnt:
             total += (
-                cnt * (1.0 - p**size) * float(n) ** (h.v_h - va) * p ** (h.e_h - size)
+                cnt * orbit * (1.0 - p**size)
+                * float(n) ** (h.v_h - va) * p ** (h.e_h - size)
             )
     return total
 

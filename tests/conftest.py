@@ -10,10 +10,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import perm
 
 import pytest
 
-from regtail.graphs import Graph, from_edge_list
+from regtail.counting import count_labelled
+from regtail.graphs import Graph, from_edge_list, span_of_edges
 
 
 def oracle_count_injective(h: Graph, g: Graph) -> int:
@@ -79,6 +81,59 @@ def oracle_simple_paths(g: Graph, v1: int, v2: int, length: int) -> list[tuple]:
     if v1 != v2:
         walk([v1])
     return out
+
+
+def oracle_subset_terms(g: Graph, h: Graph):
+    """(|A|, v_A, N(span A, g)) for every pattern edge subset A, one by one.
+
+    N comes from count_labelled, which oracle_count_injective pins; this
+    oracle checks the grouping of subsets, not the kernel.
+    """
+    for size in range(h.edge_count + 1):
+        for chosen in combinations(h.edges, size):
+            span = span_of_edges(chosen)
+            yield size, span.vertex_count, count_labelled(span, g)
+
+
+def oracle_conditional_expectation(g: Graph, h: Graph, n: int, p) -> Fraction:
+    """The subset-sum identity with every subset counted on its own,
+    in exact arithmetic."""
+    p = Fraction(p)
+    q = 1 / p - 1
+    v_h = h.vertex_count
+    total = Fraction(0)
+    for size, va, cnt in oracle_subset_terms(g, h):
+        total += q**size * cnt * perm(n - va, v_h - va)
+    return p**h.edge_count * total
+
+
+def oracle_conditional_gain(g: Graph, h: Graph, n: int, p: float) -> float:
+    """First-order surplus with every nonempty subset counted on its own."""
+    v_h, e_h = h.vertex_count, h.edge_count
+    return sum(
+        cnt * (1.0 - p**size) * float(n) ** (v_h - va) * p ** (e_h - size)
+        for size, va, cnt in oracle_subset_terms(g, h)
+        if size
+    )
+
+
+def oracle_edge_orbits(h: Graph) -> list[frozenset[int]]:
+    """Orbits of the automorphism group on edge masks, with the group found
+    by trying every vertex permutation."""
+    index = {e: i for i, e in enumerate(h.edges)}
+    perms = []
+    for image in permutations(range(h.vertex_count)):
+        mapped = [tuple(sorted((image[u], image[v]))) for u, v in h.edges]
+        if all(e in index for e in mapped):
+            perms.append([index[e] for e in mapped])
+    orbits = {
+        frozenset(
+            sum(1 << s[i] for i in range(h.edge_count) if mask >> i & 1)
+            for s in perms
+        )
+        for mask in range(1 << h.edge_count)
+    }
+    return sorted(orbits, key=min)
 
 
 def random_graph(rng: random.Random, nv: int, p: float) -> Graph:

@@ -430,7 +430,6 @@ def test_criterion_12_determinism(capsys):
         capsys,
         12,
         ok,
-        "verify reports byte-identical across runs (single-process, "
-        "thread-count independent by construction)",
+        "verify reports byte-identical across runs",
     )
     assert ok

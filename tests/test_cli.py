@@ -89,6 +89,45 @@ def test_usage_error_exits_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rate", "--pattern", "k3", "--delta", "1", "--n", "1e400", "--p", "0.1"],
+        ["rate", "--pattern", "k3", "--delta", "inf", "--n", "1e6", "--p", "1e-2"],
+        ["rate", "--pattern", "k3", "--delta", "nan", "--n", "1e6", "--p", "1e-2"],
+        ["rate", "--pattern", "k3", "--delta", "1", "--n", "1e6", "--p", "nan"],
+        ["classify", "--pattern", "k3", "--n", "100", "--p", "inf"],
+        ["classify", "--pattern", "k3", "--n", "nan", "--p", "0.1"],
+        ["peel", "--pattern", "k3", "--graph", "g.txt", "--n", "30", "--p", "0.3",
+         "--delta", "1", "--eps", "0.5", "--c-bar", "inf"],
+    ],
+)
+def test_non_finite_numbers_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+
+
+def test_non_finite_result_is_an_error_not_json(capsys, monkeypatch):
+    import regtail.cli as cli
+
+    def infinite_rate(h, delta, ctx):
+        return float("inf"), cli.classify_regime(h, ctx)
+
+    monkeypatch.setattr(cli, "rate_function", infinite_rate)
+    for extra in ([], ["--csv"]):
+        code, out, err = run_cli(
+            capsys, "rate", "--pattern", "k3", "--delta", "1", "--n", "1e6",
+            "--p", "1e-2", *extra,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+
 def test_domain_error_exits_one(capsys):
     # poisson regime is a domain refusal, not a crash
     code, out, err = run_cli(

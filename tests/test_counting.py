@@ -61,6 +61,22 @@ def test_pattern_larger_than_host():
     assert count_labelled(complete(4), complete(3)) == 0
 
 
+def test_pattern_larger_than_host_support(rng):
+    # hosts with many isolated vertices: the support, not the vertex
+    # count, bounds the pattern order
+    patterns = [complete(3), cycle(4), cycle(5), complete_bipartite(2, 3)]
+    for _ in range(12):
+        support = rng.randint(2, 6)
+        g = random_graph(rng, support, 0.7)
+        g = disjoint_union(g, empty(rng.randint(1, 3)))
+        for h in patterns:
+            assert count_labelled(h, g) == oracle_count_injective(h, g)
+    # a 5-cycle on 8 vertices has support 5: C5 fits, C6 does not
+    g = disjoint_union(cycle(5), empty(3))
+    assert count_labelled(cycle(5), g) == 10
+    assert count_labelled(cycle(6), g) == 0 == oracle_count_injective(cycle(6), g)
+
+
 def test_isolated_pattern_vertex():
     h = empty(3)
     with pytest.raises(IsolatedPatternVertexError):

@@ -155,6 +155,16 @@ def test_parse_rejects_malformed():
         parse_edge_list("2 1\n0 1 2\n")
 
 
+def test_parse_names_the_bad_line():
+    # line numbers count comment and blank lines as they appear in the file
+    with pytest.raises(GraphInputError, match=r"line 4: .*'1 x'"):
+        parse_edge_list("# two edges\n3 2\n0 1\n1 x\n")
+    with pytest.raises(GraphInputError, match=r"line 1: .*'3 two'"):
+        parse_edge_list("3 two\n0 1\n1 2\n")
+    with pytest.raises(GraphInputError, match=r"line 3: .*'0 1 2'"):
+        parse_edge_list("2 1\n\n0 1 2\n")
+
+
 def test_parse_allows_comments():
     g = parse_edge_list("# triangle\n3 3\n0 1\n# middle\n0 2\n1 2\n")
     assert g.edge_count == 3

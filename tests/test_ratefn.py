@@ -1,21 +1,32 @@
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from conftest import (
+    oracle_conditional_expectation,
+    oracle_conditional_gain,
+    oracle_edge_orbits,
+)
 from regtail.counting import count_labelled
 from regtail.graphs import (
+    Graph,
     SparsityContext,
     complete,
+    complete_bipartite,
     cycle,
     from_edge_list,
+    petersen,
+    span_of_edges,
     validate_pattern,
 )
 from regtail.independence import tilted_root
 from regtail.ratefn import (
     InfeasibleFamilyError,
     UnsupportedRegimeError,
+    _edge_orbits,
     asymptotic_conditional_gain,
     c4_mu,
     classify_regime,
@@ -129,6 +140,88 @@ def test_exact_conditional_expectation_validation():
         exact_conditional_expectation(
             from_edge_list(2, []), K3, SparsityContext(2, 0.2)
         )
+
+
+SMALL_PATTERNS = {
+    "k3": complete(3),
+    "c4": cycle(4),
+    "c5": cycle(5),
+    "k4": complete(4),
+    "c6": cycle(6),
+    "k33": complete_bipartite(3, 3),
+}
+
+
+def planted_host(seed: int, n: int, clique: int) -> Graph:
+    """Sparse random edges on n vertices plus a clique on random vertices."""
+    rng = random.Random(seed)
+    edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(n)}
+    block = rng.sample(range(n), clique)
+    edges |= {tuple(sorted(e)) for e in combinations(block, 2)}
+    return from_edge_list(n, sorted(edges))
+
+
+@pytest.mark.parametrize(
+    "h, aut, orbits",
+    [
+        pytest.param(complete(4), 24, 11, id="k4"),
+        pytest.param(cycle(6), 12, 13, id="c6"),
+        pytest.param(complete_bipartite(3, 3), 72, 26, id="k33"),
+        pytest.param(petersen(), 120, 396, id="petersen"),
+    ],
+)
+def test_edge_orbit_counts(h, aut, orbits):
+    assert count_labelled(h, h) == aut
+    got = _edge_orbits(h)
+    assert len(got) == orbits
+    assert sum(size for _, size in got) == 2**h.edge_count
+    assert all(aut % size == 0 for _, size in got)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_PATTERNS))
+def test_edge_orbits_match_brute_force(name):
+    # ascending least masks, sizes from the full vertex-permutation group
+    h = SMALL_PATTERNS[name]
+    expect = [(min(orbit), len(orbit)) for orbit in oracle_edge_orbits(h)]
+    assert _edge_orbits(h) == expect
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_PATTERNS))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_orbit_sum_matches_per_subset_oracle(name, seed):
+    h = validate_pattern(SMALL_PATTERNS[name])
+    n = 12
+    g = planted_host(seed, n, clique=5 + seed)
+    for p in (0.1, 0.3):
+        ctx = SparsityContext(n, p)
+        got = exact_conditional_expectation(g, h, ctx, exact=True)
+        assert got == oracle_conditional_expectation(g, h.graph, n, p)
+        gain = asymptotic_conditional_gain(g, h, ctx)
+        assert gain == pytest.approx(
+            oracle_conditional_gain(g, h.graph, n, p), rel=1e-12
+        )
+
+
+def test_float_sum_order_is_ascending_orbit_mask():
+    # the float path adds one term per orbit, least mask first, with the
+    # orbit size folded into the integer factor
+    h = validate_pattern(complete_bipartite(3, 3))
+    n, p = 12, 0.3
+    g = planted_host(2, n, clique=6)
+    q = 1 / p - 1
+    total = 0.0
+    for orbit in oracle_edge_orbits(h.graph):
+        mask = min(orbit)
+        chosen = [e for i, e in enumerate(h.graph.edges) if mask >> i & 1]
+        span = span_of_edges(chosen)
+        cnt = count_labelled(span, g)
+        if cnt:
+            va = span.vertex_count
+            total += q ** len(chosen) * (
+                cnt * len(orbit) * math.perm(n - va, h.v_h - va)
+            )
+    got = exact_conditional_expectation(g, h, SparsityContext(n, p))
+    assert got == p**h.e_h * total
 
 
 def test_gain_single_edge_closed_form():
