@@ -45,8 +45,8 @@ from .graphs import (
 )
 from .independence import independence_polynomial, tilted_root
 from .ratefn import (
-    asymptotic_conditional_gain,
     classify_regime,
+    conditional_expectation_and_gain,
     exact_conditional_expectation,
     plant,
     rate_function,
@@ -61,18 +61,7 @@ from .structures import (
     peel_to_strong_core,
 )
 from .sim import mc_conditional_mean, mc_mean_count, upper_tail_frequency
-from .verify import (
-    check_alpha_count_bound,
-    check_cycle_barN11,
-    check_degree_product_strong_core,
-    check_mixed_growth_exponent,
-    check_path_lemma,
-    check_seqcounting_exploratory,
-    check_small_count,
-    check_tildeN11_bound,
-    report_jsonl,
-    summary_table,
-)
+from .verify import report_jsonl, run_all, summary_table
 
 PATTERNS = {
     "k3": lambda: complete(3),
@@ -255,13 +244,16 @@ def _cmd_cond_exp(args) -> int:
     h = _resolve_pattern(args)
     g = _load_graph(args.graph)
     ctx = SparsityContext(args.n, args.p)
-    value = exact_conditional_expectation(g, h, ctx, exact=args.exact)
+    if args.gain:
+        value, gain = conditional_expectation_and_gain(g, h, ctx, exact=args.exact)
+    else:
+        value = exact_conditional_expectation(g, h, ctx, exact=args.exact)
     result = {"expectation": float(value), **_scales(h, ctx)}
     if args.exact:
         frac = Fraction(value)
         result["expectation_exact"] = f"{frac.numerator}/{frac.denominator}"
     if args.gain:
-        result["asymptotic_gain"] = asymptotic_conditional_gain(g, h, ctx)
+        result["asymptotic_gain"] = gain
     result["unconditional"] = expected_count(h, ctx)
     params = {"pattern": args.pattern or args.pattern_file, "graph": args.graph,
               "n": args.n, "p": args.p, "exact": args.exact}
@@ -445,29 +437,8 @@ def _cmd_varbound(args) -> int:
     return 0
 
 
-_CHECK_REGISTRY: list[tuple[str, object]] = [
-    ("alpha", lambda seed, trials: check_alpha_count_bound(
-        seed=101 + seed, graphs=trials or 40)),
-    ("path", lambda seed, trials: check_path_lemma(
-        seed=202 + seed, graphs=trials or 25)),
-    ("cycle", lambda seed, trials: check_cycle_barN11(
-        seed=303 + seed, graphs=trials or 18)),
-    ("low-degree", lambda seed, trials: check_tildeN11_bound(
-        seed=404 + seed, graphs=trials or 18)),
-    ("bipartite", lambda seed, trials: check_small_count(
-        seed=505 + seed, rounds=trials or 12)),
-    ("strong-core", lambda seed, trials: check_degree_product_strong_core()),
-    ("growth", lambda seed, trials: check_mixed_growth_exponent()),
-    ("tail", lambda seed, trials: check_seqcounting_exploratory()),
-]
-
-
 def _cmd_verify(args) -> int:
-    results = []
-    for key, runner in _CHECK_REGISTRY:
-        if args.lemma and args.lemma not in key:
-            continue
-        results.append(runner(args.seed, args.trials))
+    results = run_all(args.seed, args.trials, args.lemma)
     if not results:
         raise ValueError(f"no checker matches --lemma {args.lemma!r}")
     sys.stdout.write(summary_table(results))

@@ -1,9 +1,20 @@
 """Exact counting kernels.
 
-Labelled copies are injective vertex maps preserving every pattern edge.
-The kernel backtracks over a connected search order of the pattern, so each
-candidate set is an intersection of host neighborhoods, computed on integer
-bitmasks. Counts are arbitrary-precision integers throughout.
+Every count here is a number of edge-preserving maps of a pattern h into a
+host g, and one backtracking search, ``_search``, finds them all. It walks a
+connected search order of the pattern; each candidate set is a host-degree
+floor mask minus the used vertices, intersected with the host neighborhoods
+of the placed pattern neighbors, all on integer bitmasks. It runs in three
+modes:
+
+- counting: injective maps, with the last search level counted by popcount
+  (``count_labelled``);
+- visiting: injective maps, each handed to a visitor as the list of host
+  images indexed by pattern vertex (``count_with_edges``,
+  ``copy_edge_lists``, ``count_N11``);
+- non-injective: every edge-preserving map, counted (``count_hom``).
+
+Counts are arbitrary-precision integers throughout.
 """
 
 from __future__ import annotations
@@ -33,7 +44,8 @@ def _require_no_isolated(h: Graph) -> None:
 
 
 def _plan(h: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Deterministic connected search order plus backward-neighbor positions."""
+    """Deterministic connected search order plus, for each position, the
+    pattern neighbors placed before it."""
     comps = sorted(h.connected_components(), key=lambda c: (-len(c), c))
     order: list[int] = []
     placed: set[int] = set()
@@ -58,116 +70,66 @@ def _plan(h: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
             placed.add(best)
     pos = {v: i for i, v in enumerate(order)}
     backs = [
-        tuple(sorted(pos[w] for w in h.adjacency[v] if pos[w] < i))
+        tuple(sorted(w for w in h.adjacency[v] if pos[w] < i))
         for i, v in enumerate(order)
     ]
     return order, backs
 
 
-def count_labelled(h: Graph | PatternGraph, g: Graph) -> int:
-    """Number of injective maps V(h) -> V(g) preserving all edges of h."""
+def _search(
+    h: Graph | PatternGraph, g: Graph, visit=None, injective: bool = True
+) -> int:
+    """Count the edge-preserving maps V(h) -> V(g), injective by default.
+
+    With ``visit``, calls ``visit(assign)`` once per map, where ``assign[u]``
+    is the host image of pattern vertex u; without it, the last search level
+    is counted by popcount. The pattern must have no isolated vertex.
+    """
     h = as_graph(h)
     _require_no_isolated(h)
     k = h.vertex_count
     if k == 0:
+        if visit is not None:
+            visit([])
         return 1
-    gdeg = [len(a) for a in g.adjacency]
-    starts = [v for v in range(g.vertex_count) if gdeg[v] >= 1]
-    # every pattern vertex has degree >= 1, so its image lies in the support
-    if k > len(starts):
+    # an injective image of a degree-d pattern vertex has host degree >= d;
+    # any image of a pattern vertex lies in the host's support
+    need = [h.degree(u) if injective else 1 for u in range(k)]
+    floors = {
+        d: sum(1 << v for v, nbrs in enumerate(g.adjacency) if len(nbrs) >= d)
+        for d in set(need)
+    }
+    if injective and k > floors[min(floors)].bit_count():
         return 0
     order, backs = _plan(h)
+    allowed = [floors[need[u]] for u in order]
     gmask = g.adjacency_masks
-    need = [h.degree(v) for v in order]
     assign = [0] * k
-    last = k - 1
-
-    def rec(i: int, used: int) -> int:
-        bs = backs[i]
-        if bs:
-            m = gmask[assign[bs[0]]]
-            for j in bs[1:]:
-                m &= gmask[assign[j]]
-            m &= ~used
-            if i == last:
-                return m.bit_count()
-            nd = need[i]
-            cnt = 0
-            while m:
-                b = m & -m
-                m ^= b
-                v = b.bit_length() - 1
-                if gdeg[v] >= nd:
-                    assign[i] = v
-                    cnt += rec(i + 1, used | b)
-            return cnt
-        nd = need[i]
-        cnt = 0
-        for v in starts:
-            b = 1 << v
-            if used & b or gdeg[v] < nd:
-                continue
-            assign[i] = v
-            cnt += rec(i + 1, used | b)
-        return cnt
-
-    return rec(0, 0)
-
-
-def _enumerate(h: Graph, g: Graph, visit) -> int:
-    """Run the backtracking search calling ``visit(assign)`` per found copy.
-
-    ``assign`` is the list of host vertices indexed by search position.
-    Returns the copy count.
-    """
-    k = h.vertex_count
-    if k == 0:
-        visit([])
-        return 1
-    if k > g.vertex_count:
-        return 0
-    order, backs = _plan(h)
-    gmask = g.adjacency_masks
-    gdeg = [len(a) for a in g.adjacency]
-    need = [h.degree(v) for v in order]
-    starts = [v for v in range(g.vertex_count) if gdeg[v] >= 1]
-    assign = [0] * k
+    stop = k - 1 if visit is None else k
 
     def rec(i: int, used: int) -> int:
         if i == k:
             visit(assign)
             return 1
-        bs = backs[i]
-        nd = need[i]
-        cnt = 0
-        if bs:
-            m = gmask[assign[bs[0]]]
-            for j in bs[1:]:
-                m &= gmask[assign[j]]
-            m &= ~used
-            while m:
-                b = m & -m
-                m ^= b
-                v = b.bit_length() - 1
-                if gdeg[v] >= nd:
-                    assign[i] = v
-                    cnt += rec(i + 1, used | b)
-            return cnt
-        for v in starts:
-            b = 1 << v
-            if used & b or gdeg[v] < nd:
-                continue
-            assign[i] = v
-            cnt += rec(i + 1, used | b)
+        m = allowed[i] & ~used
+        for w in backs[i]:
+            m &= gmask[assign[w]]
+        if i == stop:
+            return m.bit_count()
+        u, cnt = order[i], 0
+        while m:
+            b = m & -m
+            m ^= b
+            assign[u] = b.bit_length() - 1
+            cnt += rec(i + 1, used | b if injective else 0)
         return cnt
 
     return rec(0, 0)
 
 
-def _edge_positions(h: Graph) -> list[tuple[int, int]]:
-    order, _ = _plan(h)
-    pos = {v: i for i, v in enumerate(order)}
-    return [(pos[u], pos[v]) for u, v in h.edges]
+def count_labelled(h: Graph | PatternGraph, g: Graph) -> int:
+    """Number of injective maps V(h) -> V(g) preserving all edges of h."""
+    return _search(h, g)
 
 
 def count_with_edges(h: Graph | PatternGraph, g: Graph) -> CountReport:
@@ -175,19 +137,15 @@ def count_with_edges(h: Graph | PatternGraph, g: Graph) -> CountReport:
 
     All per-edge counters are filled in a single enumeration pass.
     """
-    h = as_graph(h)
-    _require_no_isolated(h)
-    epos = _edge_positions(h)
+    edges = as_graph(h).edges
     per: dict[Edge, int] = {e: 0 for e in g.edges}
 
     def visit(assign: list[int]) -> None:
-        for i, j in epos:
-            a, b = assign[i], assign[j]
-            key = (a, b) if a < b else (b, a)
-            per[key] += 1
+        for u, v in edges:
+            a, b = assign[u], assign[v]
+            per[(a, b) if a < b else (b, a)] += 1
 
-    total = _enumerate(h, g, visit)
-    return CountReport(total=total, per_edge=per)
+    return CountReport(total=_search(h, g, visit), per_edge=per)
 
 
 def count_through_edge(h: Graph | PatternGraph, g: Graph, e: Edge) -> int:
@@ -203,10 +161,12 @@ def count_through_edge(h: Graph | PatternGraph, g: Graph, e: Edge) -> int:
 def copy_edge_lists(
     h: Graph | PatternGraph, g: Graph, max_copies: int | None = None
 ) -> list[tuple[Edge, ...]]:
-    """Edge sets of every labelled copy, for incremental peeling bookkeeping."""
-    h = as_graph(h)
-    _require_no_isolated(h)
-    epos = _edge_positions(h)
+    """Edge sets of every labelled copy, for incremental peeling bookkeeping.
+
+    Each copy lists the images of the pattern edges in the pattern's edge
+    order.
+    """
+    edges = as_graph(h).edges
     out: list[tuple[Edge, ...]] = []
 
     def visit(assign: list[int]) -> None:
@@ -214,13 +174,13 @@ def copy_edge_lists(
             raise CopyBudgetExceededError(
                 f"copy enumeration exceeded budget {max_copies}"
             )
-        edges = []
-        for i, j in epos:
-            a, b = assign[i], assign[j]
-            edges.append((a, b) if a < b else (b, a))
-        out.append(tuple(edges))
+        images = []
+        for u, v in edges:
+            a, b = assign[u], assign[v]
+            images.append((a, b) if a < b else (b, a))
+        out.append(tuple(images))
 
-    _enumerate(h, g, visit)
+    _search(h, g, visit)
     return out
 
 
@@ -231,44 +191,13 @@ class CopyBudgetExceededError(RuntimeError):
 def count_hom(h: Graph | PatternGraph, g: Graph) -> int:
     """Count all edge-preserving maps, injective or not.
 
-    For even cycles this equals the trace of the matching adjacency power,
-    which the test suite cross-checks.
+    Isolated pattern vertices map anywhere. For even cycles this equals the
+    trace of the matching adjacency power, which the test suite cross-checks.
     """
     h = as_graph(h)
-    n = g.vertex_count
     isolated = sum(1 for v in range(h.vertex_count) if not h.adjacency[v])
-    core = h.relabelled_span()
-    k = core.vertex_count
-    if k == 0:
-        return n ** isolated
-    order, backs = _plan(core)
-    gmask = g.adjacency_masks
-    starts = [v for v in range(n) if g.adjacency[v]]
-    assign = [0] * k
-    last = k - 1
-
-    def rec(i: int) -> int:
-        bs = backs[i]
-        if bs:
-            m = gmask[assign[bs[0]]]
-            for j in bs[1:]:
-                m &= gmask[assign[j]]
-            if i == last:
-                return m.bit_count()
-            cnt = 0
-            while m:
-                b = m & -m
-                m ^= b
-                assign[i] = b.bit_length() - 1
-                cnt += rec(i + 1)
-            return cnt
-        cnt = 0
-        for v in starts:
-            assign[i] = v
-            cnt += rec(i + 1) if i != last else 1
-        return cnt
-
-    return rec(0) * n ** isolated
+    core = _search(h.relabelled_span(), g, injective=False)
+    return core * g.vertex_count ** isolated
 
 
 def low_degree_vertices(g: Graph, D: int) -> frozenset[int]:
@@ -285,26 +214,20 @@ def count_N11(
     """
     if D < 1:
         raise ValueError(f"D must be >= 1, got {D}")
-    h = as_graph(h)
-    _require_no_isolated(h)
+    edges = as_graph(h).edges
     low = low_degree_vertices(g, D)
-    epos = _edge_positions(h)
     tally = [0, 0]  # [with at least one low-low edge, with only low-low edges]
 
     def visit(assign: list[int]) -> None:
-        any_low = False
-        all_low = True
-        for i, j in epos:
-            if assign[i] in low and assign[j] in low:
-                any_low = True
-            else:
-                all_low = False
-        if any_low:
+        lows = 0
+        for u, v in edges:
+            if assign[u] in low and assign[v] in low:
+                lows += 1
+        if lows:
             tally[0] += 1
-            if all_low:
-                tally[1] += 1
+            tally[1] += lows == len(edges)
 
-    _enumerate(h, g, visit)
+    _search(h, g, visit)
     n11, tilde = tally
     return n11, tilde, n11 - tilde
 

@@ -382,6 +382,11 @@ def random_regular_bipartite(delta: int, m: int, rng_seed: int) -> Graph:
 # ---------------------------------------------------------------------------
 # edge-list text format: header "n m", then m lines "u v"; '#' starts a comment
 
+# Largest header vertex count parse_edge_list accepts. Building a graph costs
+# O(n) memory before any edge is read, so an untrusted header is capped here
+# rather than trusted.
+MAX_VERTICES = 100_000
+
 
 def _int_pair(lineno: int, line: str, what: str) -> tuple[int, int]:
     parts = line.split()
@@ -406,6 +411,10 @@ def parse_edge_list(text: str) -> Graph:
     if not rows:
         raise GraphInputError("empty edge-list input")
     n, m = _int_pair(*rows[0], "header 'n m'")
+    if n > MAX_VERTICES:
+        raise GraphInputError(
+            f"line {rows[0][0]}: header vertex count {n} exceeds {MAX_VERTICES}"
+        )
     if len(rows) - 1 != m:
         raise GraphInputError(f"header promises {m} edges, found {len(rows) - 1}")
     pairs = [_int_pair(lineno, line, "edge line") for lineno, line in rows[1:]]

@@ -23,12 +23,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import log, perm
 
-from .counting import _enumerate, _plan, count_K12_centered, count_labelled
+from .counting import copy_edge_lists, count_K12_centered, count_labelled
 from .graphs import (
     Graph,
     PatternGraph,
     SparsityContext,
-    _canon,
     as_graph,
     cycle,
     from_edge_list,
@@ -110,14 +109,7 @@ def _edge_orbits(h: Graph) -> list[tuple[int, int]]:
     """
     edges = h.edges
     index = {e: i for i, e in enumerate(edges)}
-    order, _ = _plan(h)
-    perms: list[list[int]] = []
-
-    def visit(assign: list[int]) -> None:
-        image = dict(zip(order, assign))
-        perms.append([index[_canon(image[u], image[v])] for u, v in edges])
-
-    _enumerate(h, h, visit)
+    perms = [[index[e] for e in copy] for copy in copy_edge_lists(h, h)]
     m = len(edges)
     seen = bytearray(1 << m)
     out = []
@@ -146,6 +138,38 @@ def _subset_terms(g: Graph, h: PatternGraph):
         yield len(chosen), span.vertex_count, count_labelled(span, g), orbit_size
 
 
+def _expectation_sum(terms, h: PatternGraph, ctx: SparsityContext, exact: bool):
+    n = ctx.n
+    p: Fraction | float = Fraction(ctx.p) if exact else ctx.p
+    q = 1 / p - 1
+    total: Fraction | float = 0
+    for size, va, cnt, orbit in terms:
+        if cnt:
+            total += q**size * (cnt * orbit * perm(n - va, h.v_h - va))
+    return p**h.e_h * total
+
+
+def _gain_sum(terms, h: PatternGraph, ctx: SparsityContext) -> float:
+    n, p = ctx.n, ctx.p
+    total = 0.0
+    for size, va, cnt, orbit in terms:
+        if size and cnt:
+            total += (
+                cnt * orbit * (1.0 - p**size)
+                * float(n) ** (h.v_h - va) * p ** (h.e_h - size)
+            )
+    return total
+
+
+def _check_canvas(g: Graph, h: PatternGraph, ctx: SparsityContext) -> None:
+    if g.vertex_count != ctx.n:
+        raise ValueError(
+            f"planted graph has {g.vertex_count} vertices, context has {ctx.n}"
+        )
+    if ctx.n < h.v_h:
+        raise ValueError(f"n={ctx.n} smaller than pattern order {h.v_h}")
+
+
 def exact_conditional_expectation(
     g: Graph, h: PatternGraph, ctx: SparsityContext, exact: bool = False
 ):
@@ -154,20 +178,8 @@ def exact_conditional_expectation(
     With exact=True, p is taken as the binary rational of the stored float
     and a Fraction is returned; otherwise a float.
     """
-    n = ctx.n
-    if g.vertex_count != n:
-        raise ValueError(
-            f"planted graph has {g.vertex_count} vertices, context has {n}"
-        )
-    if n < h.v_h:
-        raise ValueError(f"n={n} smaller than pattern order {h.v_h}")
-    p: Fraction | float = Fraction(ctx.p) if exact else ctx.p
-    q = 1 / p - 1
-    total: Fraction | float = 0
-    for size, va, cnt, orbit in _subset_terms(g, h):
-        if cnt:
-            total += q**size * (cnt * orbit * perm(n - va, h.v_h - va))
-    return p**h.e_h * total
+    _check_canvas(g, h, ctx)
+    return _expectation_sum(_subset_terms(g, h), h, ctx, exact)
 
 
 def asymptotic_conditional_gain(
@@ -178,15 +190,16 @@ def asymptotic_conditional_gain(
     Sums N(span A, g) * (1 - p^|A|) * n^(v_H - v_A) * p^(e_H - |A|) over
     nonempty edge subsets A, with plain powers of n.
     """
-    n, p = ctx.n, ctx.p
-    total = 0.0
-    for size, va, cnt, orbit in _subset_terms(g, h):
-        if size and cnt:
-            total += (
-                cnt * orbit * (1.0 - p**size)
-                * float(n) ** (h.v_h - va) * p ** (h.e_h - size)
-            )
-    return total
+    return _gain_sum(_subset_terms(g, h), h, ctx)
+
+
+def conditional_expectation_and_gain(
+    g: Graph, h: PatternGraph, ctx: SparsityContext, exact: bool = False
+):
+    """Both values above from a single walk over the subset terms."""
+    _check_canvas(g, h, ctx)
+    terms = list(_subset_terms(g, h))
+    return _expectation_sum(terms, h, ctx, exact), _gain_sum(terms, h, ctx)
 
 
 def is_pre_seed(g: Graph, params: CoreParams) -> PredicateWitness:

@@ -111,69 +111,49 @@ def _ladder(clauses: list[tuple[str, float, float, bool]]) -> PredicateWitness:
     return PredicateWitness(True)
 
 
-def is_seed(g: Graph, params: CoreParams) -> PredicateWitness:
-    copies = count_labelled(params.pattern, g)
-    need = params.delta * (1 - 2 * params.eps) * params.copies_scale
+# The seed / core / strong-core rungs: (eps multiple in the copy floor, edge
+# budget, per-edge copy floor or None), the last two named as CoreParams
+# properties.
+_RUNGS = {
+    "seed": (2, "core_edge_budget", None),
+    "core": (3, "core_edge_budget", "core_min_edge_threshold"),
+    "strong-core": (6, "strong_edge_budget", "strong_min_edge_threshold"),
+}
+
+
+def _rung(g: Graph, params: CoreParams, rung: str) -> PredicateWitness:
+    """One rung of the ladder; the host is counted once, with per-edge
+    counts when the rung has a per-edge floor."""
+    slack, budget_name, floor_name = _RUNGS[rung]
+    if floor_name is None:
+        copies = count_labelled(params.pattern, g)
+    else:
+        report = count_with_edges(params.pattern, g)
+        copies, worst = report.total, min(report.per_edge.values(), default=None)
+    need = params.delta * (1 - slack * params.eps) * params.copies_scale
     edges = g.edge_count
-    budget = params.core_edge_budget
-    return _ladder(
-        [
-            ("copies", float(copies), need, copies >= need),
-            ("edges", float(edges), budget, edges <= budget),
-        ]
-    )
+    budget = getattr(params, budget_name)
+    clauses = [
+        ("copies", float(copies), need, copies >= need),
+        ("edges", float(edges), budget, edges <= budget),
+    ]
+    if floor_name is not None:
+        floor = getattr(params, floor_name)
+        ok = worst is None or worst >= floor
+        clauses.append(("min-edge-copies", float(worst or 0), floor, ok))
+    return _ladder(clauses)
 
 
-def _min_per_edge(g: Graph, h: PatternGraph) -> int | None:
-    if g.edge_count == 0:
-        return None
-    report = count_with_edges(h, g)
-    assert report.per_edge is not None
-    return min(report.per_edge.values())
+def is_seed(g: Graph, params: CoreParams) -> PredicateWitness:
+    return _rung(g, params, "seed")
 
 
 def is_core(g: Graph, params: CoreParams) -> PredicateWitness:
-    copies = count_labelled(params.pattern, g)
-    need = params.delta * (1 - 3 * params.eps) * params.copies_scale
-    edges = g.edge_count
-    budget = params.core_edge_budget
-    floor = params.core_min_edge_threshold
-    worst = _min_per_edge(g, params.pattern)
-    min_ok = worst is None or worst >= floor
-    return _ladder(
-        [
-            ("copies", float(copies), need, copies >= need),
-            ("edges", float(edges), budget, edges <= budget),
-            (
-                "min-edge-copies",
-                float(worst) if worst is not None else 0.0,
-                floor,
-                min_ok,
-            ),
-        ]
-    )
+    return _rung(g, params, "core")
 
 
 def is_strong_core(g: Graph, params: CoreParams) -> PredicateWitness:
-    copies = count_labelled(params.pattern, g)
-    need = params.delta * (1 - 6 * params.eps) * params.copies_scale
-    edges = g.edge_count
-    budget = params.strong_edge_budget
-    floor = params.strong_min_edge_threshold
-    worst = _min_per_edge(g, params.pattern)
-    min_ok = worst is None or worst >= floor
-    return _ladder(
-        [
-            ("copies", float(copies), need, copies >= need),
-            ("edges", float(edges), budget, edges <= budget),
-            (
-                "min-edge-copies",
-                float(worst) if worst is not None else 0.0,
-                floor,
-                min_ok,
-            ),
-        ]
-    )
+    return _rung(g, params, "strong-core")
 
 
 @dataclass(frozen=True)

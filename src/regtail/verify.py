@@ -676,19 +676,38 @@ def check_mixed_growth_exponent(ks: tuple[int, ...] = (5, 7, 9, 11)) -> CheckRes
     )
 
 
-GATING_CHECKS = (
-    check_alpha_count_bound,
-    check_path_lemma,
-    check_cycle_barN11,
-    check_tildeN11_bound,
-    check_small_count,
-    check_degree_product_strong_core,
-    check_mixed_growth_exponent,
+# The checker registry: (key for the --lemma filter, checker name, seed
+# offset, size keyword). Seeded suites run with seed offset + seed and, when
+# trials is nonzero, that many instances. Checkers are looked up by name at
+# call time, so a replaced module attribute is the one that runs. "tail" is
+# exploratory and never gates.
+CHECKS = (
+    ("alpha", "check_alpha_count_bound", 101, "graphs"),
+    ("path", "check_path_lemma", 202, "graphs"),
+    ("cycle", "check_cycle_barN11", 303, "graphs"),
+    ("low-degree", "check_tildeN11_bound", 404, "graphs"),
+    ("bipartite", "check_small_count", 505, "rounds"),
+    ("strong-core", "check_degree_product_strong_core", None, None),
+    ("growth", "check_mixed_growth_exponent", None, None),
+    ("tail", "check_seqcounting_exploratory", None, None),
 )
 
 
-def run_all(include_exploratory: bool = True) -> list[CheckResult]:
-    results = [chk() for chk in GATING_CHECKS]
-    if include_exploratory:
-        results.append(check_seqcounting_exploratory())
+def run_all(
+    seed: int = 0,
+    trials: int = 0,
+    lemma: str | None = None,
+    include_exploratory: bool = True,
+) -> list[CheckResult]:
+    """Run every registered checker whose key contains ``lemma``."""
+    results = []
+    for key, name, offset, size in CHECKS:
+        if (lemma and lemma not in key) or (key == "tail" and not include_exploratory):
+            continue
+        kwargs = {}
+        if offset is not None:
+            kwargs["seed"] = offset + seed
+            if trials:
+                kwargs[size] = trials
+        results.append(globals()[name](**kwargs))
     return results

@@ -8,6 +8,7 @@ no pruning, no bitmasks. Keep them slow and obviously correct.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import perm
@@ -18,16 +19,46 @@ from regtail.counting import count_labelled
 from regtail.graphs import Graph, from_edge_list, span_of_edges
 
 
+def oracle_injective_maps(h: Graph, g: Graph):
+    """Every injective edge-preserving vertex map, as the tuple of images."""
+    for image in permutations(range(g.vertex_count), h.vertex_count):
+        if all(g.has_edge(image[a], image[b]) for a, b in h.edges):
+            yield image
+
+
 def oracle_count_injective(h: Graph, g: Graph) -> int:
     """All injective vertex maps, checked edge by edge."""
-    k = h.vertex_count
-    if k > g.vertex_count:
-        return 0
-    total = 0
-    for image in permutations(range(g.vertex_count), k):
-        if all(g.has_edge(image[a], image[b]) for a, b in h.edges):
-            total += 1
-    return total
+    return sum(1 for _ in oracle_injective_maps(h, g))
+
+
+def _image_edges(h: Graph, image) -> tuple:
+    return tuple(tuple(sorted((image[a], image[b]))) for a, b in h.edges)
+
+
+def oracle_per_edge(h: Graph, g: Graph) -> dict:
+    """For every host edge, the number of injective copies through it."""
+    per = {e: 0 for e in g.edges}
+    for image in oracle_injective_maps(h, g):
+        for e in _image_edges(h, image):
+            per[e] += 1
+    return per
+
+
+def oracle_copy_edge_lists(h: Graph, g: Graph) -> Counter:
+    """Multiset of the copies' edge lists, in the pattern's edge order."""
+    return Counter(_image_edges(h, image) for image in oracle_injective_maps(h, g))
+
+
+def oracle_count_N11(h: Graph, g: Graph, D: int) -> tuple[int, int, int]:
+    """Copies with some, and with only, edges whose endpoints have degree <= D."""
+    low = {v for v in range(g.vertex_count) if g.degree(v) <= D}
+    some = only = 0
+    for image in oracle_injective_maps(h, g):
+        flags = [u in low and v in low for u, v in _image_edges(h, image)]
+        if any(flags):
+            some += 1
+            only += all(flags)
+    return some, only, some - only
 
 
 def oracle_count_hom(h: Graph, g: Graph) -> int:

@@ -1,9 +1,18 @@
+import contextlib
+import io
 import json
+import tempfile
+import traceback
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regtail.cli import main
 from regtail import __version__
+from regtail.graphs import MAX_VERTICES
+from regtail.verify import report_jsonl, run_all, summary_table
 
 
 def run_cli(capsys, *argv):
@@ -75,6 +84,18 @@ def test_count_missing_file_exits_one(capsys):
     assert code == 1
     assert err.startswith("error:")
     assert out == ""
+
+
+def test_hostile_header_vertex_count_is_refused(capsys, tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("1000000000000 0\n")
+    code, out, err = run_cli(
+        capsys, "count", "--pattern", "k3", "--graph", str(path)
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(MAX_VERTICES) in err
 
 
 def test_usage_error_exits_two(capsys):
@@ -260,6 +281,15 @@ def test_verify_unknown_lemma_errors(capsys):
     assert "error:" in err
 
 
+def test_verify_is_run_all(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--lemma", "cycle", "--jsonl", "--seed", "5", "--trials", "4"
+    )
+    results = run_all(seed=5, trials=4, lemma="cycle")
+    assert code == 0
+    assert out == summary_table(results) + report_jsonl(results)
+
+
 def test_verify_jsonl_deterministic(capsys):
     code1, out1, err1 = run_cli(
         capsys, "verify", "--lemma", "alpha", "--jsonl", "--seed", "3"
@@ -428,3 +458,87 @@ def test_varbound_no_candidates_exits_one(capsys):
     )
     assert code == 1
     assert "no candidate" in err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: generated argv over generated edge-list text, in process
+
+HOSTILE_HEADERS = [
+    "1000000000000 0", "-1 0", "99999999999999999999999 0", "3", "a b",
+    "0 0", "2 5", "4 0 1", "1e3 0", "inf 0",
+]
+
+
+@st.composite
+def edge_list_text(draw):
+    """(n, text): mostly well-formed edge lists, some with hostile headers,
+    out-of-range endpoints or a junk line."""
+    n = draw(st.integers(2, 8))
+    ends = st.integers(0, n - 1)
+    pairs = draw(
+        st.lists(st.tuples(ends, ends).filter(lambda e: e[0] != e[1]), max_size=16)
+    )
+    header = draw(st.sampled_from([f"{n} {len(pairs)}"] * 20 + HOSTILE_HEADERS))
+    lines = [header] + [f"{u} {v}" for u, v in pairs]
+    junk = st.sampled_from(["1 1", "-1 2", f"0 {n}", "0", "# note"])
+    junk |= st.text(max_size=10)
+    for line in draw(st.lists(junk, max_size=1)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return n, "\n".join(lines) + "\n"
+
+
+def _mostly(good: list, bad: list):
+    """Mostly one of ``good``, sometimes one of ``bad``."""
+    return st.sampled_from(good * (3 * len(bad)) + bad)
+
+
+@st.composite
+def cli_argv(draw, graph: str, pattern_file: str, n: int):
+    verb = draw(st.sampled_from(["count", "cond-exp", "peel"]))
+    if verb == "count" and draw(_mostly([False], [True])):
+        argv = [verb, "--pattern-file", pattern_file]
+    else:
+        argv = [verb, "--pattern", draw(st.sampled_from(["k3", "c4", "k4", "c5"]))]
+    argv += ["--graph", graph]
+    flags = {"count": ["--per-edge", "--hom"], "cond-exp": ["--exact", "--gain"],
+             "peel": ["--strong", "--emit-edges"]}[verb]
+    argv += draw(st.lists(st.sampled_from(flags), unique=True))
+    if verb != "count":
+        argv += ["--n", draw(_mostly([str(n)], ["0", "-2", "12", "1e400", "nan"])),
+                 "--p", draw(_mostly(["0.1", "0.5"], ["1", "0", "-0.2", "inf"]))]
+    if verb == "peel":
+        argv += ["--delta", draw(_mostly(["1", "0.2"], ["0", "-1", "1e400"])),
+                 "--eps", draw(_mostly(["0.1", "0.5"], ["1", "2", "0"]))]
+        if draw(st.booleans()):
+            argv += ["--copy-budget", draw(st.sampled_from(["0", "3", "-1"]))]
+    return argv
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=edge_list_text(), pattern=edge_list_text(), data=st.data())
+def test_cli_fuzz_exits_cleanly(graph, pattern, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        graph_path, pattern_path = Path(tmp) / "g.txt", Path(tmp) / "h.txt"
+        graph_path.write_text(graph[1], encoding="utf-8")
+        pattern_path.write_text(pattern[1], encoding="utf-8")
+        argv = data.draw(cli_argv(str(graph_path), str(pattern_path), graph[0]))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception:
+                code = "crash: " + traceback.format_exc()
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    elif code == 1:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:")
+        assert err.getvalue().count("\n") == 1

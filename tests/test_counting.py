@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -34,8 +35,11 @@ from regtail.graphs import (
 )
 
 from conftest import (
+    oracle_copy_edge_lists,
     oracle_count_hom,
     oracle_count_injective,
+    oracle_count_N11,
+    oracle_per_edge,
     oracle_simple_paths,
     random_graph,
 )
@@ -243,3 +247,44 @@ def test_per_edge_nonnegative_and_bounded(seed):
     report = count_with_edges(c4, g)
     for value in report.per_edge.values():
         assert 0 <= value <= report.total
+
+
+def _small_patterns(rng):
+    """Random patterns with no isolated vertex, some of them disconnected,
+    as the spans of edge subsets are."""
+    out = [
+        disjoint_union(complete(2), complete(2)),
+        disjoint_union(complete(3), complete(2)),
+        disjoint_union(path(2), complete(2)),
+    ]
+    while len(out) < 12:
+        h = random_graph(rng, rng.randint(2, 5), rng.uniform(0.3, 0.8))
+        if h.edge_count:
+            out.append(h.relabelled_span())
+    return out
+
+
+def test_visitor_modes_match_oracles(rng):
+    patterns = _small_patterns(rng)
+    assert any(not h.is_connected() for h in patterns)
+    for _ in range(8):
+        g = random_graph(rng, rng.randint(3, 7), rng.uniform(0.3, 0.8))
+        for h in patterns:
+            report = count_with_edges(h, g)
+            assert report.total == oracle_count_injective(h, g)
+            assert report.per_edge == oracle_per_edge(h, g)
+            assert Counter(copy_edge_lists(h, g)) == oracle_copy_edge_lists(h, g)
+            for D in (1, 2, 3):
+                assert count_N11(h, g, D) == oracle_count_N11(h, g, D)
+
+
+def test_hom_with_isolated_pattern_vertices(rng):
+    patterns = [empty(1), empty(3), from_edge_list(3, [(0, 1)])]
+    patterns += [random_graph(rng, rng.randint(2, 4), 0.4) for _ in range(10)]
+    assert any(
+        not h.adjacency[v] for h in patterns for v in range(h.vertex_count)
+    )
+    for h in patterns:
+        for _ in range(3):
+            g = random_graph(rng, rng.randint(1, 5), rng.uniform(0.2, 0.8))
+            assert count_hom(h, g) == oracle_count_hom(h, g)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regtail.graphs import (
+    MAX_VERTICES,
     GraphInputError,
     PatternDegreeError,
     PatternError,
@@ -163,6 +164,16 @@ def test_parse_names_the_bad_line():
         parse_edge_list("3 two\n0 1\n1 2\n")
     with pytest.raises(GraphInputError, match=r"line 3: .*'0 1 2'"):
         parse_edge_list("2 1\n\n0 1 2\n")
+
+
+def test_parse_caps_the_header_vertex_count():
+    # refused before any per-vertex storage is allocated
+    with pytest.raises(GraphInputError, match=r"line 2: .*1000000000000 exceeds"):
+        parse_edge_list("# huge\n1000000000000 0\n")
+    with pytest.raises(GraphInputError, match="exceeds"):
+        parse_edge_list(f"{MAX_VERTICES + 1} 0\n")
+    assert MAX_VERTICES >= 2000
+    assert parse_edge_list("2000 1\n0 1999\n").vertex_count == 2000
 
 
 def test_parse_allows_comments():

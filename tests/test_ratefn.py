@@ -30,6 +30,7 @@ from regtail.ratefn import (
     asymptotic_conditional_gain,
     c4_mu,
     classify_regime,
+    conditional_expectation_and_gain,
     exact_conditional_expectation,
     is_pre_seed,
     plant,
@@ -222,6 +223,27 @@ def test_float_sum_order_is_ascending_orbit_mask():
             )
     got = exact_conditional_expectation(g, h, SparsityContext(n, p))
     assert got == p**h.e_h * total
+
+
+@pytest.mark.parametrize("name", ["k4", "c6", "k33"])
+def test_one_walk_feeds_both_sums_bit_identically(name, monkeypatch):
+    import regtail.ratefn as ratefn
+
+    h = validate_pattern(SMALL_PATTERNS[name])
+    n = 12
+    g = planted_host(3, n, clique=6)
+    ctx = SparsityContext(n, 0.3)
+    walks = []
+    real = ratefn._subset_terms
+    monkeypatch.setattr(
+        ratefn, "_subset_terms", lambda g, h: walks.append(1) or real(g, h)
+    )
+    for exact in (False, True):
+        walks.clear()
+        value, gain = conditional_expectation_and_gain(g, h, ctx, exact=exact)
+        assert len(walks) == 1
+        assert value == exact_conditional_expectation(g, h, ctx, exact=exact)
+        assert gain == asymptotic_conditional_gain(g, h, ctx)
 
 
 def test_gain_single_edge_closed_form():

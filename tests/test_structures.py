@@ -29,7 +29,7 @@ from regtail.structures import (
     peel_to_strong_core,
 )
 
-from conftest import random_graph
+from conftest import oracle_per_edge, random_graph
 
 K3 = validate_pattern(complete(3))
 CTX = SparsityContext(100, 0.05)
@@ -120,6 +120,73 @@ def test_core_needs_less_than_seed():
     core_need = 1.0 * (1 - 3 * 0.2) * params.copies_scale
     strong_need = 1.0 * (1 - 6 * 0.2) * params.copies_scale
     assert strong_need < core_need < seed_need
+
+
+def _two_pass_witness(g, params, slack, budget, floor):
+    """The ladder counted twice: copies first, then per-edge copies."""
+    copies = count_labelled(params.pattern, g)
+    need = params.delta * (1 - slack * params.eps) * params.copies_scale
+    clauses = [
+        ("copies", float(copies), need, copies >= need),
+        ("edges", float(g.edge_count), budget, g.edge_count <= budget),
+    ]
+    if floor is not None:
+        per_edge = oracle_per_edge(params.pattern.graph, g)
+        worst = min(per_edge.values(), default=None)
+        clauses.append((
+            "min-edge-copies",
+            0.0 if worst is None else float(worst),
+            floor,
+            worst is None or worst >= floor,
+        ))
+    for name, attained, required, ok in clauses:
+        if not ok:
+            return (False, name, attained, required)
+    return (True, None, None, None)
+
+
+def test_ladder_witnesses_match_two_pass_reference(rng):
+    seen = set()
+    for trial in range(60):
+        pattern = validate_pattern(complete(3) if trial % 2 else cycle(4))
+        params = make_params(
+            delta=rng.choice([0.05, 0.1, 0.5, 2.0]),
+            eps=rng.choice([0.05, 0.1, 0.15]),
+            pattern=pattern,
+            c_bar=rng.choice([0.0, 1e-3]),
+        )
+        g = random_graph(rng, rng.randint(0, 7), rng.uniform(0.2, 0.9))
+        rungs = (
+            (is_seed, 2, params.core_edge_budget, None),
+            (is_core, 3, params.core_edge_budget, params.core_min_edge_threshold),
+            (is_strong_core, 6, params.strong_edge_budget,
+             params.strong_min_edge_threshold),
+        )
+        for pred, slack, budget, floor in rungs:
+            w = pred(g, params)
+            got = (w.satisfied, w.violated_clause, w.attained, w.required)
+            assert got == _two_pass_witness(g, params, slack, budget, floor)
+            seen.add(w.violated_clause)
+    assert seen == {None, "copies", "edges", "min-edge-copies"}
+
+
+def test_each_rung_counts_the_host_once(monkeypatch):
+    import regtail.structures as structures
+
+    calls = []
+    for name in ("count_labelled", "count_with_edges"):
+        real = getattr(structures, name)
+        monkeypatch.setattr(
+            structures, name,
+            lambda h, g, real=real, name=name: calls.append(name) or real(h, g),
+        )
+    params = make_params()
+    for pred, counter in ((is_seed, "count_labelled"),
+                          (is_core, "count_with_edges"),
+                          (is_strong_core, "count_with_edges")):
+        calls.clear()
+        assert pred(complete(6), params)
+        assert calls == [counter]
 
 
 def test_edge_partition_classifies_endpoints():

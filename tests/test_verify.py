@@ -11,9 +11,10 @@ from regtail.graphs import (
     petersen,
     validate_pattern,
 )
+from regtail import verify
 from regtail.structures import CoreParams
 from regtail.verify import (
-    GATING_CHECKS,
+    CHECKS,
     CheckResult,
     check_alpha_count_bound,
     check_degree_product_strong_core,
@@ -120,8 +121,7 @@ def test_frozen_regular_graph_data_consistent():
 
 
 def test_gating_checkers_pass():
-    for check in GATING_CHECKS:
-        result = check()
+    for result in run_all(include_exploratory=False):
         assert isinstance(result, CheckResult)
         assert result.passed, (result.check_id, result.violations[:3])
         assert result.instances > 0
@@ -166,9 +166,34 @@ def test_run_all_composition():
     results = run_all()
     ids = [r.check_id for r in results]
     assert len(ids) == len(set(ids))
-    assert len(results) == len(GATING_CHECKS) + 1
+    assert len(results) == len(CHECKS)
     trimmed = run_all(include_exploratory=False)
-    assert len(trimmed) == len(GATING_CHECKS)
+    assert len(trimmed) == len(CHECKS) - 1
+    assert "tail-threshold-exploratory" not in [r.check_id for r in trimmed]
+
+
+def test_run_all_seed_offsets_and_sizes(monkeypatch):
+    # checkers are looked up by name at call time, so patched ones are seen
+    calls = []
+    for _, name, _, _ in CHECKS:
+        monkeypatch.setattr(
+            verify, name, lambda name=name, **kw: calls.append((name, kw)) or name
+        )
+    assert run_all(seed=4, trials=2) == [name for _, name, _, _ in CHECKS]
+    assert calls == [
+        ("check_alpha_count_bound", {"seed": 105, "graphs": 2}),
+        ("check_path_lemma", {"seed": 206, "graphs": 2}),
+        ("check_cycle_barN11", {"seed": 307, "graphs": 2}),
+        ("check_tildeN11_bound", {"seed": 408, "graphs": 2}),
+        ("check_small_count", {"seed": 509, "rounds": 2}),
+        ("check_degree_product_strong_core", {}),
+        ("check_mixed_growth_exponent", {}),
+        ("check_seqcounting_exploratory", {}),
+    ]
+    calls.clear()
+    # "i" matches bipartite and tail; trials 0 keeps each suite's own size
+    assert run_all(lemma="i", include_exploratory=False) == ["check_small_count"]
+    assert calls == [("check_small_count", {"seed": 505})]
 
 
 def test_reports_are_deterministic():
