@@ -155,8 +155,11 @@ class Graph:
         return len(degs) <= 1
 
     def relabelled_span(self) -> "Graph":
-        """Drop isolated vertices and relabel the rest densely from 0."""
+        """Drop isolated vertices and relabel the rest densely from 0; a
+        graph without isolated vertices is returned as it is."""
         kept = self.support()
+        if len(kept) == self.vertex_count:
+            return self
         index = {v: i for i, v in enumerate(kept)}
         return from_edge_list(
             len(kept), [(index[u], index[v]) for u, v in self.edges]

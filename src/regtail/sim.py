@@ -3,18 +3,21 @@
 Counter-based RNG: trial i draws from an independent Philox stream jumped
 i times from the base key, so estimates do not depend on evaluation order
 and rerunning any single trial reproduces it bit for bit. Count reduction
-is exact integer summation.
+is exact integer summation, converted to float once. numpy is imported on
+first use, so verbs that do not sample never load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .counting import count_labelled
 from .graphs import Graph, PatternGraph, SparsityContext, from_edge_list
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -27,6 +30,8 @@ class RngSpec:
             raise ValueError(f"unknown rng algorithm {self.algorithm!r}")
 
     def stream(self, index: int) -> np.random.Generator:
+        import numpy as np
+
         return np.random.Generator(np.random.Philox(key=self.seed).jumped(index))
 
 
@@ -41,7 +46,7 @@ class McEstimate:
     trials: int
 
 
-def _estimate(values: list[float]) -> McEstimate:
+def _estimate(values: list[int]) -> McEstimate:
     t = len(values)
     mean = sum(values) / t
     var = sum((x - mean) ** 2 for x in values) / (t - 1)
@@ -54,6 +59,8 @@ _pair_cache: dict[int, np.ndarray] = {}
 def _pairs(n: int) -> np.ndarray:
     got = _pair_cache.get(n)
     if got is None:
+        import numpy as np
+
         got = _pair_cache[n] = np.column_stack(np.triu_indices(n, k=1))
     return got
 
@@ -78,7 +85,7 @@ def mc_mean_count(
         raise ValueError(f"trials must be >= 2, got {trials}")
     spec = _spec(rng)
     values = [
-        float(count_labelled(h, sample_gnp(n, p, spec, index=t)))
+        count_labelled(h, sample_gnp(n, p, spec, index=t))
         for t in range(trials)
     ]
     return _estimate(values)
@@ -99,6 +106,8 @@ def mc_conditional_mean(
         raise ValueError(
             f"planted graph has {g.vertex_count} vertices, context has {n}"
         )
+    import numpy as np
+
     spec = _spec(rng)
     pairs = _pairs(n)
     planted = g.edge_set()
@@ -110,7 +119,7 @@ def mc_conditional_mean(
         keep = spec.stream(t).random(len(pairs)) < p
         keep |= forced
         merged = from_edge_list(n, pairs[keep].tolist())
-        values.append(float(count_labelled(h, merged)))
+        values.append(count_labelled(h, merged))
     return _estimate(values)
 
 
@@ -131,7 +140,7 @@ def upper_tail_frequency(
     threshold = (1 + delta) * float(n) ** h.v_h * p**h.e_h
     spec = _spec(rng)
     values = [
-        float(count_labelled(h, sample_gnp(n, p, spec, index=t)) >= threshold)
+        int(count_labelled(h, sample_gnp(n, p, spec, index=t)) >= threshold)
         for t in range(trials)
     ]
     return _estimate(values)

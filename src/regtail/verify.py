@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, permutations, product
+from collections.abc import Iterable, Iterator
+from itertools import combinations, product
 from math import log
 
 from .counting import (
@@ -99,32 +100,17 @@ def _descriptor(seed: int, tag: str, g: Graph, extra: str = "") -> str:
 
 def connected_graphs_up_to(max_vertices: int) -> list[Graph]:
     """All connected graphs with 2..max_vertices vertices, one per
-    isomorphism class, canonicalized by the minimum edge tuple over
-    vertex permutations.
+    isomorphism class: the first of each class in edge-mask order.
     """
     out: list[Graph] = []
     for k in range(2, max_vertices + 1):
         pairs = list(combinations(range(k), 2))
-        seen: set[tuple] = set()
-        for mask in range(1 << len(pairs)):
-            edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-            if len(edges) < k - 1:
-                continue
-            g = from_edge_list(k, edges)
-            if not g.is_connected():
-                continue
-            canon = min(
-                tuple(
-                    sorted(
-                        (min(pi[u], pi[v]), max(pi[u], pi[v])) for u, v in edges
-                    )
-                )
-                for pi in permutations(range(k))
-            )
-            if canon in seen:
-                continue
-            seen.add(canon)
-            out.append(g)
+        subsets = (
+            [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+            for mask in range(1 << len(pairs))
+        )
+        graphs = (from_edge_list(k, e) for e in subsets if len(e) >= k - 1)
+        out += _first_of_each_class(g for g in graphs if g.is_connected())
     return out
 
 
@@ -135,8 +121,10 @@ def cube_graph() -> Graph:
     return from_edge_list(8, edges)
 
 
-def _mask_invariant(masks: list[int], n: int) -> tuple:
-    """Cheap isomorphism-invariant fingerprint used to bucket candidates."""
+def _mask_invariant(g: Graph) -> tuple:
+    """Cheap isomorphism-invariant fingerprint used to bucket candidates:
+    order, size, and the sorted triangle and co-degree counts."""
+    n, masks = g.vertex_count, g.adjacency_masks
     tri = [0] * n
     codeg = []
     for u in range(n):
@@ -148,63 +136,36 @@ def _mask_invariant(masks: list[int], n: int) -> tuple:
                 tri[u] += c
                 tri[w] += c
     codeg.sort()
-    return (tuple(sorted(tri)), tuple(codeg))
-
-
-def _masks_isomorphic(amask: list[int], bmask: list[int], n: int) -> bool:
-    """Backtracking isomorphism test on adjacency masks; callers guarantee
-    equal orders and degree multisets. Vertices of the first graph are
-    matched in a connectivity-first order so each new vertex is pinned
-    through already-mapped neighbors.
-    """
-    order: list[int] = []
-    seen = 0
-    for root in range(n):
-        if (seen >> root) & 1:
-            continue
-        queue = [root]
-        seen |= 1 << root
-        while queue:
-            v = queue.pop()
-            order.append(v)
-            rest = amask[v] & ~seen
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                seen |= low
-                queue.append(low.bit_length() - 1)
-    image = [0] * n
-    placed_mask = [0]
-
-    def place(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        want = [(image[u], (amask[v] >> u) & 1) for u in order[:i]]
-        for w in range(n):
-            bit = 1 << w
-            if placed_mask[0] & bit:
-                continue
-            bm = bmask[w]
-            if all(((bm >> t) & 1) == adj for t, adj in want):
-                image[v] = w
-                placed_mask[0] |= bit
-                if place(i + 1):
-                    return True
-                placed_mask[0] &= ~bit
-        return False
-
-    return place(0)
+    return (n, g.edge_count, tuple(sorted(tri)), tuple(codeg))
 
 
 def _isomorphic(a: Graph, b: Graph) -> bool:
+    """Isomorphism by the counting kernel: with equal order and size, an
+    injective edge-preserving map sends the edges of a onto all edges of b,
+    so it is an isomorphism. Equal degree multisets give equal numbers of
+    isolated vertices, so both sides drop theirs before the search.
+    """
     if a.vertex_count != b.vertex_count or a.edge_count != b.edge_count:
         return False
     if sorted(a.degrees()) != sorted(b.degrees()):
         return False
-    return _masks_isomorphic(
-        list(a.adjacency_masks), list(b.adjacency_masks), a.vertex_count
-    )
+    return count_labelled(a.relabelled_span(), b.relabelled_span()) > 0
+
+
+def _first_of_each_class(candidates: Iterable[Graph]) -> list[Graph]:
+    """The first candidate of each isomorphism class, in enumeration order.
+
+    Candidates are bucketed by ``_mask_invariant``; only candidates in one
+    bucket are tested against each other.
+    """
+    buckets: dict[tuple, list[Graph]] = {}
+    out: list[Graph] = []
+    for g in candidates:
+        bucket = buckets.setdefault(_mask_invariant(g), [])
+        if not any(_isomorphic(g, rep) for rep in bucket):
+            bucket.append(g)
+            out.append(g)
+    return out
 
 
 def connected_regular_graphs(n: int, d: int) -> list[Graph]:
@@ -212,86 +173,66 @@ def connected_regular_graphs(n: int, d: int) -> list[Graph]:
     graphs on n vertices.
 
     Enumerates labelled graphs whose first vertex is joined to exactly the
-    next d (every class admits such a labelling), then deduplicates via
-    invariant buckets resolved by explicit isomorphism search.
+    next d (every class admits such a labelling) and keeps the first
+    connected one of each class.
     """
     if n < 2 or d < 1 or d >= n or (n * d) % 2:
         return []
-    rep_masks: list[list[int]] = []
-    buckets: dict[tuple, list[int]] = {}
     masks = [0] * n
-    deg = [0] * n
     full = (1 << n) - 1
     for w in range(1, d + 1):
         masks[0] |= 1 << w
         masks[w] |= 1
-        deg[0] = d
-        deg[w] = 1
 
-    def record() -> None:
-        reach = 1 | masks[0]
-        frontier = masks[0]
+    def connected() -> bool:
+        reach = frontier = 1
         while frontier:
             nxt = 0
-            v = frontier
-            while v:
-                low = v & -v
+            while frontier:
+                low = frontier & -frontier
                 nxt |= masks[low.bit_length() - 1]
-                v ^= low
+                frontier ^= low
             frontier = nxt & ~reach
             reach |= nxt
-        if reach != full:
-            return
-        key = _mask_invariant(masks, n)
-        bucket = buckets.setdefault(key, [])
-        if any(_masks_isomorphic(masks, rep_masks[i], n) for i in bucket):
-            return
-        bucket.append(len(rep_masks))
-        rep_masks.append(list(masks))
+        return reach == full
 
-    def extend(v: int) -> None:
+    def toggle(v: int, chosen: tuple[int, ...]) -> None:
+        for w in chosen:
+            masks[v] ^= 1 << w
+            masks[w] ^= 1 << v
+
+    def extend(v: int) -> Iterator[Graph]:
         if v == n:
-            record()
+            if connected():
+                yield from_edge_list(
+                    n,
+                    [(u, w) for u in range(n) for w in range(u + 1, n)
+                     if (masks[u] >> w) & 1],
+                )
             return
-        need = d - deg[v]
+        need = d - masks[v].bit_count()
         if need == 0:
-            extend(v + 1)
+            yield from extend(v + 1)
             return
-        cands = [w for w in range(v + 1, n) if deg[w] < d]
+        lack = [d - masks[w].bit_count() for w in range(v + 1, n)]
+        cands = [w for w, k in enumerate(lack, v + 1) if k]
         if need > len(cands):
             return
         # deficiency left above v after filling v; every later edge
         # consumes two units, so an odd remainder is a dead end, and a
         # single vertex must never hold more than half of it plus one
-        above = sum(d - deg[w] for w in cands)
-        after = above - need
+        after = sum(lack) - need
         if after % 2:
             return
-        worst = max(d - deg[w] for w in cands)
+        worst = max(lack)
         if worst - 1 > after - worst + 1:
             return
         for chosen in combinations(cands, need):
-            for w in chosen:
-                masks[v] |= 1 << w
-                masks[w] |= 1 << v
-                deg[v] += 1
-                deg[w] += 1
-            extend(v + 1)
-            for w in chosen:
-                masks[v] &= ~(1 << w)
-                masks[w] &= ~(1 << v)
-                deg[v] -= 1
-                deg[w] -= 1
+            toggle(v, chosen)
+            yield from extend(v + 1)
+            toggle(v, chosen)
 
-    extend(1)
-    out = []
-    for m in rep_masks:
-        edges = [
-            (u, w) for u in range(n) for w in range(u + 1, n)
-            if (m[u] >> w) & 1
-        ]
-        out.append(from_edge_list(n, edges))
-    return out
+    return _first_of_each_class(extend(1))
 
 
 # ---------------------------------------------------------------------------

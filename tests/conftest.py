@@ -167,6 +167,44 @@ def oracle_edge_orbits(h: Graph) -> list[frozenset[int]]:
     return sorted(orbits, key=min)
 
 
+def oracle_canonical_form(g: Graph) -> int:
+    """The least edge mask over all vertex permutations, with the pair
+    {a, b}, a < b, at bit a * n + b."""
+    n = g.vertex_count
+    bit = [[1 << (min(a, b) * n + max(a, b)) for b in range(n)] for a in range(n)]
+    return min(
+        sum(bit[pi[u]][pi[v]] for u, v in g.edges)
+        for pi in permutations(range(n))
+    )
+
+
+def oracle_isomorphic(a: Graph, b: Graph) -> bool:
+    """Equal order and equal canonical forms."""
+    return a.vertex_count == b.vertex_count and (
+        oracle_canonical_form(a) == oracle_canonical_form(b)
+    )
+
+
+def oracle_connected_catalogue(max_vertices: int) -> list[Graph]:
+    """For each order 2..max_vertices, the first connected graph of each
+    isomorphism class in edge-mask order, deduplicated by canonical form."""
+    out = []
+    for k in range(2, max_vertices + 1):
+        pairs = list(combinations(range(k), 2))
+        seen = set()
+        for mask in range(1 << len(pairs)):
+            g = from_edge_list(
+                k, [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+            )
+            if not g.is_connected():
+                continue
+            canon = oracle_canonical_form(g)
+            if canon not in seen:
+                seen.add(canon)
+                out.append(g)
+    return out
+
+
 def random_graph(rng: random.Random, nv: int, p: float) -> Graph:
     edges = [
         (u, v) for u in range(nv) for v in range(u + 1, nv) if rng.random() < p

@@ -7,6 +7,7 @@ from regtail.graphs import (
     SparsityContext,
     complete,
     cycle,
+    disjoint_union,
     from_edge_list,
     petersen,
     validate_pattern,
@@ -29,6 +30,13 @@ from regtail.verify import (
     _isomorphic,
 )
 
+from conftest import (
+    oracle_canonical_form,
+    oracle_connected_catalogue,
+    oracle_isomorphic,
+    random_graph,
+)
+
 FROZEN = Path(__file__).parent / "data" / "regular_graphs_frozen.json"
 
 
@@ -45,6 +53,12 @@ def test_connected_graph_catalogue():
         for b in graphs[i + 1 :]:
             if a.vertex_count == b.vertex_count and a.edge_count == b.edge_count:
                 assert not _isomorphic(a, b)
+
+
+def test_connected_graph_catalogue_matches_oracle():
+    got = [(g.vertex_count, g.edges) for g in connected_graphs_up_to(5)]
+    expect = [(g.vertex_count, g.edges) for g in oracle_connected_catalogue(5)]
+    assert got == expect
 
 
 def test_cube_graph_shape():
@@ -68,6 +82,50 @@ def test_isomorphism_sanity():
     a = from_edge_list(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     b = from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
     assert not _isomorphic(a, b)
+
+
+def _relabel(rng, g):
+    pi = list(range(g.vertex_count))
+    rng.shuffle(pi)
+    return from_edge_list(g.vertex_count, [(pi[u], pi[v]) for u, v in g.edges])
+
+
+def _degree_preserving_swap(rng, g):
+    """Replace edges ab, cd by ac, bd where both are new; same degrees."""
+    edges = list(g.edges)
+    for _ in range(20 if len(edges) >= 2 else 0):
+        (a, b), (c, d) = rng.sample(edges, 2)
+        if len({a, b, c, d}) == 4 and not g.has_edge(a, c) and not g.has_edge(b, d):
+            kept = [e for e in edges if e not in ((a, b), (c, d))]
+            return from_edge_list(g.vertex_count, kept + [(a, c), (b, d)])
+    return g
+
+
+def test_isomorphic_matches_oracle(rng):
+    pairs = [(disjoint_union(complete(3), complete(3)), cycle(6))]
+    for _ in range(40):
+        nv = rng.randint(1, 6)
+        a = random_graph(rng, nv, rng.uniform(0.2, 0.8))
+        pairs.append((a, _relabel(rng, a)))
+        pairs.append((a, _relabel(rng, _degree_preserving_swap(rng, a))))
+        pairs.append((a, random_graph(rng, nv, rng.uniform(0.2, 0.8))))
+    assert any(0 in a.degrees() and a.edge_count for a, _ in pairs)
+    kinds = set()
+    for a, b in pairs:
+        expect = oracle_isomorphic(a, b)
+        assert _isomorphic(a, b) == expect, (a.vertex_count, a.edges, b.edges)
+        assert _isomorphic(b, a) == expect
+        kinds.add((expect, sorted(a.degrees()) == sorted(b.degrees())))
+    # isomorphic pairs, and non-isomorphic pairs with equal degree sequences
+    assert {(True, True), (False, True), (False, False)} <= kinds
+
+
+def test_isomorphic_separates_cubic_classes_on_eight_vertices(rng):
+    cubic = connected_regular_graphs(8, 3)
+    assert len({oracle_canonical_form(g) for g in cubic}) == len(cubic) == 5
+    for i, a in enumerate(cubic):
+        for j, b in enumerate(cubic):
+            assert _isomorphic(a, _relabel(rng, b)) == (i == j)
 
 
 CENSUS = {
@@ -111,13 +169,9 @@ def test_frozen_regular_graph_data_consistent():
         for g in graphs:
             assert g.is_regular() and g.max_degree() == d
             assert g.is_connected()
-    # spot-check distinctness on the smallest family
-    nine = [
-        from_edge_list(9, [tuple(e) for e in edges]) for edges in data["9,4"]
-    ]
-    for i, a in enumerate(nine):
-        for b in nine[i + 1 :]:
-            assert not _isomorphic(a, b)
+        for i, a in enumerate(graphs):
+            for b in graphs[i + 1 :]:
+                assert not _isomorphic(a, b), key
 
 
 def test_gating_checkers_pass():
