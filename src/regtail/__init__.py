@@ -27,7 +27,6 @@ from .counting import (
     CountReport,
     count_hom,
     count_labelled,
-    count_through_edge,
     count_with_edges,
     expected_count,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "CountReport",
     "count_hom",
     "count_labelled",
-    "count_through_edge",
     "count_with_edges",
     "expected_count",
     "fractional_independence",

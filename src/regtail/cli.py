@@ -45,6 +45,7 @@ from .graphs import (
 )
 from .independence import independence_polynomial, tilted_root
 from .ratefn import (
+    Regime,
     classify_regime,
     conditional_expectation_and_gain,
     exact_conditional_expectation,
@@ -142,6 +143,25 @@ def _scales(h: PatternGraph, ctx: SparsityContext) -> dict:
     }
 
 
+def _regime_fields(regime: Regime, h: PatternGraph, ctx: SparsityContext) -> dict:
+    return {
+        "regime": regime.tag,
+        "sqrt_n": regime.sqrt_n,
+        "poisson_ceiling": regime.poisson_ceiling,
+        **_scales(h, ctx),
+    }
+
+
+def _params(args: argparse.Namespace, *names: str) -> dict:
+    """The record's parameters: the named options in order, where "pattern"
+    is the --pattern name or else the --pattern-file path."""
+    return {
+        name: (args.pattern or args.pattern_file) if name == "pattern"
+        else getattr(args, name)
+        for name in names
+    }
+
+
 def _edges_out(edges) -> list[list[int]]:
     return [list(e) for e in sorted(edges)]
 
@@ -164,7 +184,18 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _emit(args: argparse.Namespace, record: dict) -> None:
+def _emit(
+    args: argparse.Namespace, command: str, parameters: dict, result: dict, seed=None
+) -> None:
+    """Print the record of one verb: command, parameters, result, version
+    and seed."""
+    record = {
+        "command": command,
+        "parameters": parameters,
+        "result": result,
+        "version": __version__,
+        "seed": seed,
+    }
     # strict JSON: a NaN or infinite value raises ValueError in either format
     text = json.dumps(record, allow_nan=False)
     if getattr(args, "csv", False):
@@ -177,16 +208,6 @@ def _emit(args: argparse.Namespace, record: dict) -> None:
         print(text)
 
 
-def _record(command: str, parameters: dict, result: dict, seed=None) -> dict:
-    return {
-        "command": command,
-        "parameters": parameters,
-        "result": result,
-        "version": __version__,
-        "seed": seed,
-    }
-
-
 # ---------------------------------------------------------------------------
 # verb handlers
 
@@ -195,16 +216,8 @@ def _cmd_rate(args) -> int:
     h = _resolve_pattern(args)
     ctx = SparsityContext(args.n, args.p)
     value, regime = rate_function(h, args.delta, ctx)
-    result = {
-        "value": value,
-        "regime": regime.tag,
-        "sqrt_n": regime.sqrt_n,
-        "poisson_ceiling": regime.poisson_ceiling,
-        **_scales(h, ctx),
-    }
-    params = {"pattern": args.pattern or args.pattern_file, "delta": args.delta,
-              "n": args.n, "p": args.p}
-    _emit(args, _record("rate", params, result))
+    result = {"value": value, **_regime_fields(regime, h, ctx)}
+    _emit(args, "rate", _params(args, "pattern", "delta", "n", "p"), result)
     return 0
 
 
@@ -212,19 +225,16 @@ def _cmd_theta(args) -> int:
     h = _resolve_pattern(args)
     theta = tilted_root(h, args.delta)
     residual = independence_polynomial(h.graph, theta) - (1 + args.delta)
-    params = {"pattern": args.pattern or args.pattern_file, "delta": args.delta}
-    _emit(args, _record("theta", params, {"theta": theta, "residual": residual}))
+    _emit(args, "theta", _params(args, "pattern", "delta"),
+          {"theta": theta, "residual": residual})
     return 0
 
 
 def _cmd_count(args) -> int:
     h = _resolve_pattern(args)
     g = _load_graph(args.graph)
-    params = {
-        "pattern": args.pattern or args.pattern_file,
-        "graph": args.graph,
-        "mode": "homomorphism" if args.hom else "injective",
-    }
+    params = _params(args, "pattern", "graph")
+    params["mode"] = "homomorphism" if args.hom else "injective"
     if args.hom:
         result: dict = {"count": count_hom(h, g)}
     elif args.per_edge:
@@ -236,7 +246,7 @@ def _cmd_count(args) -> int:
         }
     else:
         result = {"count": count_labelled(h, g)}
-    _emit(args, _record("count", params, result))
+    _emit(args, "count", params, result)
     return 0
 
 
@@ -255,9 +265,8 @@ def _cmd_cond_exp(args) -> int:
     if args.gain:
         result["asymptotic_gain"] = gain
     result["unconditional"] = expected_count(h, ctx)
-    params = {"pattern": args.pattern or args.pattern_file, "graph": args.graph,
-              "n": args.n, "p": args.p, "exact": args.exact}
-    _emit(args, _record("cond-exp", params, result))
+    _emit(args, "cond-exp", _params(args, "pattern", "graph", "n", "p", "exact"),
+          result)
     return 0
 
 
@@ -265,14 +274,8 @@ def _cmd_classify(args) -> int:
     h = _resolve_pattern(args)
     ctx = SparsityContext(args.n, args.p)
     regime = classify_regime(h, ctx)
-    result = {
-        "regime": regime.tag,
-        "sqrt_n": regime.sqrt_n,
-        "poisson_ceiling": regime.poisson_ceiling,
-        **_scales(h, ctx),
-    }
-    params = {"pattern": args.pattern or args.pattern_file, "n": args.n, "p": args.p}
-    _emit(args, _record("classify", params, result))
+    _emit(args, "classify", _params(args, "pattern", "n", "p"),
+          _regime_fields(regime, h, ctx))
     return 0
 
 
@@ -308,12 +311,8 @@ def _cmd_peel(args) -> int:
     }
     if args.emit_edges:
         result["kept_edges"] = _edges_out(peeled.edges)
-    params = {
-        "pattern": args.pattern or args.pattern_file, "graph": args.graph,
-        "n": args.n, "p": args.p, "delta": args.delta, "eps": args.eps,
-        "strong": args.strong,
-    }
-    _emit(args, _record("peel", params, result))
+    params = _params(args, "pattern", "graph", "n", "p", "delta", "eps", "strong")
+    _emit(args, "peel", params, result)
     return 0
 
 
@@ -331,21 +330,19 @@ def _cmd_partition(args) -> int:
             "e22": len(part.e22),
         },
     }
-    params = {"graph": args.graph, "degree_threshold": args.degree_threshold}
-    _emit(args, _record("partition", params, result))
+    _emit(args, "partition", _params(args, "graph", "degree_threshold"), result)
     return 0
 
 
 def _cmd_decompose(args) -> int:
     h = _resolve_pattern(args)
-    params = {"pattern": args.pattern or args.pattern_file, "mode": args.mode}
     if args.mode == "cycles":
         if args.edge is None:
             raise ValueError("mode 'cycles' needs --edge U V")
         e = (args.edge[0], args.edge[1])
         cover = cycle_edge_cover_avoiding(h, e)
         validate_cycle_edge_cover(cover, h, e)
-        params["edge"] = list(e)
+        params = _params(args, "pattern", "mode", "edge")
         result = {
             "components": [
                 {"kind": c.kind, "vertices": list(c.vertices)}
@@ -359,32 +356,28 @@ def _cmd_decompose(args) -> int:
         q = ((a, b), (b, c))
         oc = ordered_cover(h, q)
         validate_ordered_cover(oc, h, q)
-        params["cherry"] = [a, b, c]
+        params = _params(args, "pattern", "mode", "cherry")
         result = {
             "parts": [
                 {"kind": pc.kind, "vertices": list(pc.vertices)} for pc in oc.parts
             ],
             "attachments": [list(e) for e in oc.attachments],
         }
-    _emit(args, _record("decompose", params, result))
+    _emit(args, "decompose", params, result)
     return 0
 
 
 def _cmd_color(args) -> int:
+    params = _params(args, "pattern", "graph")
     if args.graph:
         g = _load_graph(args.graph)
-    elif args.pattern or args.pattern_file:
+    elif params["pattern"]:
         g = _resolve_pattern(args).graph
     else:
         raise ValueError("need --graph, --pattern, or --pattern-file")
-    params = {
-        "pattern": getattr(args, "pattern", None) or getattr(args, "pattern_file", None),
-        "graph": args.graph,
-    }
     if args.avoid:
-        avoid = [tuple(e) for e in args.avoid]
-        matching = matching_avoiding(g, avoid)
-        params["avoid"] = [list(e) for e in avoid]
+        matching = matching_avoiding(g, [tuple(e) for e in args.avoid])
+        params["avoid"] = args.avoid
         result = {"matching": _edges_out(matching)}
     else:
         coloring = konig_coloring(g)
@@ -392,7 +385,7 @@ def _cmd_color(args) -> int:
             "num_colors": coloring.num_colors,
             "classes": [_edges_out(cls) for cls in coloring.classes()],
         }
-    _emit(args, _record("color", params, result))
+    _emit(args, "color", params, result)
     return 0
 
 
@@ -408,8 +401,7 @@ def _cmd_plant(args) -> int:
     }
     if args.emit_edges:
         result["edges"] = _edges_out(g.edges)
-    params = {"kind": args.kind, "n": args.n, "p": args.p}
-    _emit(args, _record("plant", params, result))
+    _emit(args, "plant", _params(args, "kind", "n", "p"), result)
     return 0
 
 
@@ -431,9 +423,9 @@ def _cmd_varbound(args) -> int:
         "threshold": (1 + args.delta) * ctx.copies_scale(h),
         **_scales(h, ctx),
     }
-    params = {"pattern": args.pattern or args.pattern_file, "delta": args.delta,
-              "n": args.n, "p": args.p, "candidates": len(family)}
-    _emit(args, _record("varbound", params, result))
+    params = _params(args, "pattern", "delta", "n", "p")
+    params["candidates"] = len(family)
+    _emit(args, "varbound", params, result)
     return 0
 
 
@@ -449,10 +441,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_simulate(args) -> int:
     h = _resolve_pattern(args)
-    params = {
-        "pattern": args.pattern or args.pattern_file,
-        "n": args.n, "p": args.p, "trials": args.trials,
-    }
+    params = _params(args, "pattern", "n", "p", "trials")
     if args.tail_delta is not None:
         est = upper_tail_frequency(h, args.n, args.p, args.tail_delta,
                                    args.trials, args.seed)
@@ -484,7 +473,7 @@ def _cmd_simulate(args) -> int:
             "trials": est.trials,
             "expected": expected_count(h, ctx),
         }
-    _emit(args, _record("simulate", params, result, seed=args.seed))
+    _emit(args, "simulate", params, result, seed=args.seed)
     return 0
 
 
@@ -516,13 +505,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pattern_opts(sub)
     sub.add_argument("--delta", type=_positive_float, required=True)
     _add_scale_opts(sub)
-    sub.add_argument("--csv", action="store_true")
     sub.set_defaults(func=_cmd_rate)
 
     sub = subs.add_parser("theta", help="tilted independence-polynomial root")
     _add_pattern_opts(sub)
     sub.add_argument("--delta", type=_positive_float, required=True)
-    sub.add_argument("--csv", action="store_true")
     sub.set_defaults(func=_cmd_theta)
 
     sub = subs.add_parser("count", help="exact labelled copy count")
@@ -531,7 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--per-edge", action="store_true")
     sub.add_argument("--hom", action="store_true",
                      help="count homomorphisms instead of injective copies")
-    sub.add_argument("--csv", action="store_true")
     sub.set_defaults(func=_cmd_count)
 
     sub = subs.add_parser("cond-exp", help="expected copies given planted edges")
@@ -541,13 +527,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--exact", action="store_true")
     sub.add_argument("--gain", action="store_true",
                      help="also emit the first-order surplus")
-    sub.add_argument("--csv", action="store_true")
     sub.set_defaults(func=_cmd_cond_exp)
 
     sub = subs.add_parser("classify", help="sparsity regime for (n, p)")
     _add_pattern_opts(sub)
     _add_scale_opts(sub)
-    sub.add_argument("--csv", action="store_true")
     sub.set_defaults(func=_cmd_classify)
 
     sub = subs.add_parser("peel", help="iterated removal of thin edges")
@@ -561,13 +545,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--strong", action="store_true")
     sub.add_argument("--copy-budget", type=int, default=None)
     sub.add_argument("--emit-edges", action="store_true")
-    sub.add_argument("--csv", action="store_true")
     sub.set_defaults(func=_cmd_peel)
 
     sub = subs.add_parser("partition", help="split edges by endpoint degrees")
     sub.add_argument("--graph", required=True, metavar="FILE")
     sub.add_argument("--degree-threshold", type=int, required=True)
-    sub.add_argument("--csv", action="store_true")
     sub.set_defaults(func=_cmd_partition)
 
     sub = subs.add_parser("decompose", help="edge-avoiding covers of a pattern")
@@ -575,7 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--mode", choices=["cycles", "ordered"], required=True)
     sub.add_argument("--edge", type=int, nargs=2, metavar=("U", "V"))
     sub.add_argument("--cherry", type=int, nargs=3, metavar=("A", "B", "C"))
-    sub.add_argument("--csv", action="store_true")
     sub.set_defaults(func=_cmd_decompose)
 
     sub = subs.add_parser("color", help="bipartite edge coloring / clean matching")
@@ -583,7 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--graph", metavar="FILE")
     sub.add_argument("--avoid", type=int, nargs=2, action="append",
                      metavar=("U", "V"))
-    sub.add_argument("--csv", action="store_true")
     sub.set_defaults(func=_cmd_color)
 
     sub = subs.add_parser("plant", help="realize a planted structure")
@@ -591,7 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="hub:U | clique:M | bipartite:A,B | parts joined by +")
     _add_scale_opts(sub)
     sub.add_argument("--emit-edges", action="store_true")
-    sub.add_argument("--csv", action="store_true")
     sub.set_defaults(func=_cmd_plant)
 
     sub = subs.add_parser("varbound", help="cheapest feasible planted structure")
@@ -601,7 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--candidate", action="append", metavar="KIND")
     sub.add_argument("--clique-range", metavar="LO:HI")
     sub.add_argument("--hub-range", metavar="LO:HI")
-    sub.add_argument("--csv", action="store_true")
     sub.set_defaults(func=_cmd_varbound)
 
     sub = subs.add_parser("verify", help="run the inequality checker suites")
@@ -621,9 +599,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--tail-delta", type=_positive_float, default=None)
     sub.add_argument("--planted", metavar="FILE")
-    sub.add_argument("--csv", action="store_true")
     sub.set_defaults(func=_cmd_simulate)
 
+    for name, sub in subs.choices.items():
+        if name != "verify":
+            sub.add_argument("--csv", action="store_true")
     return parser
 
 

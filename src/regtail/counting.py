@@ -148,16 +148,6 @@ def count_with_edges(h: Graph | PatternGraph, g: Graph) -> CountReport:
     return CountReport(total=_search(h, g, visit), per_edge=per)
 
 
-def count_through_edge(h: Graph | PatternGraph, g: Graph, e: Edge) -> int:
-    u, v = e
-    key = (u, v) if u < v else (v, u)
-    if key not in g.edge_set():
-        raise ValueError(f"edge {e} not in host graph")
-    report = count_with_edges(h, g)
-    assert report.per_edge is not None
-    return report.per_edge[key]
-
-
 def copy_edge_lists(
     h: Graph | PatternGraph, g: Graph, max_copies: int | None = None
 ) -> list[tuple[Edge, ...]]:
@@ -200,10 +190,6 @@ def count_hom(h: Graph | PatternGraph, g: Graph) -> int:
     return core * g.vertex_count ** isolated
 
 
-def low_degree_vertices(g: Graph, D: int) -> frozenset[int]:
-    return frozenset(v for v in range(g.vertex_count) if g.degree(v) <= D)
-
-
 def count_N11(
     h: Graph | PatternGraph, g: Graph, D: int
 ) -> tuple[int, int, int]:
@@ -215,7 +201,7 @@ def count_N11(
     if D < 1:
         raise ValueError(f"D must be >= 1, got {D}")
     edges = as_graph(h).edges
-    low = low_degree_vertices(g, D)
+    low = frozenset(v for v in range(g.vertex_count) if g.degree(v) <= D)
     tally = [0, 0]  # [with at least one low-low edge, with only low-low edges]
 
     def visit(assign: list[int]) -> None:
@@ -268,19 +254,6 @@ def count_paths_signed(
         return cnt
 
     return rec(v1, 0, 1 << v1)
-
-
-def count_K12_centered(g: Graph, U) -> int:
-    """Ordered cherries with the center inside U and both leaves outside."""
-    inside = set(U)
-    for v in inside:
-        if not (0 <= v < g.vertex_count):
-            raise ValueError(f"vertex {v} out of range")
-    total = 0
-    for c in inside:
-        d_out = sum(1 for w in g.adjacency[c] if w not in inside)
-        total += d_out * (d_out - 1)
-    return total
 
 
 def expected_count(h: PatternGraph, ctx: SparsityContext) -> float:

@@ -259,12 +259,16 @@ class OrderedCover:
     attachments: tuple[tuple[int, int], ...]  # aligned with parts[3:]
 
 
-def ordered_cover(h: Graph | PatternGraph, q) -> OrderedCover:
-    h = as_graph(h)
+def _cherry(
+    q, edges: frozenset[Edge] | None = None
+) -> tuple[Edge, int, int, int]:
+    """The cherry's first edge, canonical, and its vertices (u1, u2, v):
+    u2 is the shared center, u1 and v the far ends of the first and second
+    edges. With ``edges``, both cherry edges must lie in it."""
     (a1, b1), (a2, b2) = q
     first = _canon(a1, b1)
     second = _canon(a2, b2)
-    if first not in h.edge_set() or second not in h.edge_set():
+    if edges is not None and (first not in edges or second not in edges):
         raise ValueError("cherry edges must belong to the graph")
     shared = set(first) & set(second)
     if len(shared) != 1:
@@ -272,6 +276,12 @@ def ordered_cover(h: Graph | PatternGraph, q) -> OrderedCover:
     u2 = shared.pop()
     u1 = first[0] if first[1] == u2 else first[1]
     v = second[0] if second[1] == u2 else second[1]
+    return first, u1, u2, v
+
+
+def ordered_cover(h: Graph | PatternGraph, q) -> OrderedCover:
+    h = as_graph(h)
+    _, u1, u2, v = _cherry(q, h.edge_set())
     if not h.is_connected():
         raise ValueError("input graph is not connected")
     cover = cycle_edge_cover_avoiding(h, (u1, u2))
@@ -313,15 +323,7 @@ def ordered_cover(h: Graph | PatternGraph, q) -> OrderedCover:
 
 def validate_ordered_cover(oc: OrderedCover, h: Graph | PatternGraph, q) -> None:
     h = as_graph(h)
-    (a1, b1), (a2, b2) = q
-    first = _canon(a1, b1)
-    second = _canon(a2, b2)
-    shared = set(first) & set(second)
-    if len(shared) != 1:
-        raise ValueError("cherry edges must share exactly one vertex")
-    u2 = shared.pop()
-    u1 = first[0] if first[1] == u2 else first[1]
-    v = second[0] if second[1] == u2 else second[1]
+    first, u1, u2, v = _cherry(q)
     parts = oc.parts
     if len(parts) < 3:
         raise ValueError("ordered cover needs at least three labelled parts")

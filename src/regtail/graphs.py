@@ -1,8 +1,8 @@
-"""Graph representation, validation, degree cores, and generators.
+"""Graph representation, validation, and generators.
 
 All graphs are simple and undirected, with 0-based dense vertex labels.
-Isolated vertices are representable on purpose: degree cores and edge
-peeling leave them behind, and copy counts never depend on them.
+Isolated vertices are representable on purpose: edge peeling leaves them
+behind, and copy counts never depend on them.
 """
 
 from __future__ import annotations
@@ -86,14 +86,6 @@ class Graph:
         return from_edge_list(
             self.vertex_count, [e for e in self.edges if e not in removed]
         )
-
-    def edge_subgraph(self, kept: set[Edge] | frozenset[Edge]) -> "Graph":
-        """Subgraph on the same vertex set containing exactly ``kept`` edges."""
-        kept = {_canon(*e) for e in kept}
-        missing = kept - set(self.edges)
-        if missing:
-            raise GraphInputError(f"edges not present: {sorted(missing)}")
-        return from_edge_list(self.vertex_count, sorted(kept))
 
     def is_connected(self) -> bool:
         if self.vertex_count == 0:
@@ -268,37 +260,6 @@ class SparsityContext:
     def density_scale(self, h: PatternGraph) -> float:
         """n p^{degree/2}; its v-th power is the copies scale."""
         return float(self.n) * self.p ** (h.delta / 2.0)
-
-
-# ---------------------------------------------------------------------------
-# degree core
-
-
-def delta_core(g: Graph, k: int) -> Graph:
-    """Maximal subgraph of minimum degree >= k, by worklist peeling.
-
-    Vertices falling below k lose all incident edges; result keeps the
-    original vertex count with removed vertices isolated.
-    """
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    deg = [g.degree(v) for v in g.vertices()]
-    alive = [bool(g.adjacency[v]) for v in g.vertices()]
-    work = [v for v in g.vertices() if alive[v] and deg[v] < k]
-    dead: set[int] = set()
-    while work:
-        v = work.pop()
-        if v in dead or not alive[v]:
-            continue
-        dead.add(v)
-        alive[v] = False
-        for w in g.adjacency[v]:
-            if w not in dead and alive[w]:
-                deg[w] -= 1
-                if deg[w] < k:
-                    work.append(w)
-    edges = [(u, v) for u, v in g.edges if u not in dead and v not in dead]
-    return from_edge_list(g.vertex_count, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -116,15 +116,12 @@ def independent_set_counts(g: Graph | PatternGraph) -> list[int]:
 
 def independence_polynomial(g: Graph | PatternGraph, x: float | Fraction):
     """Evaluate the independence polynomial at x by Horner's rule."""
-    coeffs = independent_set_counts(g)
+    return _poly_eval(independent_set_counts(g), x)
+
+
+def _poly_eval(coeffs: list[int], x: float | Fraction) -> float | Fraction:
+    # the int start keeps a Fraction x exact; with a float x, 0 * x is 0.0 * x
     acc: float | Fraction = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_eval(coeffs: list[int], x: float) -> float:
-    acc = 0.0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
@@ -247,13 +244,3 @@ def fractional_independence(g: Graph | PatternGraph) -> FractionalIndependence:
     for i, v in enumerate(order):
         witness[v] = Fraction(best_assign[i], 2)
     return FractionalIndependence(Fraction(best_units, 2), tuple(witness))
-
-
-def alpha_upper_bound_check(h_star: Graph, delta: int) -> bool:
-    """True iff alpha*(h_star) <= v - e/delta, evaluated in exact rationals."""
-    for v in range(h_star.vertex_count):
-        if not h_star.adjacency[v]:
-            raise ValueError(f"vertex {v} is isolated")
-    alpha = fractional_independence(h_star).value
-    bound = Fraction(h_star.vertex_count) - Fraction(h_star.edge_count, delta)
-    return alpha <= bound

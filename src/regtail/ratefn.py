@@ -23,13 +23,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import log, perm
 
-from .counting import copy_edge_lists, count_K12_centered, count_labelled
+from .counting import copy_edge_lists, count_labelled
 from .graphs import (
     Graph,
     PatternGraph,
     SparsityContext,
     as_graph,
-    cycle,
     from_edge_list,
     span_of_edges,
 )
@@ -311,17 +310,3 @@ def variational_upper_bound(
             "conditional-expectation constraint"
         )
     return best
-
-
-def c4_mu(g: Graph, V1, V2, kappa: float) -> float:
-    """Boundary-regime objective for the 4-cycle: bipartite 4-cycle count
-    between the parts plus 4 kappa times the cherries centered in V2.
-    """
-    s1, s2 = set(V1), set(V2)
-    if s1 & s2:
-        raise ValueError("parts overlap")
-    if s1 | s2 != set(range(g.vertex_count)):
-        raise ValueError("parts must cover every vertex")
-    between = [e for e in g.edges if (e[0] in s1) != (e[1] in s1)]
-    sub = from_edge_list(g.vertex_count, between)
-    return count_labelled(cycle(4), sub) + 4.0 * kappa * count_K12_centered(g, s2)

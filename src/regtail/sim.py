@@ -1,10 +1,10 @@
 """Seedable random-graph sampling and Monte Carlo estimators.
 
-Counter-based RNG: trial i draws from an independent Philox stream jumped
-i times from the base key, so estimates do not depend on evaluation order
-and rerunning any single trial reproduces it bit for bit. Count reduction
-is exact integer summation, converted to float once. numpy is imported on
-first use, so verbs that do not sample never load it.
+Counter-based RNG: trial i draws from an independent Philox4x64 stream
+jumped i times from the base key, so estimates do not depend on evaluation
+order and rerunning any single trial reproduces it bit for bit. Count
+reduction is exact integer summation, converted to float once. numpy is
+imported on first use, so verbs that do not sample never load it.
 """
 
 from __future__ import annotations
@@ -19,15 +19,16 @@ from .graphs import Graph, PatternGraph, SparsityContext, from_edge_list
 if TYPE_CHECKING:
     import numpy as np
 
+# Largest n the sampler draws on. Its pair table holds n(n-1)/2 rows, so an
+# untrusted n is capped here before that table is built.
+MAX_SAMPLE_VERTICES = 2000
+
 
 @dataclass(frozen=True)
 class RngSpec:
-    seed: int
-    algorithm: str = "philox4x64"
+    """Base key of the Philox4x64 streams."""
 
-    def __post_init__(self) -> None:
-        if self.algorithm != "philox4x64":
-            raise ValueError(f"unknown rng algorithm {self.algorithm!r}")
+    seed: int
 
     def stream(self, index: int) -> np.random.Generator:
         import numpy as np
@@ -65,30 +66,65 @@ def _pairs(n: int) -> np.ndarray:
     return got
 
 
-def sample_gnp(n: int, p: float, rng: RngSpec | int, index: int = 0) -> Graph:
-    """One draw of the n-vertex binomial random graph."""
+def _check_gnp(n: int, p: float) -> None:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    gen = _spec(rng).stream(index)
+    if n > MAX_SAMPLE_VERTICES:
+        raise ValueError(
+            f"n={n} exceeds the sampling limit of {MAX_SAMPLE_VERTICES} vertices"
+        )
+
+
+def _draw(n: int, p: float, spec: RngSpec, index: int, forced=None) -> Graph:
+    """Stream ``index`` keeps each vertex pair with probability p; pairs
+    marked in the boolean vector ``forced`` are kept regardless."""
     pairs = _pairs(n)
-    keep = gen.random(len(pairs)) < p
+    keep = spec.stream(index).random(len(pairs)) < p
+    if forced is not None:
+        keep |= forced
     return from_edge_list(n, pairs[keep].tolist())
+
+
+def sample_gnp(n: int, p: float, rng: RngSpec | int, index: int = 0) -> Graph:
+    """One draw of the n-vertex binomial random graph."""
+    _check_gnp(n, p)
+    return _draw(n, p, _spec(rng), index)
+
+
+def _trial_counts(
+    h: PatternGraph,
+    n: int,
+    p: float,
+    trials: int,
+    rng: RngSpec | int,
+    planted: Graph | None = None,
+) -> list[int]:
+    """Copy counts of h in trials 0 .. trials-1, each sample unioned with
+    ``planted`` when one is given."""
+    if trials < 2:
+        raise ValueError(f"trials must be >= 2, got {trials}")
+    if planted is not None and planted.vertex_count != n:
+        raise ValueError(
+            f"planted graph has {planted.vertex_count} vertices, context has {n}"
+        )
+    _check_gnp(n, p)
+    spec = _spec(rng)
+    forced = None
+    if planted is not None:
+        import numpy as np
+
+        edges = planted.edge_set()
+        forced = np.array([tuple(e) in edges for e in _pairs(n).tolist()], dtype=bool)
+    return [count_labelled(h, _draw(n, p, spec, t, forced)) for t in range(trials)]
 
 
 def mc_mean_count(
     h: PatternGraph, n: int, p: float, trials: int, rng: RngSpec | int
 ) -> McEstimate:
     """Sample mean and standard error of the copy count of h."""
-    if trials < 2:
-        raise ValueError(f"trials must be >= 2, got {trials}")
-    spec = _spec(rng)
-    values = [
-        count_labelled(h, sample_gnp(n, p, spec, index=t))
-        for t in range(trials)
-    ]
-    return _estimate(values)
+    return _estimate(_trial_counts(h, n, p, trials, rng))
 
 
 def mc_conditional_mean(
@@ -99,28 +135,7 @@ def mc_conditional_mean(
     rng: RngSpec | int,
 ) -> McEstimate:
     """Copy-count mean over samples unioned with the planted graph g."""
-    if trials < 2:
-        raise ValueError(f"trials must be >= 2, got {trials}")
-    n, p = ctx.n, ctx.p
-    if g.vertex_count != n:
-        raise ValueError(
-            f"planted graph has {g.vertex_count} vertices, context has {n}"
-        )
-    import numpy as np
-
-    spec = _spec(rng)
-    pairs = _pairs(n)
-    planted = g.edge_set()
-    forced = np.array(
-        [tuple(e) in planted for e in pairs.tolist()], dtype=bool
-    )
-    values = []
-    for t in range(trials):
-        keep = spec.stream(t).random(len(pairs)) < p
-        keep |= forced
-        merged = from_edge_list(n, pairs[keep].tolist())
-        values.append(count_labelled(h, merged))
-    return _estimate(values)
+    return _estimate(_trial_counts(h, ctx.n, ctx.p, trials, rng, planted=g))
 
 
 def upper_tail_frequency(
@@ -135,12 +150,6 @@ def upper_tail_frequency(
 
     Direct Monte Carlo; informative only where the event is not rare.
     """
-    if trials < 2:
-        raise ValueError(f"trials must be >= 2, got {trials}")
+    counts = _trial_counts(h, n, p, trials, rng)
     threshold = (1 + delta) * float(n) ** h.v_h * p**h.e_h
-    spec = _spec(rng)
-    values = [
-        int(count_labelled(h, sample_gnp(n, p, spec, index=t)) >= threshold)
-        for t in range(trials)
-    ]
-    return _estimate(values)
+    return _estimate([int(c >= threshold) for c in counts])

@@ -232,25 +232,6 @@ def peel_to_strong_core(
     )
 
 
-def min_edges_for_copies(h: PatternGraph, target: float) -> float:
-    """Fewest edges any graph holding ``target`` copies of h can have.
-
-    Inverts the count <= (2e)^(v/2) bound, giving e >= target^(2/v)/2.
-    """
-    if target < 0:
-        raise ValueError(f"target must be >= 0, got {target}")
-    return 0.5 * target ** (2.0 / h.v_h)
-
-
-def min_edges_scaled(
-    h: PatternGraph, delta0: float, ctx: SparsityContext
-) -> float:
-    """Same bound with target delta0 n^v p^e, reported in units of edges."""
-    if delta0 < 0:
-        raise ValueError(f"delta0 must be >= 0, got {delta0}")
-    return 0.5 * delta0 ** (2.0 / h.v_h) * ctx.edge_scale(h)
-
-
 @dataclass(frozen=True)
 class HighLowSplit:
     """Edges split by the degree-product test, plus the bad closure.

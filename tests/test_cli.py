@@ -149,6 +149,26 @@ def test_non_finite_result_is_an_error_not_json(capsys, monkeypatch):
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("extra", [[], ["--tail-delta", "1"]])
+def test_simulate_refuses_huge_n_before_pair_table(capsys, monkeypatch, extra):
+    import regtail.sim as sim
+
+    def no_pairs(n):
+        raise AssertionError(f"pair table of n={n} requested")
+
+    monkeypatch.setattr(sim, "_pairs", no_pairs)
+    code, out, err = run_cli(
+        capsys, "simulate", "--pattern", "k3", "--n", "1e6", "--p", "0.1",
+        "--trials", "2", *extra,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"error: n=1000000 exceeds the sampling limit of {sim.MAX_SAMPLE_VERTICES}"
+        " vertices\n"
+    )
+
+
 def test_domain_error_exits_one(capsys):
     # poisson regime is a domain refusal, not a crash
     code, out, err = run_cli(

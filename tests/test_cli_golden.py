@@ -1,0 +1,88 @@
+"""Golden records of the JSON verbs.
+
+Each case runs the CLI in process on fixed argv over small edge-list files
+and compares the whole stdout (command, parameters, result, version and
+seed, in key order) with ``tests/data/cli_golden.json``. Input paths are
+written as ``{tmp}`` there.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from regtail.cli import main
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8")
+)
+
+FILES = {
+    "host.txt": "6 8\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n3 4\n4 5\n",
+    "planted.txt": "8 4\n0 1\n1 2\n0 2\n2 3\n",
+    "c4.txt": "4 4\n0 1\n1 2\n2 3\n0 3\n",
+    "k33.txt": "6 9\n0 3\n0 4\n0 5\n1 3\n1 4\n1 5\n2 3\n2 4\n2 5\n",
+}
+
+CASES = {
+    "rate": ["rate", "--pattern", "k3", "--delta", "1", "--n", "1e6", "--p", "1e-2"],
+    "theta": ["theta", "--pattern-file", "{tmp}/c4.txt", "--delta", "1"],
+    "count": ["count", "--pattern", "k3", "--graph", "{tmp}/host.txt", "--per-edge"],
+    "count-hom": ["count", "--pattern", "c4", "--graph", "{tmp}/host.txt", "--hom"],
+    "cond-exp": ["cond-exp", "--pattern", "k3", "--graph", "{tmp}/planted.txt",
+                 "--n", "8", "--p", "0.25", "--exact", "--gain"],
+    "classify": ["classify", "--pattern-file", "{tmp}/c4.txt", "--n", "1e4",
+                 "--p", "0.01"],
+    "peel": ["peel", "--pattern", "k3", "--graph", "{tmp}/host.txt", "--n", "100",
+             "--p", "0.05", "--delta", "1", "--eps", "0.5", "--strong",
+             "--emit-edges"],
+    "partition": ["partition", "--graph", "{tmp}/host.txt", "--degree-threshold", "2"],
+    "decompose-cycles": ["decompose", "--pattern", "petersen", "--mode", "cycles",
+                         "--edge", "0", "1"],
+    "decompose-ordered": ["decompose", "--pattern", "k4", "--mode", "ordered",
+                          "--cherry", "0", "1", "2"],
+    "color": ["color", "--graph", "{tmp}/k33.txt", "--avoid", "0", "3"],
+    "color-pattern": ["color", "--pattern", "c6"],
+    "plant": ["plant", "--kind", "clique:4+bipartite:2,3", "--n", "12", "--p", "0.1",
+              "--emit-edges"],
+    "varbound": ["varbound", "--pattern", "k3", "--delta", "0.5", "--n", "60",
+                 "--p", "0.15", "--clique-range", "3:6", "--hub-range", "1:2",
+                 "--candidate", "bipartite:2,3"],
+    "simulate": ["simulate", "--pattern", "k3", "--n", "10", "--p", "0.3",
+                 "--trials", "20", "--seed", "5"],
+    "simulate-tail": ["simulate", "--pattern", "k3", "--n", "10", "--p", "0.3",
+                      "--trials", "20", "--seed", "5", "--tail-delta", "0.5"],
+    "simulate-planted": ["simulate", "--pattern", "k3", "--n", "8", "--p", "0.25",
+                         "--trials", "20", "--planted", "{tmp}/planted.txt"],
+}
+
+JSON_VERBS = {"rate", "theta", "count", "cond-exp", "classify", "peel", "partition",
+              "decompose", "color", "plant", "varbound", "simulate"}
+
+
+@pytest.fixture
+def run(tmp_path, capsys):
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text)
+
+    def _run(argv):
+        code = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        return out.replace(str(tmp_path), "{tmp}")
+
+    return _run
+
+
+def test_cases_cover_every_json_verb():
+    assert {argv[0] for argv in CASES.values()} == JSON_VERBS
+    assert set(GOLDEN) == set(CASES) | {"csv"}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_record(run, name):
+    assert run(CASES[name]) == json.dumps(GOLDEN[name]) + "\n"
+
+
+def test_golden_csv(run):
+    assert run(CASES["peel"] + ["--csv"]) == GOLDEN["csv"]

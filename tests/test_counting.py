@@ -11,14 +11,11 @@ from regtail.counting import (
     IsolatedPatternVertexError,
     copy_edge_lists,
     count_hom,
-    count_K12_centered,
     count_labelled,
     count_N11,
     count_paths_signed,
-    count_through_edge,
     count_with_edges,
     expected_count,
-    low_degree_vertices,
 )
 from regtail.graphs import (
     SparsityContext,
@@ -30,7 +27,6 @@ from regtail.graphs import (
     from_edge_list,
     path,
     petersen,
-    star,
     validate_pattern,
 )
 
@@ -128,14 +124,10 @@ def test_per_edge_sums_to_pattern_edge_multiple(rng):
         assert sum(report.per_edge.values()) == 3 * report.total
 
 
-def test_count_through_edge_matches_report():
-    g = complete(5)
-    report = count_with_edges(complete(3), g)
-    for e in g.edges:
-        assert count_through_edge(complete(3), g, e) == report.per_edge[e]
-        assert report.per_edge[e] == 18  # 6 orderings times 3 third vertices
-    with pytest.raises(ValueError):
-        count_through_edge(complete(3), g, (0, 7))
+def test_per_edge_count_k3_in_k5():
+    report = count_with_edges(complete(3), complete(5))
+    # 6 orderings times 3 third vertices through every edge
+    assert report.per_edge == {e: 18 for e in complete(5).edges}
 
 
 def test_copy_edge_lists_enumerates_labelled_copies():
@@ -148,12 +140,6 @@ def test_copy_edge_lists_enumerates_labelled_copies():
     assert len({frozenset(edges) for edges in lists}) == 4
     with pytest.raises(CopyBudgetExceededError):
         copy_edge_lists(complete(3), complete(5), max_copies=3)
-
-
-def test_low_degree_vertices():
-    g = star(4)
-    assert low_degree_vertices(g, 1) == frozenset({1, 2, 3, 4})
-    assert low_degree_vertices(g, 4) == frozenset(range(5))
 
 
 def test_count_N11_consistency(rng):
@@ -207,17 +193,6 @@ def test_paths_signed_validation():
     with pytest.raises(ValueError):
         count_paths_signed(g, (2,), 0, 1, 2)
     assert count_paths_signed(g, (0,), 1, 1, 2) == 0
-
-
-def test_count_K12_centered():
-    g = star(4)
-    # center 0 has degree 4: 4*3 ordered cherries; leaves contribute none
-    assert count_K12_centered(g, {0}) == 12
-    assert count_K12_centered(g, {1, 2}) == 0
-    # leaves must land outside U, so U = everything kills every cherry
-    assert count_K12_centered(g, set(range(5))) == 0
-    with pytest.raises(ValueError):
-        count_K12_centered(g, {9})
 
 
 def test_expected_count_formula():

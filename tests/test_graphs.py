@@ -16,7 +16,6 @@ from regtail.graphs import (
     complete,
     complete_bipartite,
     cycle,
-    delta_core,
     disjoint_union,
     empty,
     format_edge_list,
@@ -25,6 +24,7 @@ from regtail.graphs import (
     path,
     petersen,
     random_regular_bipartite,
+    span_of_edges,
     star,
     validate_pattern,
 )
@@ -94,18 +94,10 @@ def test_without_edges_and_span():
     trimmed = g.without_edges([(0, 1)])
     assert trimmed.edge_count == 5
     assert not trimmed.has_edge(0, 1)
-    sub = g.edge_subgraph([(0, 1), (1, 2)])
-    assert sub.edge_count == 2
-    assert sub.vertex_count == g.vertex_count
-
-
-def test_delta_core_peels_tree_parts():
-    # triangle with a pendant path: 2-core is the triangle alone
-    g = from_edge_list(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
-    core = delta_core(g, 2)
-    assert core.edge_count == 3
-    assert {e for e in core.edges} == {(0, 1), (0, 2), (1, 2)}
-    assert delta_core(path(4), 2).edge_count == 0
+    # the span keeps only the endpoints of its edges, relabelled from 0
+    sub = span_of_edges([(3, 1), (1, 2)])
+    assert sub.vertex_count == 3
+    assert sub.edges == ((0, 1), (0, 2))
 
 
 def test_validate_pattern_accepts_regular_connected():

@@ -10,14 +10,13 @@ from regtail.graphs import (
     complete_bipartite,
     cycle,
     empty,
-    from_edge_list,
     path,
     petersen,
+    span_of_edges,
     star,
 )
 from regtail.independence import (
     GraphTooLargeError,
-    alpha_upper_bound_check,
     fractional_independence,
     independence_polynomial,
     independent_set_counts,
@@ -151,18 +150,17 @@ def test_fractional_size_cap():
         fractional_independence(empty(17))
 
 
-def test_alpha_upper_bound_check_regular_equality():
-    # for d-regular graphs v - e/d = v/2 = alpha*, so the bound is tight
-    assert alpha_upper_bound_check(complete(3), 2)
-    assert alpha_upper_bound_check(cycle(6), 2)
-    assert alpha_upper_bound_check(petersen(), 3)
-    # smaller delta shrinks the allowance below alpha*
-    assert not alpha_upper_bound_check(complete(3), 1)
-
-
-def test_alpha_upper_bound_check_rejects_isolated():
-    with pytest.raises(ValueError):
-        alpha_upper_bound_check(from_edge_list(3, [(0, 1)]), 2)
+def test_fractional_independence_of_edge_spans():
+    # for every nonempty edge subset A of a Delta-regular H,
+    # alpha*(span A) <= v_A - |A| / Delta, in exact rationals
+    for h, delta in ((complete(4), 3), (cycle(5), 2), (cycle(6), 2),
+                     (complete_bipartite(3, 3), 3)):
+        edges = h.edges
+        for mask in range(1, 1 << len(edges)):
+            chosen = [e for i, e in enumerate(edges) if mask >> i & 1]
+            span = span_of_edges(chosen)
+            bound = span.vertex_count - Fraction(len(chosen), delta)
+            assert fractional_independence(span).value <= bound
 
 
 @settings(max_examples=40, deadline=None)

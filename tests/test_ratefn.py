@@ -28,7 +28,6 @@ from regtail.ratefn import (
     UnsupportedRegimeError,
     _edge_orbits,
     asymptotic_conditional_gain,
-    c4_mu,
     classify_regime,
     conditional_expectation_and_gain,
     exact_conditional_expectation,
@@ -365,21 +364,3 @@ def test_pre_seed_clauses():
     w = is_pre_seed(empty_canvas, params)
     assert not w
     assert w.violated_clause == "copies"
-
-
-def test_c4_mu_hand_case():
-    g = cycle(4)
-    # V1 = {0, 2} and V2 = {1, 3}: every edge crosses, eight labelled
-    # 4-cycles survive, and each V2 vertex centers two ordered cherries
-    assert c4_mu(g, (0, 2), (1, 3), 0.0) == pytest.approx(8.0)
-    assert c4_mu(g, (0, 2), (1, 3), 0.5) == pytest.approx(8.0 + 4 * 0.5 * 4)
-    # putting everything in V1 leaves no crossing edges and no centers
-    assert c4_mu(g, (0, 1, 2, 3), (), 3.0) == 0.0
-
-
-def test_c4_mu_validation():
-    g = cycle(4)
-    with pytest.raises(ValueError):
-        c4_mu(g, (0, 1), (1, 2, 3), 1.0)
-    with pytest.raises(ValueError):
-        c4_mu(g, (0, 1), (2,), 1.0)

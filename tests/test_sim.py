@@ -16,7 +16,6 @@ from regtail.graphs import (
 from regtail.ratefn import exact_conditional_expectation, plant
 from regtail.sim import (
     McEstimate,
-    RngSpec,
     mc_conditional_mean,
     mc_mean_count,
     sample_gnp,
@@ -24,12 +23,6 @@ from regtail.sim import (
 )
 
 K3 = validate_pattern(complete(3))
-
-
-def test_rng_spec_validation():
-    with pytest.raises(ValueError):
-        RngSpec(1, algorithm="mersenne")
-    RngSpec(1)  # default algorithm accepted
 
 
 def test_sample_gnp_reproducible():
@@ -54,6 +47,11 @@ def test_sample_gnp_extremes():
         sample_gnp(10, 1.5, 1)
     with pytest.raises(ValueError):
         sample_gnp(-1, 0.5, 1)
+
+
+def test_sample_gnp_refuses_n_above_limit():
+    with pytest.raises(ValueError, match="sampling limit"):
+        sample_gnp(sim.MAX_SAMPLE_VERTICES + 1, 0.5, 1)
 
 
 def test_mc_mean_determinism():

@@ -23,8 +23,6 @@ from regtail.structures import (
     is_core,
     is_seed,
     is_strong_core,
-    min_edges_for_copies,
-    min_edges_scaled,
     peel_to_core,
     peel_to_strong_core,
 )
@@ -280,27 +278,6 @@ def test_strong_peel_uses_strong_threshold():
     g2 = from_edge_list(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
     assert peel_to_core(g2, params).edge_count == 3
     assert peel_to_strong_core(g2, params).edge_count == 3
-
-
-def test_min_edges_bound_holds_on_instances(rng):
-    for pattern in (K3, validate_pattern(cycle(4)), validate_pattern(complete(4))):
-        for _ in range(10):
-            g = random_graph(rng, 8, 0.6)
-            n_copies = count_labelled(pattern, g)
-            assert g.edge_count >= min_edges_for_copies(pattern, n_copies) - 1e-9
-
-
-def test_min_edges_formulas():
-    assert min_edges_for_copies(K3, 8.0) == pytest.approx(0.5 * 8.0 ** (2 / 3))
-    assert min_edges_for_copies(K3, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        min_edges_for_copies(K3, -1.0)
-    ctx = SparsityContext(50, 0.1)
-    assert min_edges_scaled(K3, 2.0, ctx) == pytest.approx(
-        0.5 * 2.0 ** (2 / 3) * 50.0**2 * 0.1**2
-    )
-    with pytest.raises(ValueError):
-        min_edges_scaled(K3, -0.5, ctx)
 
 
 def test_degree_product_scales():
