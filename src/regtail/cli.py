@@ -61,7 +61,7 @@ from .structures import (
     peel_to_core,
     peel_to_strong_core,
 )
-from .sim import mc_conditional_mean, mc_mean_count, upper_tail_frequency
+from .sim import mc_conditional_mean, mc_mean_count, tail_threshold, upper_tail_frequency
 from .verify import report_jsonl, run_all, summary_table
 
 PATTERNS = {
@@ -450,8 +450,7 @@ def _cmd_simulate(args) -> int:
             "frequency": est.mean,
             "std_error": est.std_error,
             "trials": est.trials,
-            "threshold": (1 + args.tail_delta)
-            * float(args.n) ** h.v_h * args.p**h.e_h,
+            "threshold": tail_threshold(h, args.n, args.p, args.tail_delta),
         }
     elif args.planted:
         g = _load_graph(args.planted)

@@ -8,19 +8,23 @@ of the placed pattern neighbors, all on integer bitmasks. It runs in three
 modes:
 
 - counting: injective maps, with the last search level counted by popcount
-  (``count_labelled``);
-- visiting: injective maps, each handed to a visitor as the list of host
-  images indexed by pattern vertex (``count_with_edges``,
-  ``copy_edge_lists``, ``count_N11``);
+  (``count_labelled``, and ``count_N11`` on two subgraphs of the host);
+- visiting: injective maps; ``visit(assign, m)`` gets each placement of all
+  pattern vertices but the last (``assign[u]`` is the host image of u) with
+  the bitmask m of the last vertex's images, so a visitor tallies a whole
+  last level at once (``count_with_edges``, ``copy_edge_lists``);
 - non-injective: every edge-preserving map, counted (``count_hom``).
 
-Counts are arbitrary-precision integers throughout.
+A pattern's search plan is built once, in a small bounded cache. Counts are
+arbitrary-precision integers throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import perm
+from typing import NamedTuple
 
 from .graphs import Edge, Graph, PatternGraph, SparsityContext, as_graph
 
@@ -37,84 +41,81 @@ class CountReport:
     per_edge: dict[Edge, int] | None = None
 
 
-def _require_no_isolated(h: Graph) -> None:
+class _Compiled(NamedTuple):
+    """A pattern's search plan; ``inner``: edges avoiding the last vertex."""
+
+    order: tuple[int, ...]
+    backs: tuple[tuple[int, ...], ...]  # pattern neighbours placed earlier
+    need: tuple[int, ...]  # pattern degree at each position
+    inner: tuple[Edge, ...]
+
+
+def _plan(h: Graph) -> _Compiled:
+    """Deterministic connected search order and what the kernel needs of it."""
     for v in range(h.vertex_count):
         if not h.adjacency[v]:
             raise IsolatedPatternVertexError(f"pattern vertex {v} is isolated")
-
-
-def _plan(h: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Deterministic connected search order plus, for each position, the
-    pattern neighbors placed before it."""
-    comps = sorted(h.connected_components(), key=lambda c: (-len(c), c))
     order: list[int] = []
-    placed: set[int] = set()
-    for comp in comps:
-        start = max(comp, key=lambda v: (h.degree(v), -v))
-        order.append(start)
-        placed.add(start)
-        while True:
-            best_key, best = None, None
-            for v in comp:
-                if v in placed:
-                    continue
-                back = sum(1 for w in h.adjacency[v] if w in placed)
-                if back == 0:
-                    continue
-                key = (back, h.degree(v), -v)
-                if best_key is None or key > best_key:
-                    best_key, best = key, v
-            if best is None:
-                break
+    for comp in sorted(h.connected_components(), key=lambda c: (-len(c), c)):
+        placed = {max(comp, key=lambda v: (h.degree(v), -v))}
+        order += placed
+        # comp is connected, so some unplaced vertex has a placed neighbour
+        for _ in range(len(comp) - 1):
+            best = max(
+                (v for v in comp if v not in placed and h.adjacency[v] & placed),
+                key=lambda v: (len(h.adjacency[v] & placed), h.degree(v), -v),
+            )
             order.append(best)
             placed.add(best)
     pos = {v: i for i, v in enumerate(order)}
-    backs = [
+    backs = tuple(
         tuple(sorted(w for w in h.adjacency[v] if pos[w] < i))
         for i, v in enumerate(order)
-    ]
-    return order, backs
+    )
+    need = tuple(h.degree(u) for u in order)
+    inner = tuple(e for e in h.edges if order[-1] not in e) if order else ()
+    return _Compiled(tuple(order), backs, need, inner)
 
 
-def _search(
-    h: Graph | PatternGraph, g: Graph, visit=None, injective: bool = True
-) -> int:
-    """Count the edge-preserving maps V(h) -> V(g), injective by default.
+def _compile(h: Graph | PatternGraph) -> _Compiled:
+    return _compiled(as_graph(h))
 
-    With ``visit``, calls ``visit(assign)`` once per map, where ``assign[u]``
-    is the host image of pattern vertex u; without it, the last search level
-    is counted by popcount. The pattern must have no isolated vertex.
-    """
-    h = as_graph(h)
-    _require_no_isolated(h)
-    k = h.vertex_count
+
+# Catalogue dedup and Monte Carlo reuse a few patterns; the subset sum makes
+# a new one per span, so a small bound suffices. Errors are not cached.
+@lru_cache(maxsize=256)
+def _compiled(h: Graph) -> _Compiled:
+    return _plan(h)
+
+
+def _search(c: _Compiled, gmask, visit=None, injective: bool = True) -> int:
+    """Count the edge-preserving maps of pattern c into the host with
+    adjacency masks ``gmask``, injective by default; ``visit(assign, m)`` is
+    called for every nonempty last-level mask m."""
+    k = len(c.order)
     if k == 0:
-        if visit is not None:
-            visit([])
         return 1
     # an injective image of a degree-d pattern vertex has host degree >= d;
     # any image of a pattern vertex lies in the host's support
-    need = [h.degree(u) if injective else 1 for u in range(k)]
+    need = c.need if injective else (1,) * k
     floors = {
-        d: sum(1 << v for v, nbrs in enumerate(g.adjacency) if len(nbrs) >= d)
+        d: sum(1 << v for v, m in enumerate(gmask) if m.bit_count() >= d)
         for d in set(need)
     }
     if injective and k > floors[min(floors)].bit_count():
         return 0
-    order, backs = _plan(h)
-    allowed = [floors[need[u]] for u in order]
-    gmask = g.adjacency_masks
+    order, backs = c.order, c.backs
+    allowed = [floors[d] for d in need]
     assign = [0] * k
-    stop = k - 1 if visit is None else k
+    last = k - 1
 
     def rec(i: int, used: int) -> int:
-        if i == k:
-            visit(assign)
-            return 1
         m = allowed[i] & ~used
         for w in backs[i]:
             m &= gmask[assign[w]]
-        if i == stop:
+        if i == last:
+            if visit is not None and m:
+                visit(assign, m)
             return m.bit_count()
         u, cnt = order[i], 0
         while m:
@@ -127,25 +128,37 @@ def _search(
     return rec(0, 0)
 
 
+def _bits(m: int):
+    while m:
+        b = m & -m
+        m ^= b
+        yield b.bit_length() - 1
+
+
 def count_labelled(h: Graph | PatternGraph, g: Graph) -> int:
     """Number of injective maps V(h) -> V(g) preserving all edges of h."""
-    return _search(h, g)
+    return _search(_compile(h), g.adjacency_masks)
 
 
 def count_with_edges(h: Graph | PatternGraph, g: Graph) -> CountReport:
     """Total count plus, for every host edge, the count of copies through it.
 
-    All per-edge counters are filled in a single enumeration pass.
+    All per-edge counters are filled in one pass, a last level at a time.
     """
-    edges = as_graph(h).edges
+    c = _compile(h)
     per: dict[Edge, int] = {e: 0 for e in g.edges}
 
-    def visit(assign: list[int]) -> None:
-        for u, v in edges:
+    def visit(assign: list[int], m: int) -> None:
+        hits = m.bit_count()
+        for u, v in c.inner:
             a, b = assign[u], assign[v]
-            per[(a, b) if a < b else (b, a)] += 1
+            per[(a, b) if a < b else (b, a)] += hits
+        images = [assign[u] for u in c.backs[-1]]
+        for x in _bits(m):
+            for a in images:
+                per[(a, x) if a < x else (x, a)] += 1
 
-    return CountReport(total=_search(h, g, visit), per_edge=per)
+    return CountReport(total=_search(c, g.adjacency_masks, visit), per_edge=per)
 
 
 def copy_edge_lists(
@@ -156,21 +169,25 @@ def copy_edge_lists(
     Each copy lists the images of the pattern edges in the pattern's edge
     order.
     """
+    c = _compile(h)
     edges = as_graph(h).edges
     out: list[tuple[Edge, ...]] = []
 
-    def visit(assign: list[int]) -> None:
-        if max_copies is not None and len(out) >= max_copies:
-            raise CopyBudgetExceededError(
-                f"copy enumeration exceeded budget {max_copies}"
-            )
-        images = []
-        for u, v in edges:
-            a, b = assign[u], assign[v]
-            images.append((a, b) if a < b else (b, a))
-        out.append(tuple(images))
+    def visit(assign: list[int], m: int) -> None:
+        last = c.order[-1]
+        for x in _bits(m):
+            if max_copies is not None and len(out) >= max_copies:
+                raise CopyBudgetExceededError(
+                    f"copy enumeration exceeded budget {max_copies}"
+                )
+            assign[last] = x
+            images = []
+            for u, v in edges:
+                a, b = assign[u], assign[v]
+                images.append((a, b) if a < b else (b, a))
+            out.append(tuple(images))
 
-    _search(h, g, visit)
+    _search(c, g.adjacency_masks, visit)
     return out
 
 
@@ -186,7 +203,7 @@ def count_hom(h: Graph | PatternGraph, g: Graph) -> int:
     """
     h = as_graph(h)
     isolated = sum(1 for v in range(h.vertex_count) if not h.adjacency[v])
-    core = _search(h.relabelled_span(), g, injective=False)
+    core = _search(_compile(h.relabelled_span()), g.adjacency_masks, injective=False)
     return core * g.vertex_count ** isolated
 
 
@@ -200,21 +217,13 @@ def count_N11(
     """
     if D < 1:
         raise ValueError(f"D must be >= 1, got {D}")
-    edges = as_graph(h).edges
-    low = frozenset(v for v in range(g.vertex_count) if g.degree(v) <= D)
-    tally = [0, 0]  # [with at least one low-low edge, with only low-low edges]
-
-    def visit(assign: list[int]) -> None:
-        lows = 0
-        for u, v in edges:
-            if assign[u] in low and assign[v] in low:
-                lows += 1
-        if lows:
-            tally[0] += 1
-            tally[1] += lows == len(edges)
-
-    _search(h, g, visit)
-    n11, tilde = tally
+    # a copy uses only low-low edges iff it lies in the low-low subgraph, and
+    # no low-low edge iff it lies in the host minus the low-low edges
+    c, gmask = _compile(h), g.adjacency_masks
+    low = sum(1 << v for v, m in enumerate(gmask) if m.bit_count() <= D)
+    low_low = [m & low if low >> v & 1 else 0 for v, m in enumerate(gmask)]
+    n11 = _search(c, gmask) - _search(c, [m ^ ll for m, ll in zip(gmask, low_low)])
+    tilde = _search(c, low_low)
     return n11, tilde, n11 - tilde
 
 

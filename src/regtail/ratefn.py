@@ -225,21 +225,50 @@ class PlantedStructure:
     realized: Graph
 
 
-def _block_edges(kind: tuple, start: int) -> tuple[list[tuple[int, int]], int, int]:
-    """Edges, block width, and closed-form edge count for a union part."""
+# Largest realized edge count ``plant`` builds. Sizes come from the command
+# line, so the count is computed and checked before any edge list exists.
+MAX_PLANTED_EDGES = 100_000
+
+
+def _layout(kind: tuple, n: int) -> tuple[list[tuple[tuple, int]], int]:
+    """Each part of a planted kind with its first vertex, and the realized
+    edge count, in closed form: nothing is built."""
+    if kind[0] == "hub":
+        (_, u) = kind
+        if not 1 <= u <= n:
+            raise ValueError(f"hub size {u} does not fit in n={n}")
+        layout, count = [(kind, 0)], u * (n - u) + u * (u - 1) // 2
+    else:
+        layout, start, count = [], 0, 0
+        for part in list(kind[1]) if kind[0] == "union" else [kind]:
+            match part := tuple(part):
+                case ("clique", int(m)) if m >= 1:
+                    width, closed = m, m * (m - 1) // 2
+                case ("bipartite", int(a), int(b)) if a >= 1 and b >= 1:
+                    width, closed = a + b, a * b
+                case _:
+                    raise ValueError(f"unsupported planted part {part!r}")
+            layout.append((part, start))
+            start += width
+            count += closed
+        if start > n:
+            raise ValueError(f"planted structure needs {start} vertices, n={n}")
+    if count > MAX_PLANTED_EDGES:
+        raise ValueError(
+            f"planted structure has {count} edges, above the limit of "
+            f"{MAX_PLANTED_EDGES}"
+        )
+    return layout, count
+
+
+def _block_edges(kind: tuple, start: int, n: int) -> list[tuple[int, int]]:
     match kind:
-        case ("clique", int(m)) if m >= 1:
-            edges = [
-                (start + i, start + j) for i in range(m) for j in range(i + 1, m)
-            ]
-            return edges, m, m * (m - 1) // 2
-        case ("bipartite", int(a), int(b)) if a >= 1 and b >= 1:
-            edges = [
-                (start + i, start + a + j) for i in range(a) for j in range(b)
-            ]
-            return edges, a + b, a * b
-        case _:
-            raise ValueError(f"unsupported planted part {kind!r}")
+        case ("hub", u):
+            return [(i, j) for i in range(u) for j in range(i + 1, n)]
+        case ("clique", m):
+            return [(start + i, start + j) for i in range(m) for j in range(i + 1, m)]
+        case ("bipartite", a, b):
+            return [(start + i, start + a + j) for i in range(a) for j in range(b)]
 
 
 def plant(kind, ctx: SparsityContext) -> PlantedStructure:
@@ -248,31 +277,13 @@ def plant(kind, ctx: SparsityContext) -> PlantedStructure:
     Kinds: ("clique", m), ("hub", u), ("bipartite", a, b), and
     ("union", (part, ...)) of clique/bipartite parts on fresh blocks.
     A hub joins u vertices to everything, itself included, so it cannot
-    appear inside a union.
+    appear inside a union. At most MAX_PLANTED_EDGES edges are realized.
     """
-    n = ctx.n
     kind = tuple(kind)
-    if kind[0] == "hub":
-        (_, u) = kind
-        if not 1 <= u <= n:
-            raise ValueError(f"hub size {u} does not fit in n={n}")
-        edges = [(i, j) for i in range(u) for j in range(i + 1, n)]
-        g = from_edge_list(n, edges)
-        assert g.edge_count == u * (n - u) + u * (u - 1) // 2
-        return PlantedStructure(kind, g)
-    parts = list(kind[1]) if kind[0] == "union" else [kind]
-    edges: list[tuple[int, int]] = []
-    start = 0
-    expected = 0
-    for part in parts:
-        part_edges, width, closed = _block_edges(tuple(part), start)
-        edges.extend(part_edges)
-        start += width
-        expected += closed
-    if start > n:
-        raise ValueError(f"planted structure needs {start} vertices, n={n}")
-    g = from_edge_list(n, edges)
-    assert g.edge_count == expected
+    layout, count = _layout(kind, ctx.n)
+    edges = [e for part, start in layout for e in _block_edges(part, start, ctx.n)]
+    g = from_edge_list(ctx.n, edges)
+    assert g.edge_count == count
     return PlantedStructure(kind, g)
 
 
@@ -293,6 +304,8 @@ def variational_upper_bound(
         raise ValueError("search family is empty")
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
+    for desc in descriptors:  # refuse a misfit or oversized one before any work
+        _layout(desc, ctx.n)
     threshold = (1 + delta) * ctx.copies_scale(h)
     scale = ctx.edge_scale(h)
     best: tuple[float, PlantedStructure] | None = None

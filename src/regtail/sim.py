@@ -1,10 +1,12 @@
 """Seedable random-graph sampling and Monte Carlo estimators.
 
-Counter-based RNG: trial i draws from an independent Philox4x64 stream
-jumped i times from the base key, so estimates do not depend on evaluation
-order and rerunning any single trial reproduces it bit for bit. Count
-reduction is exact integer summation, converted to float once. numpy is
-imported on first use, so verbs that do not sample never load it.
+Counter-based RNG: trial i draws from the Philox4x64 stream of the base key
+with counter [0, 0, i mod 2^64, i >> 64], which is the base stream jumped i
+times, so estimates do not depend on evaluation order and rerunning any
+single trial reproduces it bit for bit. A run sets one generator's counter
+before each trial and feeds the kept pairs to the kernel as adjacency masks.
+Count reduction is exact integer summation, converted to float once. numpy
+is imported on first use, so verbs that do not sample never load it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from math import sqrt
 from typing import TYPE_CHECKING
 
-from .counting import count_labelled
+from .counting import _compile, _search
 from .graphs import Graph, PatternGraph, SparsityContext, from_edge_list
 
 if TYPE_CHECKING:
@@ -33,7 +35,23 @@ class RngSpec:
     def stream(self, index: int) -> np.random.Generator:
         import numpy as np
 
-        return np.random.Generator(np.random.Philox(key=self.seed).jumped(index))
+        bits = np.random.Philox(key=self.seed, counter=_counter(index))
+        return np.random.Generator(bits)
+
+
+def _counter(index: int) -> list[int]:
+    """Philox counter at the start of stream ``index``."""
+    return [0, 0, index % 2**64, index >> 64]
+
+
+def _streams(spec: RngSpec, indices):
+    """One generator, reset to the start of ``spec.stream(t)`` for each t."""
+    gen = spec.stream(0)
+    state = gen.bit_generator.state  # at a stream start, buffer empty
+    for t in indices:
+        state["state"]["counter"] = _counter(t)
+        gen.bit_generator.state = state
+        yield gen
 
 
 def _spec(rng: RngSpec | int) -> RngSpec:
@@ -54,16 +72,10 @@ def _estimate(values: list[int]) -> McEstimate:
     return McEstimate(mean=mean, std_error=sqrt(var / t), trials=t)
 
 
-_pair_cache: dict[int, np.ndarray] = {}
-
-
 def _pairs(n: int) -> np.ndarray:
-    got = _pair_cache.get(n)
-    if got is None:
-        import numpy as np
+    import numpy as np
 
-        got = _pair_cache[n] = np.column_stack(np.triu_indices(n, k=1))
-    return got
+    return np.column_stack(np.triu_indices(n, k=1))
 
 
 def _check_gnp(n: int, p: float) -> None:
@@ -77,28 +89,19 @@ def _check_gnp(n: int, p: float) -> None:
         )
 
 
-def _draw(n: int, p: float, spec: RngSpec, index: int, forced=None) -> Graph:
-    """Stream ``index`` keeps each vertex pair with probability p; pairs
-    marked in the boolean vector ``forced`` are kept regardless."""
-    pairs = _pairs(n)
-    keep = spec.stream(index).random(len(pairs)) < p
-    if forced is not None:
-        keep |= forced
-    return from_edge_list(n, pairs[keep].tolist())
+def _kept_pairs(gen: np.random.Generator, pairs: np.ndarray, p: float) -> list:
+    """Each row of ``pairs``, kept with probability p by the next draws of gen."""
+    return pairs[gen.random(len(pairs)) < p].tolist()
 
 
 def sample_gnp(n: int, p: float, rng: RngSpec | int, index: int = 0) -> Graph:
-    """One draw of the n-vertex binomial random graph."""
+    """One draw of the n-vertex binomial random graph, from stream ``index``."""
     _check_gnp(n, p)
-    return _draw(n, p, _spec(rng), index)
+    return from_edge_list(n, _kept_pairs(_spec(rng).stream(index), _pairs(n), p))
 
 
 def _trial_counts(
-    h: PatternGraph,
-    n: int,
-    p: float,
-    trials: int,
-    rng: RngSpec | int,
+    h: PatternGraph, n: int, p: float, trials: int, rng: RngSpec | int,
     planted: Graph | None = None,
 ) -> list[int]:
     """Copy counts of h in trials 0 .. trials-1, each sample unioned with
@@ -110,14 +113,16 @@ def _trial_counts(
             f"planted graph has {planted.vertex_count} vertices, context has {n}"
         )
     _check_gnp(n, p)
-    spec = _spec(rng)
-    forced = None
-    if planted is not None:
-        import numpy as np
-
-        edges = planted.edge_set()
-        forced = np.array([tuple(e) in edges for e in _pairs(n).tolist()], dtype=bool)
-    return [count_labelled(h, _draw(n, p, spec, t, forced)) for t in range(trials)]
+    base = planted.adjacency_masks if planted is not None else (0,) * n
+    plan, pairs = _compile(h), _pairs(n)
+    counts = []
+    for gen in _streams(_spec(rng), range(trials)):
+        masks = list(base)
+        for u, v in _kept_pairs(gen, pairs, p):
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        counts.append(_search(plan, masks))
+    return counts
 
 
 def mc_mean_count(
@@ -151,5 +156,10 @@ def upper_tail_frequency(
     Direct Monte Carlo; informative only where the event is not rare.
     """
     counts = _trial_counts(h, n, p, trials, rng)
-    threshold = (1 + delta) * float(n) ** h.v_h * p**h.e_h
+    threshold = tail_threshold(h, n, p, delta)
     return _estimate([int(c >= threshold) for c in counts])
+
+
+def tail_threshold(h: PatternGraph, n: int, p: float, delta: float) -> float:
+    """(1 + delta) n^v p^e in plain floats; unlike copies_scale, p = 1 works."""
+    return (1 + delta) * float(n) ** h.v_h * p**h.e_h

@@ -162,7 +162,8 @@ def _first_of_each_class(candidates: Iterable[Graph]) -> list[Graph]:
     out: list[Graph] = []
     for g in candidates:
         bucket = buckets.setdefault(_mask_invariant(g), [])
-        if not any(_isomorphic(g, rep) for rep in bucket):
+        # the rep is the kernel's pattern, so its search plan is reused
+        if not any(_isomorphic(rep, g) for rep in bucket):
             bucket.append(g)
             out.append(g)
     return out

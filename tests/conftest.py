@@ -61,6 +61,14 @@ def oracle_count_N11(h: Graph, g: Graph, D: int) -> tuple[int, int, int]:
     return some, only, some - only
 
 
+def oracle_philox_stream(seed: int, index: int):
+    """Stream ``index`` of a base key as first defined: the base Philox4x64
+    generator jumped ``index`` times."""
+    import numpy as np
+
+    return np.random.Generator(np.random.Philox(key=seed).jumped(index))
+
+
 def oracle_count_hom(h: Graph, g: Graph) -> int:
     """All vertex maps, repeats allowed."""
     total = 0

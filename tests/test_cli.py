@@ -260,6 +260,28 @@ def test_plant_verb_hub(capsys):
     assert record["result"]["support_size"] == 30
 
 
+@pytest.mark.parametrize("argv", [
+    ["plant", "--kind", "clique:100000"],
+    ["plant", "--kind", "hub:2"],
+    ["plant", "--kind", "bipartite:50000,50000"],
+    ["varbound", "--pattern", "k3", "--delta", "1", "--clique-range", "1:100000"],
+    ["varbound", "--pattern", "k3", "--delta", "1", "--hub-range", "1:100000"],
+])
+def test_plant_refuses_huge_structure_before_building(capsys, monkeypatch, argv):
+    import regtail.ratefn as ratefn
+
+    def no_edges(*args):
+        raise AssertionError(f"edge list of {args} requested")
+
+    monkeypatch.setattr(ratefn, "_block_edges", no_edges)
+    code, out, err = run_cli(capsys, *argv, "--n", "100000", "--p", "0.1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: planted structure has ")
+    assert err.endswith(f" edges, above the limit of {ratefn.MAX_PLANTED_EDGES}\n")
+    assert err.count("\n") == 1
+
+
 def test_plant_bad_kind_exits_one(capsys):
     code, out, err = run_cli(
         capsys, "plant", "--kind", "ring:4", "--n", "30", "--p", "0.1"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regtail import counting
 from regtail.counting import (
     CopyBudgetExceededError,
     IsolatedPatternVertexError,
@@ -29,6 +30,7 @@ from regtail.graphs import (
     petersen,
     validate_pattern,
 )
+from regtail.verify import connected_regular_graphs
 
 from conftest import (
     oracle_copy_edge_lists,
@@ -82,8 +84,13 @@ def test_isolated_pattern_vertex():
     with pytest.raises(IsolatedPatternVertexError):
         count_labelled(h, complete(4))
     lonely = from_edge_list(3, [(0, 1)])  # vertex 2 isolated
-    with pytest.raises(IsolatedPatternVertexError):
-        count_labelled(lonely, complete(4))
+    # a refused pattern is never cached, so every call refuses it again
+    for _ in range(3):
+        for count in (count_labelled, count_with_edges, copy_edge_lists):
+            with pytest.raises(IsolatedPatternVertexError):
+                count(lonely, complete(4))
+        with pytest.raises(IsolatedPatternVertexError):
+            count_N11(lonely, complete(4), 2)
     # homomorphisms absorb isolated vertices as free choices
     assert count_hom(lonely, complete(4)) == 12 * 4
 
@@ -226,8 +233,10 @@ def test_per_edge_nonnegative_and_bounded(seed):
 
 def _small_patterns(rng):
     """Random patterns with no isolated vertex, some of them disconnected,
-    as the spans of edge subsets are."""
+    as the spans of edge subsets are. K2 has no edge that avoids its last
+    search vertex."""
     out = [
+        complete(2),
         disjoint_union(complete(2), complete(2)),
         disjoint_union(complete(3), complete(2)),
         disjoint_union(path(2), complete(2)),
@@ -242,15 +251,77 @@ def _small_patterns(rng):
 def test_visitor_modes_match_oracles(rng):
     patterns = _small_patterns(rng)
     assert any(not h.is_connected() for h in patterns)
-    for _ in range(8):
-        g = random_graph(rng, rng.randint(3, 7), rng.uniform(0.3, 0.8))
+    # a hub with pendant paths: low and high degrees side by side, and
+    # placements whose last level is empty (a path ends where it must go on)
+    hub = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (4, 5), (6, 7)]
+    hosts = [from_edge_list(8, hub)] + [
+        random_graph(rng, rng.randint(3, 7), rng.uniform(0.3, 0.8)) for _ in range(8)
+    ]
+    for g in hosts:
         for h in patterns:
+            total = oracle_count_injective(h, g)
             report = count_with_edges(h, g)
-            assert report.total == oracle_count_injective(h, g)
+            assert report.total == total
             assert report.per_edge == oracle_per_edge(h, g)
-            assert Counter(copy_edge_lists(h, g)) == oracle_copy_edge_lists(h, g)
-            for D in (1, 2, 3):
+            copies = oracle_copy_edge_lists(h, g)
+            assert Counter(copy_edge_lists(h, g)) == copies
+            assert Counter(copy_edge_lists(h, g, max_copies=total)) == copies
+            if total:
+                with pytest.raises(CopyBudgetExceededError):
+                    copy_edge_lists(h, g, max_copies=total - 1)
+            for D in range(1, g.max_degree() + 1):
                 assert count_N11(h, g, D) == oracle_count_N11(h, g, D)
+
+
+def test_leaf_masks_are_nonempty_and_cover_every_copy(rng):
+    hosts = [from_edge_list(6, [(0, 1), (1, 2), (3, 4)]), complete(4)]
+    hosts += [random_graph(rng, 6, 0.5) for _ in range(4)]
+    for g in hosts:
+        for h in _small_patterns(rng):
+            masks = []
+            c = counting._compile(h)
+            total = counting._search(c, g.adjacency_masks, lambda a, m: masks.append(m))
+            assert all(masks)
+            assert sum(m.bit_count() for m in masks) == total
+            assert total == oracle_count_injective(h, g)
+
+
+def test_plan_built_once_per_distinct_pattern(monkeypatch):
+    counting._compiled.cache_clear()
+    planned = []
+    plan = counting._plan
+    monkeypatch.setattr(counting, "_plan", lambda h: planned.append(h) or plan(h))
+    g = complete(6)
+    for _ in range(3):
+        for h in (complete(3), cycle(4), validate_pattern(cycle(4))):
+            count_labelled(h, g)
+            count_with_edges(h, g)
+            count_N11(h, g, 3)
+    assert planned == [complete(3), cycle(4)]
+    # the catalogue dedup compares candidates against a bucket's first
+    # member, which is the kernel's pattern and is planned once
+    planned.clear()
+    hits = counting._compiled.cache_info().hits
+    cubic = connected_regular_graphs(8, 3)
+    assert len(cubic) == 5
+    assert planned and len(planned) == len(set(planned))
+    assert set(planned) <= set(cubic)
+    assert counting._compiled.cache_info().hits > hits
+
+
+def test_plan_cache_stays_bounded():
+    bound = counting._compiled.cache_info().maxsize
+    pairs = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    labelled = (
+        from_edge_list(5, [e for i, e in enumerate(pairs) if mask >> i & 1])
+        for mask in range(1 << len(pairs))
+    )
+    patterns = [h for h in labelled if all(h.adjacency)][: bound + 40]
+    assert len(patterns) == bound + 40
+    for h in patterns:
+        count_labelled(h, complete(5))
+        assert counting._compiled.cache_info().currsize <= bound
+    assert counting._compiled.cache_info().currsize == bound
 
 
 def test_hom_with_isolated_pattern_vertices(rng):

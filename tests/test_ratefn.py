@@ -304,6 +304,26 @@ def test_plant_union_uses_fresh_blocks():
     assert sorted(g.degree(v) for v in range(10)) == [2, 2, 2, 3, 3, 4, 4, 4, 4, 4]
 
 
+def test_plant_cap_is_checked_before_any_edge_is_built(monkeypatch):
+    import regtail.ratefn as ratefn
+
+    ctx = SparsityContext(10, 0.1)
+    monkeypatch.setattr(ratefn, "MAX_PLANTED_EDGES", 10)
+    assert plant(("clique", 5), ctx).realized.edge_count == 10
+
+    def no_edges(*args):
+        raise AssertionError(f"edge list of {args} requested")
+
+    monkeypatch.setattr(ratefn, "_block_edges", no_edges)
+    for kind in (("clique", 6), ("hub", 2), ("bipartite", 3, 4),
+                 ("union", (("clique", 4), ("bipartite", 2, 3)))):
+        with pytest.raises(ValueError, match="above the limit of 10"):
+            plant(kind, ctx)
+    family = [("clique", 3), ("clique", 6)]
+    with pytest.raises(ValueError, match="above the limit of 10"):
+        variational_upper_bound(K3, 1.0, ctx, family)
+
+
 def test_plant_errors():
     ctx = SparsityContext(10, 0.1)
     with pytest.raises(ValueError):

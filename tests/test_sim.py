@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -13,16 +14,51 @@ from regtail.graphs import (
     from_edge_list,
     validate_pattern,
 )
+from regtail.counting import count_labelled
 from regtail.ratefn import exact_conditional_expectation, plant
 from regtail.sim import (
     McEstimate,
+    RngSpec,
     mc_conditional_mean,
     mc_mean_count,
     sample_gnp,
+    tail_threshold,
     upper_tail_frequency,
 )
 
+from conftest import oracle_philox_stream
+
 K3 = validate_pattern(complete(3))
+
+
+STREAM_INDICES = [0, 1, 7, 1999, 2**64 + 3]
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**100 + 5])
+def test_streams_equal_jumped_oracle(seed):
+    spec = RngSpec(seed)
+    for t in STREAM_INDICES:
+        want = oracle_philox_stream(seed, t).random(45)
+        assert (spec.stream(t).random(45) == want).all()
+    # the reused generator: each reset discards the previous draws, including
+    # values left in the bit generator's buffer by an odd-length draw
+    for t, gen in zip(STREAM_INDICES, sim._streams(spec, STREAM_INDICES)):
+        assert (gen.random(45) == oracle_philox_stream(seed, t).random(45)).all()
+        gen.integers(0, 7, size=3)
+
+
+@pytest.mark.parametrize("planted_edges", [None, [(0, 1), (1, 2), (0, 2), (5, 9)]])
+def test_trial_counts_match_count_labelled_of_samples(planted_edges):
+    n, p, seed, trials = 12, 0.35, 11, 30
+    planted = None if planted_edges is None else from_edge_list(n, planted_edges)
+    counts = sim._trial_counts(K3, n, p, trials, seed, planted)
+    want = []
+    for t in range(trials):
+        sample = sample_gnp(n, p, seed, index=t)
+        extra = list(planted.edges) if planted is not None else []
+        want.append(count_labelled(K3, from_edge_list(n, [*sample.edges, *extra])))
+    assert counts == want
+    assert len(set(counts)) > 1
 
 
 def test_sample_gnp_reproducible():
@@ -129,6 +165,19 @@ def test_upper_tail_frequency_bounds():
     assert none.std_error == 0.0
     with pytest.raises(ValueError):
         upper_tail_frequency(K3, 12, 0.3, 0.2, 1, 31)
+
+
+def test_tail_threshold_is_the_one_formula(monkeypatch, capsys):
+    from regtail.cli import main
+
+    assert tail_threshold(K3, 10, 1.0, 0.5) == 1500.0
+    assert main(["simulate", "--pattern", "k3", "--n", "12", "--p", "0.3",
+                 "--trials", "20", "--seed", "3", "--tail-delta", "0.2"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["threshold"] == tail_threshold(K3, 12, 0.3, 0.2)
+    # a threshold of zero copies is cleared by every trial
+    monkeypatch.setattr(sim, "tail_threshold", lambda *args: 0.0)
+    assert upper_tail_frequency(K3, 12, 0.3, 0.2, 20, 3).mean == 1.0
 
 
 def test_upper_tail_threshold_uses_plain_powers():
