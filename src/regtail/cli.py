@@ -45,6 +45,7 @@ from .graphs import (
 )
 from .independence import independence_polynomial, tilted_root
 from .ratefn import (
+    MAX_PLANTED_EDGES,
     Regime,
     classify_regime,
     conditional_expectation_and_gain,
@@ -412,7 +413,11 @@ def _cmd_varbound(args) -> int:
     for spec_text, name in ((args.clique_range, "clique"), (args.hub_range, "hub")):
         if spec_text:
             lo, _, hi = spec_text.partition(":")
-            family += [(name, m) for m in range(int(lo), int(hi) + 1)]
+            lo, hi = int(lo), int(hi)
+            # far fewer than MAX_PLANTED_EDGES sizes fit, so the cut keeps
+            # the first refused size and with it the error
+            hi = min(hi, lo + MAX_PLANTED_EDGES)
+            family += [(name, m) for m in range(lo, hi + 1)]
     if not family:
         raise ValueError("no candidate structures given")
     cost, best = variational_upper_bound(h, args.delta, ctx, family)

@@ -65,9 +65,6 @@ class Graph:
     def max_degree(self) -> int:
         return max((len(a) for a in self.adjacency), default=0)
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adjacency[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]
 

@@ -1,9 +1,13 @@
-"""Independence polynomials and the tilted-root transform.
+"""Independence polynomials, the tilted-root transform and alpha*.
 
 The polynomial of a graph is sum_k i(k) x^k where i(k) counts independent
 sets of size k, so i(0) = 1. The solver finds the unique positive x with
 P(x) = 1 + delta; P is strictly increasing on [0, inf) with P(0) = 1, so
 the root exists and is simple whenever the graph has at least one vertex.
+
+One memoized recursion over vertex bitmasks computes the polynomial. It
+also gives the fractional independence number alpha*, through the
+bipartite double cover: alpha*(G) = alpha(G x K2) / 2.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .decompose import double_cover
 from .graphs import Graph, PatternGraph, as_graph
 
 
@@ -18,100 +23,39 @@ class GraphTooLargeError(ValueError):
     pass
 
 
-def independent_set_counts(g: Graph | PatternGraph) -> list[int]:
-    """Coefficients i(0..alpha) of the independence polynomial.
+def _independent_polys(masks: tuple[int, ...]) -> dict[int, list[int]]:
+    """Independence-polynomial coefficients of induced subgraphs, keyed by
+    vertex mask; the full mask is always a key.
 
-    Meet-in-the-middle: exact subset DP on each half, then for every
-    independent set of the first half, count independent subsets of the
-    second half avoiding its neighborhood.
+    With v the lowest vertex of S, P(S) = P(S - v) + x P(S - N[v]). Every
+    coefficient is positive, so len(P(S)) - 1 is alpha of S.
     """
+    memo: dict[int, list[int]] = {0: [1]}
+
+    def poly(s: int) -> list[int]:
+        got = memo.get(s)
+        if got is not None:
+            return got
+        low = s & -s
+        left = poly(s ^ low)
+        right = poly(s & ~(masks[low.bit_length() - 1] | low))
+        out = left + [0] * (len(right) + 1 - len(left))
+        for k, c in enumerate(right, 1):
+            out[k] += c
+        memo[s] = out
+        return out
+
+    poly((1 << len(masks)) - 1)
+    return memo
+
+
+def independent_set_counts(g: Graph | PatternGraph) -> list[int]:
+    """Coefficients i(0..alpha) of the independence polynomial."""
     g = as_graph(g)
     n = g.vertex_count
     if n > 24:
         raise GraphTooLargeError(f"{n} vertices; exhaustive enumeration capped at 24")
-    if n == 0:
-        return [1]
-    half = n // 2
-    left = list(range(half))
-    right = list(range(half, n))
-    masks = g.adjacency_masks
-
-    def half_tables(verts: list[int]) -> tuple[list[int], list[list[int]]]:
-        """indep[mask] = 1 if mask is independent; profile[mask] = size counts."""
-        m = len(verts)
-        size = 1 << m
-        indep = [False] * size
-        indep[0] = True
-        popcnt = [0] * size
-        for mask in range(1, size):
-            lsb = mask & -mask
-            i = lsb.bit_length() - 1
-            rest = mask ^ lsb
-            popcnt[mask] = popcnt[rest] + 1
-            if not indep[rest]:
-                continue
-            v = verts[i]
-            conflict = False
-            for j in range(m):
-                if rest >> j & 1 and verts[j] in g.adjacency[v]:
-                    conflict = True
-                    break
-            indep[mask] = not conflict
-        return popcnt, indep
-
-    lp, lind = half_tables(left)
-    rp, rind = half_tables(right)
-
-    # for each right mask, which right vertices are blocked by adjacency to it
-    blocked_by_left: list[int] = []
-    for lmask in range(1 << len(left)):
-        if not lind[lmask]:
-            blocked_by_left.append(0)
-            continue
-        nb = 0
-        mm = lmask
-        while mm:
-            b = mm & -mm
-            mm ^= b
-            nb |= masks[left[b.bit_length() - 1]]
-        rblock = 0
-        for j, v in enumerate(right):
-            if nb >> v & 1:
-                rblock |= 1 << j
-        blocked_by_left.append(rblock)
-
-    # counts_by_size[rmask restrictions] would blow up; instead accumulate
-    # per left mask by DP over allowed right subsets, memoized on the block
-    # pattern since many left sets block the same right vertices
-    rcount_cache: dict[int, list[int]] = {}
-
-    def right_counts(rblock: int) -> list[int]:
-        got = rcount_cache.get(rblock)
-        if got is not None:
-            return got
-        out = [0] * (len(right) + 1)
-        avail = ((1 << len(right)) - 1) ^ rblock
-        sub = avail
-        while True:
-            if rind[sub]:
-                out[rp[sub]] += 1
-            if sub == 0:
-                break
-            sub = (sub - 1) & avail
-        rcount_cache[rblock] = out
-        return out
-
-    coeffs = [0] * (n + 1)
-    for lmask in range(1 << len(left)):
-        if not lind[lmask]:
-            continue
-        base = lp[lmask]
-        for k, c in enumerate(right_counts(blocked_by_left[lmask])):
-            if c:
-                coeffs[base + k] += c
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+    return _independent_polys(g.adjacency_masks)[(1 << n) - 1]
 
 
 def independence_polynomial(g: Graph | PatternGraph, x: float | Fraction):
@@ -177,10 +121,13 @@ def tilted_root(g: Graph | PatternGraph, delta: float) -> float:
 
 @dataclass(frozen=True)
 class FractionalIndependence:
-    """Maximum of sum x_v over vertex weights in {0, 1/2, 1} with
-    x_u + x_v <= 1 on every edge. Half-integral search is lossless here:
-    the fractional vertex-packing polytope has half-integral extreme
-    points, so the optimum is attained on this grid.
+    """Maximum of sum x_v over vertex weights in [0, 1] with x_u + x_v <= 1
+    on every edge, with a half-integral optimal witness.
+
+    The fractional vertex-packing polytope has half-integral extreme
+    points (Nemhauser & Trotter 1974), and the half-integral packings of G
+    are the images of the independent sets I of the double cover G x K2
+    under x_v = |I & {v, v'}| / 2. So alpha*(G) = alpha(G x K2) / 2.
     """
 
     value: Fraction
@@ -192,55 +139,20 @@ def fractional_independence(g: Graph | PatternGraph) -> FractionalIndependence:
     n = g.vertex_count
     if n > 16:
         raise GraphTooLargeError(f"{n} vertices; half-integral search capped at 16")
-    if n == 0:
-        return FractionalIndependence(Fraction(0), ())
-
-    # search in half-units: 2 = weight 1, 1 = weight 1/2, 0 = excluded;
-    # connectivity-first order keeps edge checks early and pruning tight
-    comps = sorted(g.connected_components(), key=lambda c: (-len(c), c))
-    order: list[int] = []
-    seen: set[int] = set()
-    for comp in comps:
-        queue = [min(comp)]
-        seen.add(queue[0])
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for w in sorted(g.adjacency[v]):
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-    pos = {v: i for i, v in enumerate(order)}
-    earlier = [
-        tuple(pos[w] for w in g.adjacency[v] if pos[w] < i)
-        for i, v in enumerate(order)
-    ]
-    units = [0] * n
-    best_units = -1
-    best_assign: list[int] = []
-
-    def rec(i: int, acc: int) -> None:
-        nonlocal best_units, best_assign
-        if acc + 2 * (n - i) <= best_units:
-            return
-        if i == n:
-            best_units = acc
-            best_assign = units.copy()
-            return
-        for u in (2, 1, 0):
-            ok = True
-            if u:
-                for j in earlier[i]:
-                    if units[j] + u > 2:
-                        ok = False
-                        break
-            if ok:
-                units[i] = u
-                rec(i + 1, acc + u)
-        units[i] = 0
-
-    rec(0, 0)
+    dc = double_cover(g)
+    masks = dc.graph.adjacency_masks
+    memo = _independent_polys(masks)
+    s = (1 << 2 * n) - 1
+    value = Fraction(len(memo[s]) - 1, 2)
     witness = [Fraction(0)] * n
-    for i, v in enumerate(order):
-        witness[v] = Fraction(best_assign[i], 2)
-    return FractionalIndependence(Fraction(best_units, 2), tuple(witness))
+    # walk down one maximum independent set of the cover: the lowest vertex
+    # w of S is in one iff alpha(S - N[w]) = alpha(S) - 1
+    while s:
+        w = (s & -s).bit_length() - 1
+        rest = s & ~(masks[w] | 1 << w)
+        if len(memo[rest]) == len(memo[s]) - 1:
+            witness[dc.projection[w]] += Fraction(1, 2)
+            s = rest
+        else:
+            s ^= 1 << w
+    return FractionalIndependence(value, tuple(witness))

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from math import ceil
 
-from .counting import copy_edge_lists, count_labelled, count_with_edges
+from .counting import CountReport, copy_edge_lists, count_labelled, count_with_edges
 from .graphs import Edge, Graph, PatternGraph, SparsityContext
 
 
@@ -121,14 +121,18 @@ _RUNGS = {
 }
 
 
-def _rung(g: Graph, params: CoreParams, rung: str) -> PredicateWitness:
+def _rung(
+    g: Graph, params: CoreParams, rung: str, report: CountReport | None = None
+) -> PredicateWitness:
     """One rung of the ladder; the host is counted once, with per-edge
-    counts when the rung has a per-edge floor."""
+    counts when the rung has a per-edge floor. A caller that already holds
+    the host's ``count_with_edges`` report may pass it in."""
     slack, budget_name, floor_name = _RUNGS[rung]
     if floor_name is None:
         copies = count_labelled(params.pattern, g)
     else:
-        report = count_with_edges(params.pattern, g)
+        if report is None:
+            report = count_with_edges(params.pattern, g)
         copies, worst = report.total, min(report.per_edge.values(), default=None)
     need = params.delta * (1 - slack * params.eps) * params.copies_scale
     edges = g.edge_count
@@ -282,7 +286,6 @@ def high_low_bad_split(
     g: Graph,
     params: CoreParams,
     c_big0: float | None = None,
-    copy_budget: int | None = None,
 ) -> HighLowSplit:
     if c_big0 is None:
         c_big0 = degree_product_ceiling(params)
@@ -293,11 +296,9 @@ def high_low_bad_split(
             high.add((u, v))
         else:
             low.add((u, v))
-    clean: set[Edge] = set()
-    for ce in copy_edge_lists(params.pattern, g, max_copies=copy_budget):
-        if high.isdisjoint(ce):
-            clean.update(ce)
-    bad = g.edge_set() - clean
+    # an edge is clean iff some copy through it avoids every high edge
+    report = count_with_edges(params.pattern, g.without_edges(high))
+    bad = g.edge_set() - {e for e, k in report.per_edge.items() if k}
     return HighLowSplit(
         g_high=frozenset(high),
         g_low=frozenset(low),

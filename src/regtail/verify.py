@@ -33,9 +33,9 @@ from .graphs import (
 from .independence import fractional_independence
 from .structures import (
     CoreParams,
+    _rung,
     degree_product_floor,
     edge_partition,
-    is_strong_core,
 )
 
 
@@ -246,16 +246,18 @@ def check_alpha_count_bound(seed: int = 101, graphs: int = 40) -> CheckResult:
     Compared as N^2 <= (2e)^(2 alpha*) in exact integers.
     """
     rng = random.Random(seed)
-    patterns = connected_graphs_up_to(5)
+    patterns = [
+        (h, int(2 * fractional_independence(h).value))
+        for h in connected_graphs_up_to(5)
+    ]
     violations = []
     instances = 0
     for i in range(graphs):
         nv = rng.randint(2, 10)
         g = _random_graph(rng, nv, rng.choice([0.2, 0.4, 0.6, 0.8]))
-        for h in patterns:
+        for h, alpha2 in patterns:
             instances += 1
             n_copies = count_labelled(h, g)
-            alpha2 = int(2 * fractional_independence(h).value)
             if n_copies**2 > (2 * g.edge_count) ** alpha2:
                 violations.append(
                     (
@@ -468,17 +470,16 @@ def check_degree_product_strong_core(
     observations = []
     instances = 0
     for tag, g, params in suite:
-        witness = is_strong_core(g, params)
+        h = params.pattern
+        report = count_with_edges(h, g)
+        witness = _rung(g, params, "strong-core", report)
         if not witness:
             observations.append(
                 f"skipped (not a strong core, {witness.violated_clause}): {tag}"
             )
             continue
         instances += 1
-        h = params.pattern
         floor = degree_product_floor(params) * params.edge_scale
-        report = count_with_edges(h, g)
-        assert report.per_edge is not None
         for (u, v), through in report.per_edge.items():
             prod = g.degree(u) * g.degree(v)
             if prod < floor:

@@ -502,6 +502,30 @@ def test_varbound_no_candidates_exits_one(capsys):
     assert "no candidate" in err
 
 
+@pytest.mark.parametrize("flag", ["--clique-range", "--hub-range"])
+def test_varbound_huge_range_is_cut_before_building(capsys, monkeypatch, flag):
+    import regtail.cli as cli
+    import regtail.ratefn as ratefn
+
+    argv = ["varbound", "--pattern", "k3", "--delta", "1", "--n", "100",
+            "--p", "0.1", flag]
+    expect = run_cli(capsys, *argv, "1:500")
+    assert expect[0] == 1 and expect[2].startswith("error: ")
+    lengths = []
+
+    def recording(h, delta, ctx, family):
+        lengths.append(len(family))
+        return ratefn.variational_upper_bound(h, delta, ctx, family)
+
+    monkeypatch.setattr(cli, "variational_upper_bound", recording)
+    assert run_cli(capsys, *argv, "1:1000000000") == expect
+    assert lengths == [ratefn.MAX_PLANTED_EDGES + 1]
+    # a range that fits is not cut: every size is a candidate
+    record = run_json(capsys, *argv, "5:14")
+    assert record["parameters"]["candidates"] == 10
+    assert lengths[-1] == 10
+
+
 # ---------------------------------------------------------------------------
 # fuzzing: generated argv over generated edge-list text, in process
 

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regtail.decompose import double_cover
 from regtail.graphs import (
     complete,
     complete_bipartite,
     cycle,
     empty,
+    from_edge_list,
     path,
     petersen,
     span_of_edges,
@@ -17,6 +19,7 @@ from regtail.graphs import (
 )
 from regtail.independence import (
     GraphTooLargeError,
+    _independent_polys,
     fractional_independence,
     independence_polynomial,
     independent_set_counts,
@@ -31,9 +34,29 @@ from conftest import (
 
 
 def test_counts_vs_oracle(rng):
-    for _ in range(40):
-        g = random_graph(rng, rng.randint(0, 8), rng.uniform(0.1, 0.9))
+    assert independent_set_counts(empty(0)) == [1]
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(0, 10), rng.uniform(0.1, 0.9))
         assert independent_set_counts(g) == oracle_independent_counts(g)
+        if g.vertex_count <= 8:
+            # isolated vertices appended after the last one
+            g = from_edge_list(g.vertex_count + rng.randint(1, 2), g.edges)
+            assert independent_set_counts(g) == oracle_independent_counts(g)
+
+
+def test_every_memo_entry_is_its_induced_polynomial(rng):
+    for _ in range(20):
+        g = random_graph(rng, rng.randint(0, 8), rng.uniform(0.1, 0.9))
+        memo = _independent_polys(g.adjacency_masks)
+        assert (1 << g.vertex_count) - 1 in memo
+        for s, coeffs in memo.items():
+            keep = [v for v in range(g.vertex_count) if s >> v & 1]
+            pos = {v: i for i, v in enumerate(keep)}
+            induced = from_edge_list(
+                len(keep),
+                [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos],
+            )
+            assert coeffs == oracle_independent_counts(induced)
 
 
 def test_counts_closed_forms():
@@ -62,9 +85,11 @@ def test_cycle_totals_are_lucas():
     assert totals[0] == 4 and totals[1] == 7
 
 
-def test_counts_size_cap():
-    with pytest.raises(GraphTooLargeError):
-        independent_set_counts(empty(25))
+def test_counts_size_cap(rng):
+    assert independent_set_counts(empty(24))[-1] == 1
+    for g in (empty(25), random_graph(rng, 25, 0.3)):
+        with pytest.raises(GraphTooLargeError, match="capped at 24"):
+            independent_set_counts(g)
 
 
 def test_polynomial_evaluation():
@@ -114,13 +139,21 @@ def test_tilted_root_validation():
 
 def test_fractional_independence_vs_oracle(rng):
     for _ in range(30):
-        g = random_graph(rng, rng.randint(0, 7), rng.uniform(0.1, 0.9))
+        g = random_graph(rng, rng.randint(0, 8), rng.uniform(0.1, 0.9))
         assert fractional_independence(g).value == oracle_fractional_independence(g)
 
 
+def test_fractional_is_half_alpha_of_double_cover(rng):
+    # alpha*(G) = alpha(G x K2) / 2, with alpha of the cover by brute force
+    for _ in range(15):
+        g = random_graph(rng, rng.randint(0, 7), rng.uniform(0.1, 0.9))
+        cover_alpha = len(oracle_independent_counts(double_cover(g).graph)) - 1
+        assert 2 * fractional_independence(g).value == cover_alpha
+
+
 def test_fractional_witness_feasible_and_tight(rng):
-    for _ in range(20):
-        g = random_graph(rng, rng.randint(1, 8), rng.uniform(0.2, 0.8))
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(1, 12), rng.uniform(0.05, 0.8))
         res = fractional_independence(g)
         assert len(res.witness) == g.vertex_count
         for x in res.witness:
@@ -145,9 +178,11 @@ def test_fractional_known_values():
     assert fractional_independence(empty(0)).value == Fraction(0)
 
 
-def test_fractional_size_cap():
-    with pytest.raises(GraphTooLargeError):
-        fractional_independence(empty(17))
+def test_fractional_size_cap(rng):
+    assert fractional_independence(empty(16)).value == 16
+    for g in (empty(17), random_graph(rng, 17, 0.3)):
+        with pytest.raises(GraphTooLargeError, match="capped at 16"):
+            fractional_independence(g)
 
 
 def test_fractional_independence_of_edge_spans():

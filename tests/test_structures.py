@@ -311,15 +311,21 @@ def test_high_low_split_extremes(rng):
 def test_high_low_split_partition_property(rng):
     from regtail.counting import copy_edge_lists
 
-    params = make_params()
-    for _ in range(8):
-        g = random_graph(rng, 10, 0.5)
-        split = high_low_bad_split(g, params)
-        assert split.g_high | split.g_low == g.edge_set()
-        assert split.g_high & split.g_low == frozenset()
-        # bad = complement of the union of copies that dodge every high edge
-        clean = set()
-        for ce in copy_edge_lists(K3, g):
-            if split.g_high.isdisjoint(ce):
-                clean.update(ce)
-        assert split.g_bad == g.edge_set() - clean
+    for pattern in (complete(3), cycle(4), complete(4), cycle(5)):
+        params = make_params(pattern=validate_pattern(pattern))
+        for _ in range(6):
+            g = random_graph(rng, rng.randint(5, 10), rng.uniform(0.3, 0.8))
+            copies = copy_edge_lists(pattern, g)
+            # the default ceiling, then cutoffs on the degree-product scale
+            # from all-high to all-low
+            for c_big0 in (None, *(t / params.edge_scale for t in (1, 4, 9, 16, 30))):
+                split = high_low_bad_split(g, params, c_big0=c_big0)
+                assert split.g_high | split.g_low == g.edge_set()
+                assert split.g_high & split.g_low == frozenset()
+                # bad = complement of the union of copies that dodge every
+                # high edge
+                clean = set()
+                for ce in copies:
+                    if split.g_high.isdisjoint(ce):
+                        clean.update(ce)
+                assert split.g_bad == g.edge_set() - clean

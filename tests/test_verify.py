@@ -203,6 +203,27 @@ def test_strong_core_checker_skips_rejected_instances():
     assert any("skipped" in obs for obs in result.observations)
 
 
+def test_checkers_compute_shared_quantities_once(monkeypatch):
+    from regtail.structures import is_strong_core
+
+    suite = verify._strong_core_suite()
+    accepted = sum(bool(is_strong_core(g, params)) for _, g, params in suite)
+    calls = []
+    for name in ("count_with_edges", "fractional_independence"):
+        real = getattr(verify, name)
+        monkeypatch.setattr(
+            verify, name,
+            lambda *args, real=real, name=name: calls.append(name) or real(*args),
+        )
+    result = check_degree_product_strong_core()
+    # one per-edge count per host serves both the ladder and the checker
+    assert calls == ["count_with_edges"] * len(suite)
+    assert result.instances == accepted
+    calls.clear()
+    check_alpha_count_bound(seed=101, graphs=5)
+    assert calls == ["fractional_independence"] * len(connected_graphs_up_to(5))
+
+
 def test_exploratory_checker_records_observations():
     result = check_seqcounting_exploratory()
     assert result.passed  # observational: never gates
