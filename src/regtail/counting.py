@@ -4,7 +4,7 @@ Every count here is a number of edge-preserving maps of a pattern h into a
 host g, and one backtracking search, ``_search``, finds them all. It walks a
 connected search order of the pattern; each candidate set is a host-degree
 floor mask minus the used vertices, intersected with the host neighborhoods
-of the placed pattern neighbors, all on integer bitmasks. It runs in three
+of the placed pattern neighbors, all on integer bitmasks. It runs in these
 modes:
 
 - counting: injective maps, with the last search level counted by popcount
@@ -13,14 +13,18 @@ modes:
   pattern vertices but the last (``assign[u]`` is the host image of u) with
   the bitmask m of the last vertex's images, so a visitor tallies a whole
   last level at once (``count_with_edges``, ``copy_edge_lists``);
+- pinned: the first search positions have fixed host images. A plan rooted
+  at a pattern edge (a, b) starts a, b, so pinning it to a host edge finds
+  the copies that map (a, b) onto that edge (``count_through``);
 - non-injective: every edge-preserving map, counted (``count_hom``).
 
-A pattern's search plan is built once, in a small bounded cache. Counts are
-arbitrary-precision integers throughout.
+A pattern's search plan is built once per root, in a small bounded cache.
+Counts are arbitrary-precision integers throughout.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import perm
@@ -50,17 +54,23 @@ class _Compiled(NamedTuple):
     inner: tuple[Edge, ...]
 
 
-def _plan(h: Graph) -> _Compiled:
-    """Deterministic connected search order and what the kernel needs of it."""
+def _plan(h: Graph, root: Edge | None = None) -> _Compiled:
+    """Deterministic connected search order and what the kernel needs of it;
+    with a pattern edge ``root`` = (a, b), the order starts a, b."""
     for v in range(h.vertex_count):
         if not h.adjacency[v]:
             raise IsolatedPatternVertexError(f"pattern vertex {v} is isolated")
+    comps = sorted(h.connected_components(), key=lambda c: (-len(c), c))
     order: list[int] = []
-    for comp in sorted(h.connected_components(), key=lambda c: (-len(c), c)):
-        placed = {max(comp, key=lambda v: (h.degree(v), -v))}
-        order += placed
+    # a stable sort puts the root's component first; it starts a, b
+    for comp in sorted(comps, key=lambda c: root is None or root[0] not in c):
+        start = [max(comp, key=lambda v: (h.degree(v), -v))]
+        if root is not None and root[0] in comp:
+            start = list(root)
+        placed = set(start)
+        order += start
         # comp is connected, so some unplaced vertex has a placed neighbour
-        for _ in range(len(comp) - 1):
+        for _ in range(len(comp) - len(start)):
             best = max(
                 (v for v in comp if v not in placed and h.adjacency[v] & placed),
                 key=lambda v: (len(h.adjacency[v] & placed), h.degree(v), -v),
@@ -77,35 +87,41 @@ def _plan(h: Graph) -> _Compiled:
     return _Compiled(tuple(order), backs, need, inner)
 
 
-def _compile(h: Graph | PatternGraph) -> _Compiled:
-    return _compiled(as_graph(h))
+def _compile(h: Graph | PatternGraph, root: Edge | None = None) -> _Compiled:
+    return _compiled(as_graph(h), root)
 
 
-# Catalogue dedup and Monte Carlo reuse a few patterns; the subset sum makes
-# a new one per span, so a small bound suffices. Errors are not cached.
+# Dedup, Monte Carlo and peels (2 e(H) rooted plans) reuse a few plans; the
+# subset sum makes one per span, so a small bound suffices. Errors stay out.
 @lru_cache(maxsize=256)
-def _compiled(h: Graph) -> _Compiled:
-    return _plan(h)
+def _compiled(h: Graph, root: Edge | None) -> _Compiled:
+    return _plan(h, root)
 
 
-def _search(c: _Compiled, gmask, visit=None, injective: bool = True) -> int:
+def _search(c: _Compiled, gmask, visit=None, injective=True, pin=()) -> int:
     """Count the edge-preserving maps of pattern c into the host with
     adjacency masks ``gmask``, injective by default; ``visit(assign, m)`` is
-    called for every nonempty last-level mask m."""
+    called for every nonempty last-level mask m. ``pin`` fixes the host
+    images of the first search positions."""
     k = len(c.order)
     if k == 0:
         return 1
-    # an injective image of a degree-d pattern vertex has host degree >= d;
-    # any image of a pattern vertex lies in the host's support
-    need = c.need if injective else (1,) * k
-    floors = {
-        d: sum(1 << v for v, m in enumerate(gmask) if m.bit_count() >= d)
-        for d in set(need)
-    }
-    if injective and k > floors[min(floors)].bit_count():
-        return 0
+    if pin:
+        # no floor scan; all-vertex masks (never -1) keep unpinned loops finite
+        full = (1 << len(gmask)) - 1
+        allowed = [1 << x for x in pin] + [full] * (k - len(pin))
+    else:
+        # an injective image of a degree-d pattern vertex has host degree
+        # >= d; any image of a pattern vertex lies in the host's support
+        need = c.need if injective else (1,) * k
+        floors = {
+            d: sum(1 << v for v, m in enumerate(gmask) if m.bit_count() >= d)
+            for d in set(need)
+        }
+        if injective and k > floors[min(floors)].bit_count():
+            return 0
+        allowed = [floors[d] for d in need]
     order, backs = c.order, c.backs
-    allowed = [floors[d] for d in need]
     assign = [0] * k
     last = k - 1
 
@@ -140,13 +156,8 @@ def count_labelled(h: Graph | PatternGraph, g: Graph) -> int:
     return _search(_compile(h), g.adjacency_masks)
 
 
-def count_with_edges(h: Graph | PatternGraph, g: Graph) -> CountReport:
-    """Total count plus, for every host edge, the count of copies through it.
-
-    All per-edge counters are filled in one pass, a last level at a time.
-    """
-    c = _compile(h)
-    per: dict[Edge, int] = {e: 0 for e in g.edges}
+def _tally(c: _Compiled, per):
+    """Visitor adding one to ``per`` at every edge image of every copy."""
 
     def visit(assign: list[int], m: int) -> None:
         hits = m.bit_count()
@@ -158,13 +169,37 @@ def count_with_edges(h: Graph | PatternGraph, g: Graph) -> CountReport:
             for a in images:
                 per[(a, x) if a < x else (x, a)] += 1
 
-    return CountReport(total=_search(c, g.adjacency_masks, visit), per_edge=per)
+    return visit
 
 
-def copy_edge_lists(
-    h: Graph | PatternGraph, g: Graph, max_copies: int | None = None
-) -> list[tuple[Edge, ...]]:
-    """Edge sets of every labelled copy, for incremental peeling bookkeeping.
+def count_with_edges(h: Graph | PatternGraph, g: Graph) -> CountReport:
+    """Total count plus, for every host edge, the count of copies through it.
+
+    All per-edge counters are filled in one pass, a last level at a time.
+    """
+    c = _compile(h)
+    per: dict[Edge, int] = {e: 0 for e in g.edges}
+    return CountReport(_search(c, g.adjacency_masks, _tally(c, per)), per)
+
+
+def count_through(h: Graph | PatternGraph, gmask, e: Edge) -> Counter:
+    """Per-edge counts of the copies through host edge e, in the host with
+    adjacency masks ``gmask``; edges in no such copy are absent.
+
+    A copy through e maps exactly one pattern edge onto e, in one
+    orientation, so one search per rooted pattern edge finds it once.
+    """
+    per: Counter = Counter()
+    for a, b in as_graph(h).edges:
+        for root in ((a, b), (b, a)):
+            c = _compile(h, root)
+            _search(c, gmask, _tally(c, per), pin=e)
+    return per
+
+
+def copy_edge_lists(h: Graph | PatternGraph, g: Graph) -> list[tuple[Edge, ...]]:
+    """Edge sets of every labelled copy; ``ratefn._edge_orbits`` reads the
+    automorphisms of a pattern from its copies in itself.
 
     Each copy lists the images of the pattern edges in the pattern's edge
     order.
@@ -176,10 +211,6 @@ def copy_edge_lists(
     def visit(assign: list[int], m: int) -> None:
         last = c.order[-1]
         for x in _bits(m):
-            if max_copies is not None and len(out) >= max_copies:
-                raise CopyBudgetExceededError(
-                    f"copy enumeration exceeded budget {max_copies}"
-                )
             assign[last] = x
             images = []
             for u, v in edges:
@@ -189,10 +220,6 @@ def copy_edge_lists(
 
     _search(c, g.adjacency_masks, visit)
     return out
-
-
-class CopyBudgetExceededError(RuntimeError):
-    pass
 
 
 def count_hom(h: Graph | PatternGraph, g: Graph) -> int:

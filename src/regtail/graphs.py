@@ -85,17 +85,7 @@ class Graph:
         )
 
     def is_connected(self) -> bool:
-        if self.vertex_count == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in self.adjacency[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.vertex_count
+        return len(self.connected_components()) <= 1
 
     def connected_components(self) -> list[list[int]]:
         seen: set[int] = set()

@@ -8,11 +8,10 @@ nothing here asserts a limit statement.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from math import ceil
 
-from .counting import CountReport, copy_edge_lists, count_labelled, count_with_edges
+from .counting import CountReport, count_labelled, count_through, count_with_edges
 from .graphs import Edge, Graph, PatternGraph, SparsityContext
 
 
@@ -182,44 +181,30 @@ def edge_partition(g: Graph, D: int) -> EdgePartition:
 
 
 def _peel(
-    g: Graph,
-    h: PatternGraph,
-    threshold: float,
-    copy_budget: int | None,
+    g: Graph, h: PatternGraph, threshold: float, copy_budget: int | None
 ) -> Graph:
+    """Largest subgraph whose every edge lies in at least ``threshold``
+    copies; it is unique, as counts only fall when edges go."""
     if threshold <= 0:
         return g
-    copies = copy_edge_lists(h, g, max_copies=copy_budget)
-    per_edge: dict[Edge, int] = {e: 0 for e in g.edges}
-    edge_copies: dict[Edge, list[int]] = {e: [] for e in g.edges}
-    for ci, ce in enumerate(copies):
-        for e in ce:
-            per_edge[e] += 1
-            edge_copies[e].append(ci)
-    alive = set(g.edge_set())
-    copy_alive = [True] * len(copies)
-    work = deque(e for e in g.edges if per_edge[e] < threshold)
-    queued = set(work)
+    report = count_with_edges(h, g)
+    if copy_budget is not None and report.total > max(copy_budget, 0):
+        raise ValueError(f"copy enumeration exceeded budget {copy_budget}")
+    per = report.per_edge
+    masks = list(g.adjacency_masks)
+    work = [e for e in g.edges if per[e] < threshold]
+    removed: set[Edge] = set()
     while work:
-        e = work.popleft()
-        queued.discard(e)
-        if e not in alive:
-            continue
-        alive.discard(e)
-        # counts only decrease, so retesting removed edges is never needed;
-        # only copies through e change, and each dies exactly once
-        for ci in edge_copies[e]:
-            if not copy_alive[ci]:
-                continue
-            copy_alive[ci] = False
-            for f in copies[ci]:
-                if f == e:
-                    continue
-                per_edge[f] -= 1
-                if f in alive and per_edge[f] < threshold and f not in queued:
-                    work.append(f)
-                    queued.add(f)
-    return g.without_edges(g.edge_set() - alive)
+        e = x, y = work.pop()
+        # only copies through e die; an edge is queued once, as it drops
+        for f, k in count_through(h, masks, e).items():
+            if per[f] >= threshold > per[f] - k:
+                work.append(f)
+            per[f] -= k
+        masks[x] ^= 1 << y
+        masks[y] ^= 1 << x
+        removed.add(e)
+    return g.without_edges(removed)
 
 
 def peel_to_core(
@@ -231,9 +216,7 @@ def peel_to_core(
 def peel_to_strong_core(
     g: Graph, params: CoreParams, copy_budget: int | None = None
 ) -> Graph:
-    return _peel(
-        g, params.pattern, params.strong_min_edge_threshold, copy_budget
-    )
+    return _peel(g, params.pattern, params.strong_min_edge_threshold, copy_budget)
 
 
 @dataclass(frozen=True)

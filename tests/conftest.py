@@ -44,6 +44,18 @@ def oracle_per_edge(h: Graph, g: Graph) -> dict:
     return per
 
 
+def oracle_peel(h: Graph, g: Graph, threshold: float) -> frozenset:
+    """Edges left after dropping every edge in fewer than ``threshold``
+    copies, round after round, until no edge drops."""
+    edges = set(g.edges)
+    while True:
+        per = oracle_per_edge(h, from_edge_list(g.vertex_count, edges))
+        thin = {e for e, k in per.items() if k < threshold}
+        if not thin:
+            return frozenset(edges)
+        edges -= thin
+
+
 def oracle_copy_edge_lists(h: Graph, g: Graph) -> Counter:
     """Multiset of the copies' edge lists, in the pattern's edge order."""
     return Counter(_image_edges(h, image) for image in oracle_injective_maps(h, g))

@@ -465,6 +465,36 @@ def test_peel_verb(capsys, tmp_path):
     assert record["result"]["edges_before"] == 4
 
 
+@pytest.mark.parametrize(
+    "edges, budget, code",
+    [
+        # a triangle has six labelled copies; the budget allows at most
+        # max(budget, 0) of them
+        ([(0, 1), (1, 2), (0, 2)], -1, 1),
+        ([(0, 1), (1, 2), (0, 2)], 0, 1),
+        ([(0, 1), (1, 2), (0, 2)], 5, 1),
+        ([(0, 1), (1, 2), (0, 2)], 6, 0),
+        ([(0, 1), (2, 3)], -1, 0),
+    ],
+)
+def test_peel_copy_budget(capsys, tmp_path, edges, budget, code):
+    from regtail.graphs import format_edge_list, from_edge_list
+
+    path = tmp_path / "host.txt"
+    path.write_text(format_edge_list(from_edge_list(4, edges)))
+    for strong in ((), ("--strong",)):
+        got, out, err = run_cli(
+            capsys, "peel", "--pattern", "k3", "--graph", str(path), "--n", "100",
+            "--p", "0.05", "--delta", "1.0", "--eps", "0.5",
+            "--copy-budget", str(budget), *strong,
+        )
+        assert got == code
+        if code:
+            assert (out, err) == ("", f"error: copy enumeration exceeded budget {budget}\n")
+        else:
+            assert err == "" and json.loads(out)["result"]["edges_before"] == len(edges)
+
+
 def test_varbound_verb(capsys):
     record = run_json(
         capsys,

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from regtail import counting
 from regtail.counting import (
-    CopyBudgetExceededError,
     IsolatedPatternVertexError,
     copy_edge_lists,
     count_hom,
     count_labelled,
     count_N11,
     count_paths_signed,
+    count_through,
     count_with_edges,
     expected_count,
 )
@@ -145,8 +145,6 @@ def test_copy_edge_lists_enumerates_labelled_copies():
         assert all(a < b for a, b in edges)
     # each unordered triangle shows up once per automorphism
     assert len({frozenset(edges) for edges in lists}) == 4
-    with pytest.raises(CopyBudgetExceededError):
-        copy_edge_lists(complete(3), complete(5), max_copies=3)
 
 
 def test_count_N11_consistency(rng):
@@ -248,29 +246,57 @@ def _small_patterns(rng):
     return out
 
 
+def _small_hosts(rng):
+    """A hub with pendant paths, low and high degrees side by side, and
+    placements whose last level is empty (a path ends where it must go on),
+    then random hosts."""
+    hub = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (4, 5), (6, 7)]
+    return [from_edge_list(8, hub)] + [
+        random_graph(rng, rng.randint(3, 7), rng.uniform(0.3, 0.8)) for _ in range(8)
+    ]
+
+
 def test_visitor_modes_match_oracles(rng):
     patterns = _small_patterns(rng)
     assert any(not h.is_connected() for h in patterns)
-    # a hub with pendant paths: low and high degrees side by side, and
-    # placements whose last level is empty (a path ends where it must go on)
-    hub = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (4, 5), (6, 7)]
-    hosts = [from_edge_list(8, hub)] + [
-        random_graph(rng, rng.randint(3, 7), rng.uniform(0.3, 0.8)) for _ in range(8)
-    ]
-    for g in hosts:
+    for g in _small_hosts(rng):
         for h in patterns:
-            total = oracle_count_injective(h, g)
             report = count_with_edges(h, g)
-            assert report.total == total
+            assert report.total == oracle_count_injective(h, g)
             assert report.per_edge == oracle_per_edge(h, g)
-            copies = oracle_copy_edge_lists(h, g)
-            assert Counter(copy_edge_lists(h, g)) == copies
-            assert Counter(copy_edge_lists(h, g, max_copies=total)) == copies
-            if total:
-                with pytest.raises(CopyBudgetExceededError):
-                    copy_edge_lists(h, g, max_copies=total - 1)
+            assert Counter(copy_edge_lists(h, g)) == oracle_copy_edge_lists(h, g)
             for D in range(1, g.max_degree() + 1):
                 assert count_N11(h, g, D) == oracle_count_N11(h, g, D)
+
+
+def test_count_through_is_what_removing_the_edge_loses(rng):
+    patterns = _small_patterns(rng) + [path(3)]
+    assert any(not h.is_connected() for h in patterns)
+    for g in _small_hosts(rng):
+        for h in patterns:
+            full = oracle_per_edge(h, g)
+            for e in g.edges:
+                less = oracle_per_edge(h, g.without_edges({e}))
+                lost = {f: k - less.get(f, 0) for f, k in full.items()}
+                want = {f: k for f, k in lost.items() if k}
+                assert count_through(h, g.adjacency_masks, e) == want
+
+
+def test_rooted_plans_start_at_the_root_and_stay_connected(rng):
+    for h in _small_patterns(rng) + [path(3), cycle(5), petersen()]:
+        comps = {v: i for i, c in enumerate(h.connected_components()) for v in c}
+        for a, b in h.edges:
+            for root in ((a, b), (b, a)):
+                order = counting._plan(h, root).order
+                assert order[:2] == root
+                assert sorted(order) == list(range(h.vertex_count))
+                # each vertex but the first of its component in the order
+                # has a pattern neighbour placed before it
+                seen = set()
+                for i, u in enumerate(order):
+                    if comps[u] in seen:
+                        assert h.adjacency[u] & set(order[:i])
+                    seen.add(comps[u])
 
 
 def test_leaf_masks_are_nonempty_and_cover_every_copy(rng):
@@ -290,7 +316,9 @@ def test_plan_built_once_per_distinct_pattern(monkeypatch):
     counting._compiled.cache_clear()
     planned = []
     plan = counting._plan
-    monkeypatch.setattr(counting, "_plan", lambda h: planned.append(h) or plan(h))
+    monkeypatch.setattr(
+        counting, "_plan", lambda h, root=None: planned.append(h) or plan(h, root)
+    )
     g = complete(6)
     for _ in range(3):
         for h in (complete(3), cycle(4), validate_pattern(cycle(4))):

@@ -1,8 +1,10 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
+from regtail import counting, structures
 from regtail.counting import count_labelled, count_with_edges
 from regtail.graphs import (
     SparsityContext,
@@ -27,7 +29,7 @@ from regtail.structures import (
     peel_to_strong_core,
 )
 
-from conftest import oracle_per_edge, random_graph
+from conftest import oracle_peel, oracle_per_edge, random_graph
 
 K3 = validate_pattern(complete(3))
 CTX = SparsityContext(100, 0.05)
@@ -265,6 +267,59 @@ def test_peel_result_is_label_invariant(rng):
             for u, v in base.edges
         }
         assert peeled.edge_set() == expect
+
+
+def test_peels_match_oracle(rng):
+    # delta scales both thresholds across the hosts' per-edge counts
+    partial = 0
+    for pattern in (complete(3), cycle(4), complete(4), cycle(5)):
+        for delta in (1.0, 2.0, 3.0, 4.5, 6.0):
+            params = make_params(
+                delta=delta, eps=0.5, ctx=SparsityContext(10, 0.8),
+                pattern=validate_pattern(pattern),
+            )
+            for _ in range(4):
+                g = random_graph(rng, rng.randint(6, 8), rng.uniform(0.3, 0.9))
+                for peel, threshold in (
+                    (peel_to_core, params.core_min_edge_threshold),
+                    (peel_to_strong_core, params.strong_min_edge_threshold),
+                ):
+                    kept = peel(g, params).edge_set()
+                    assert kept == oracle_peel(pattern, g, threshold)
+                    partial += 0 < len(kept) < g.edge_count
+    assert partial >= 25
+
+
+def test_peel_memory_is_linear_in_host_edges(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("copy table built")
+
+    monkeypatch.setattr(counting, "copy_edge_lists", refuse)
+    monkeypatch.setattr(structures, "copy_edge_lists", refuse, raising=False)
+    rng = random.Random(16)
+    clique = rng.sample(range(60), 16)
+    edges = {(min(u, v), max(u, v)) for u in clique for v in clique if u != v}
+    while len(edges) < 120 + 150:
+        u, v = rng.sample(range(60), 2)
+        edges.add((min(u, v), max(u, v)))
+    g = from_edge_list(60, edges)
+    c4 = validate_pattern(cycle(4))
+    params = make_params(delta=4.0, eps=0.5, ctx=SparsityContext(60, 0.1), pattern=c4)
+    count_with_edges(c4, complete(4))  # plans are cached outside the trace
+    counting.count_through(c4, complete(4).adjacency_masks, (0, 1))
+    tracemalloc.start()
+    try:
+        core = peel_to_core(g, params)
+        strong = peel_to_strong_core(g, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # K16 holds 43680 labelled C4s; a table of them peaks near 20 MB
+    assert peak < 1 << 20
+    inside = {e for e in edges if e[0] in clique and e[1] in clique}
+    for peeled in (core, strong):
+        assert inside < peeled.edge_set() < g.edge_set()
+    high_low_bad_split(g, params)
 
 
 def test_strong_peel_uses_strong_threshold():
