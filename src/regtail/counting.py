@@ -30,7 +30,7 @@ from functools import lru_cache
 from math import perm
 from typing import NamedTuple
 
-from .graphs import Edge, Graph, PatternGraph, SparsityContext, as_graph
+from .graphs import Edge, Graph, PatternGraph, SparsityContext, as_graph, bits
 
 
 class IsolatedPatternVertexError(ValueError):
@@ -57,9 +57,9 @@ class _Compiled(NamedTuple):
 def _plan(h: Graph, root: Edge | None = None) -> _Compiled:
     """Deterministic connected search order and what the kernel needs of it;
     with a pattern edge ``root`` = (a, b), the order starts a, b."""
-    for v in range(h.vertex_count):
-        if not h.adjacency[v]:
-            raise IsolatedPatternVertexError(f"pattern vertex {v} is isolated")
+    hm = h.adjacency_masks
+    if 0 in hm:
+        raise IsolatedPatternVertexError(f"pattern vertex {hm.index(0)} is isolated")
     comps = sorted(h.connected_components(), key=lambda c: (-len(c), c))
     order: list[int] = []
     # a stable sort puts the root's component first; it starts a, b
@@ -67,24 +67,23 @@ def _plan(h: Graph, root: Edge | None = None) -> _Compiled:
         start = [max(comp, key=lambda v: (h.degree(v), -v))]
         if root is not None and root[0] in comp:
             start = list(root)
-        placed = set(start)
+        placed = sum(1 << v for v in start)
         order += start
         # comp is connected, so some unplaced vertex has a placed neighbour
         for _ in range(len(comp) - len(start)):
             best = max(
-                (v for v in comp if v not in placed and h.adjacency[v] & placed),
-                key=lambda v: (len(h.adjacency[v] & placed), h.degree(v), -v),
+                (v for v in comp if not placed >> v & 1 and hm[v] & placed),
+                key=lambda v: ((hm[v] & placed).bit_count(), h.degree(v), -v),
             )
             order.append(best)
-            placed.add(best)
-    pos = {v: i for i, v in enumerate(order)}
-    backs = tuple(
-        tuple(sorted(w for w in h.adjacency[v] if pos[w] < i))
-        for i, v in enumerate(order)
-    )
+            placed |= 1 << best
+    before, backs = 0, []
+    for v in order:
+        backs.append(tuple(bits(hm[v] & before)))
+        before |= 1 << v
     need = tuple(h.degree(u) for u in order)
     inner = tuple(e for e in h.edges if order[-1] not in e) if order else ()
-    return _Compiled(tuple(order), backs, need, inner)
+    return _Compiled(tuple(order), tuple(backs), need, inner)
 
 
 def _compile(h: Graph | PatternGraph, root: Edge | None = None) -> _Compiled:
@@ -144,13 +143,6 @@ def _search(c: _Compiled, gmask, visit=None, injective=True, pin=()) -> int:
     return rec(0, 0)
 
 
-def _bits(m: int):
-    while m:
-        b = m & -m
-        m ^= b
-        yield b.bit_length() - 1
-
-
 def count_labelled(h: Graph | PatternGraph, g: Graph) -> int:
     """Number of injective maps V(h) -> V(g) preserving all edges of h."""
     return _search(_compile(h), g.adjacency_masks)
@@ -165,7 +157,7 @@ def _tally(c: _Compiled, per):
             a, b = assign[u], assign[v]
             per[(a, b) if a < b else (b, a)] += hits
         images = [assign[u] for u in c.backs[-1]]
-        for x in _bits(m):
+        for x in bits(m):
             for a in images:
                 per[(a, x) if a < x else (x, a)] += 1
 
@@ -210,7 +202,7 @@ def copy_edge_lists(h: Graph | PatternGraph, g: Graph) -> list[tuple[Edge, ...]]
 
     def visit(assign: list[int], m: int) -> None:
         last = c.order[-1]
-        for x in _bits(m):
+        for x in bits(m):
             assign[last] = x
             images = []
             for u, v in edges:
@@ -229,7 +221,7 @@ def count_hom(h: Graph | PatternGraph, g: Graph) -> int:
     trace of the matching adjacency power, which the test suite cross-checks.
     """
     h = as_graph(h)
-    isolated = sum(1 for v in range(h.vertex_count) if not h.adjacency[v])
+    isolated = h.adjacency_masks.count(0)
     core = _search(_compile(h.relabelled_span()), g.adjacency_masks, injective=False)
     return core * g.vertex_count ** isolated
 
@@ -262,34 +254,30 @@ def count_paths_signed(
     Bit 0 marks an edge with both endpoints of degree <= D, bit 1 any other
     edge. Path length equals len(s); vertices are pairwise distinct.
     """
-    bits = tuple(int(b) for b in s)
-    if len(bits) < 1 or any(b not in (0, 1) for b in bits):
+    sig = tuple(int(b) for b in s)
+    if len(sig) < 1 or any(b not in (0, 1) for b in sig):
         raise ValueError(f"signature must be a nonempty 0/1 sequence, got {s!r}")
     for v in (v1, v2):
         if not (0 <= v < g.vertex_count):
             raise ValueError(f"vertex {v} out of range")
     if v1 == v2:
         return 0
-    ell = len(bits)
-    low = [g.degree(v) <= D for v in range(g.vertex_count)]
+    gmask, last = g.adjacency_masks, len(sig) - 1
+    low = sum(1 << v for v, m in enumerate(gmask) if m.bit_count() <= D)
 
     def rec(u: int, i: int, used: int) -> int:
-        if i == ell:
-            return 1 if u == v2 else 0
-        want = bits[i]
-        cnt = 0
-        for w in g.adjacency[u]:
-            if used >> w & 1:
-                continue
-            if w == v2 and i + 1 < ell:
-                continue
-            cls = 0 if (low[u] and low[w]) else 1
-            if cls != want:
-                continue
-            cnt += rec(w, i + 1, used | 1 << w)
-        return cnt
+        # the next vertex w: edge uw is class 0 iff u and w are both low
+        m = gmask[u]
+        if low >> u & 1:
+            m &= ~low if sig[i] else low
+        elif not sig[i]:
+            return 0
+        if i == last:
+            return m >> v2 & 1
+        return sum(rec(w, i + 1, used | 1 << w) for w in bits(m & ~used))
 
-    return rec(v1, 0, 1 << v1)
+    # v2 counts as used until the last step
+    return rec(v1, 0, 1 << v1 | 1 << v2)
 
 
 def expected_count(h: PatternGraph, ctx: SparsityContext) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Edge, Graph, PatternGraph, _canon, as_graph, from_edge_list
+from .graphs import Edge, Graph, PatternGraph, _canon, as_graph, bits, from_edge_list
 
 
 class NotBipartiteError(ValueError):
@@ -53,7 +53,7 @@ class EdgeColoring:
     def is_proper(self, g: Graph) -> bool:
         for v in range(g.vertex_count):
             seen = set()
-            for w in g.adjacency[v]:
+            for w in bits(g.adjacency_masks[v]):
                 c = self.color[_canon(v, w)]
                 if c in seen:
                     return False
@@ -302,7 +302,7 @@ def ordered_cover(h: Graph | PatternGraph, q) -> OrderedCover:
             comp = cover.components[idx]
             pick = None
             for x in sorted(comp.vertices):
-                for y in sorted(h.adjacency[x]):
+                for y in bits(h.adjacency_masks[x]):
                     if y in placed:
                         pick = (x, y)
                         break

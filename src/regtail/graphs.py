@@ -2,7 +2,9 @@
 
 All graphs are simple and undirected, with 0-based dense vertex labels.
 Isolated vertices are representable on purpose: edge peeling leaves them
-behind, and copy counts never depend on them.
+behind, and copy counts never depend on them. A graph stores its adjacency
+once, as one int bitmask per vertex; ``bits`` iterates a mask and
+``components`` is the one breadth-first search over masks.
 """
 
 from __future__ import annotations
@@ -39,17 +41,46 @@ def _canon(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def bits(m: int):
+    """The set bits of m, least first."""
+    while m:
+        b = m & -m
+        m ^= b
+        yield b.bit_length() - 1
+
+
+def components(masks):
+    """Each connected component of the graph with adjacency ``masks``, in
+    order of least vertex, as (vertex mask, mask of its odd BFS layers)."""
+    left = (1 << len(masks)) - 1
+    while left:
+        comp = frontier = left & -left
+        odd, layer = 0, 0
+        while frontier:
+            reach = 0
+            for v in bits(frontier):
+                reach |= masks[v]
+            frontier = reach & ~comp
+            comp |= frontier
+            layer ^= 1
+            if layer:
+                odd |= frontier
+        left &= ~comp
+        yield comp, odd
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple graph.
 
     ``edges`` is the canonical sorted tuple of (min, max) pairs.
-    ``adjacency`` maps each vertex to a frozenset of neighbors.
+    ``adjacency_masks[v]`` has bit w set iff vw is an edge. It is the only
+    adjacency a graph stores; its size follows v's largest neighbour label,
+    not v's degree.
     """
 
     vertex_count: int
     edges: tuple[Edge, ...]
-    adjacency: tuple[frozenset[int], ...] = field(repr=False, compare=False)
     adjacency_masks: tuple[int, ...] = field(repr=False, compare=False)
 
     @property
@@ -57,23 +88,17 @@ class Graph:
         return len(self.edges)
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return self.adjacency_masks[v].bit_count()
 
     def degrees(self) -> list[int]:
-        return [len(a) for a in self.adjacency]
+        return [m.bit_count() for m in self.adjacency_masks]
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self.adjacency), default=0)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
-
-    def vertices(self) -> range:
-        return range(self.vertex_count)
+        return max(self.degrees(), default=0)
 
     def support(self) -> list[int]:
         """Vertices with at least one incident edge."""
-        return [v for v in range(self.vertex_count) if self.adjacency[v]]
+        return [v for v, m in enumerate(self.adjacency_masks) if m]
 
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
@@ -88,50 +113,22 @@ class Graph:
         return len(self.connected_components()) <= 1
 
     def connected_components(self) -> list[list[int]]:
-        seen: set[int] = set()
-        out: list[list[int]] = []
-        for start in range(self.vertex_count):
-            if start in seen:
-                continue
-            comp = [start]
-            seen.add(start)
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in self.adjacency[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        comp.append(w)
-                        stack.append(w)
-            out.append(sorted(comp))
-        return out
+        """Vertex lists, each sorted, in order of least vertex."""
+        return [list(bits(c)) for c, _ in components(self.adjacency_masks)]
 
     def bipartition(self) -> tuple[list[int], list[int]] | None:
-        """A 2-coloring as (side0, side1) vertex lists, or None."""
-        color: dict[int, int] = {}
-        for start in range(self.vertex_count):
-            if start in color:
-                continue
-            color[start] = 0
-            queue = [start]
-            while queue:
-                u = queue.pop()
-                for w in self.adjacency[u]:
-                    if w not in color:
-                        color[w] = 1 - color[u]
-                        queue.append(w)
-                    elif color[w] == color[u]:
-                        return None
-        side0 = [v for v in range(self.vertex_count) if color[v] == 0]
-        side1 = [v for v in range(self.vertex_count) if color[v] == 1]
-        return side0, side1
-
-    def is_bipartite(self) -> bool:
-        return self.bipartition() is not None
+        """A 2-coloring as (side0, side1) vertex lists, or None; the least
+        vertex of each component is on side 0."""
+        masks = self.adjacency_masks
+        odd = 0
+        for _, layers in components(masks):
+            odd |= layers
+        if any(m & (odd if odd >> v & 1 else ~odd) for v, m in enumerate(masks)):
+            return None
+        return list(bits(((1 << len(masks)) - 1) & ~odd)), list(bits(odd))
 
     def is_regular(self) -> bool:
-        degs = {len(a) for a in self.adjacency}
-        return len(degs) <= 1
+        return len(set(self.degrees())) <= 1
 
     def relabelled_span(self) -> "Graph":
         """Drop isolated vertices and relabel the rest densely from 0; a
@@ -157,19 +154,11 @@ def from_edge_list(n: int, pairs) -> Graph:
             raise GraphInputError(f"endpoint out of range in ({u}, {v})")
         seen.add(_canon(u, v))
     edges = tuple(sorted(seen))
-    neigh: list[set[int]] = [set() for _ in range(n)]
     masks = [0] * n
     for u, v in edges:
-        neigh[u].add(v)
-        neigh[v].add(u)
         masks[u] |= 1 << v
         masks[v] |= 1 << u
-    return Graph(
-        vertex_count=n,
-        edges=edges,
-        adjacency=tuple(frozenset(s) for s in neigh),
-        adjacency_masks=tuple(masks),
-    )
+    return Graph(vertex_count=n, edges=edges, adjacency_masks=tuple(masks))
 
 
 def span_of_edges(pairs) -> Graph:
@@ -204,7 +193,7 @@ def validate_pattern(g: Graph) -> PatternGraph:
         raise PatternNotConnectedError("empty pattern")
     if not g.is_connected():
         raise PatternNotConnectedError("pattern is not connected")
-    degs = {g.degree(v) for v in g.vertices()}
+    degs = set(g.degrees())
     if len(degs) != 1:
         raise PatternNotRegularError(f"pattern is not regular: degrees {sorted(degs)}")
     (delta,) = degs
@@ -335,7 +324,9 @@ def random_regular_bipartite(delta: int, m: int, rng_seed: int) -> Graph:
 
 # Largest header vertex count parse_edge_list accepts. Building a graph costs
 # O(n) memory before any edge is read, so an untrusted header is capped here
-# rather than trusted.
+# rather than trusted. A graph then stores one bitmask per vertex, sized by
+# its largest neighbour label, so a sparse graph with high labels can take
+# up to n^2/8 bytes.
 MAX_VERTICES = 100_000
 
 

@@ -26,6 +26,7 @@ from .graphs import (
     SparsityContext,
     complete,
     complete_bipartite,
+    components,
     cycle,
     from_edge_list,
     validate_pattern,
@@ -180,22 +181,9 @@ def connected_regular_graphs(n: int, d: int) -> list[Graph]:
     if n < 2 or d < 1 or d >= n or (n * d) % 2:
         return []
     masks = [0] * n
-    full = (1 << n) - 1
     for w in range(1, d + 1):
         masks[0] |= 1 << w
         masks[w] |= 1
-
-    def connected() -> bool:
-        reach = frontier = 1
-        while frontier:
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= masks[low.bit_length() - 1]
-                frontier ^= low
-            frontier = nxt & ~reach
-            reach |= nxt
-        return reach == full
 
     def toggle(v: int, chosen: tuple[int, ...]) -> None:
         for w in chosen:
@@ -204,7 +192,8 @@ def connected_regular_graphs(n: int, d: int) -> list[Graph]:
 
     def extend(v: int) -> Iterator[Graph]:
         if v == n:
-            if connected():
+            # connected iff vertex 0's component is every vertex
+            if next(components(masks))[0] == (1 << n) - 1:
                 yield from_edge_list(
                     n,
                     [(u, w) for u in range(n) for w in range(u + 1, n)

@@ -2,7 +2,9 @@
 
 The oracles here are deliberately naive reimplementations used to pin
 the optimized library code: straight iteration over all maps or subsets,
-no pruning, no bitmasks. Keep them slow and obviously correct.
+no pruning, no bitmasks. The oracles that need adjacency read it from
+``g.edges``, never from ``adjacency_masks``. Keep them slow and obviously
+correct.
 """
 
 from __future__ import annotations
@@ -19,10 +21,16 @@ from regtail.counting import count_labelled
 from regtail.graphs import Graph, from_edge_list, span_of_edges
 
 
+def edge_arcs(g: Graph) -> set:
+    """Both orientations of every edge, read from ``g.edges``."""
+    return {arc for u, v in g.edges for arc in ((u, v), (v, u))}
+
+
 def oracle_injective_maps(h: Graph, g: Graph):
     """Every injective edge-preserving vertex map, as the tuple of images."""
+    arcs = edge_arcs(g)
     for image in permutations(range(g.vertex_count), h.vertex_count):
-        if all(g.has_edge(image[a], image[b]) for a, b in h.edges):
+        if all((image[a], image[b]) in arcs for a, b in h.edges):
             yield image
 
 
@@ -83,20 +91,20 @@ def oracle_philox_stream(seed: int, index: int):
 
 def oracle_count_hom(h: Graph, g: Graph) -> int:
     """All vertex maps, repeats allowed."""
-    total = 0
+    arcs, total = edge_arcs(g), 0
     for image in product(range(g.vertex_count), repeat=h.vertex_count):
-        if all(g.has_edge(image[a], image[b]) for a, b in h.edges):
+        if all((image[a], image[b]) in arcs for a, b in h.edges):
             total += 1
     return total
 
 
 def oracle_independent_counts(g: Graph) -> list[int]:
     """Independent-set counts by size via subset enumeration."""
-    n = g.vertex_count
+    n, edges = g.vertex_count, set(g.edges)
     counts = [0] * (n + 1)
     for k in range(n + 1):
         for subset in combinations(range(n), k):
-            if all(not g.has_edge(u, v) for u, v in combinations(subset, 2)):
+            if all((u, v) not in edges for u, v in combinations(subset, 2)):
                 counts[k] += 1
     while len(counts) > 1 and counts[-1] == 0:
         counts.pop()
@@ -118,14 +126,17 @@ def oracle_fractional_independence(g: Graph) -> Fraction:
 
 def oracle_simple_paths(g: Graph, v1: int, v2: int, length: int) -> list[tuple]:
     """All simple paths from v1 to v2 with exactly `length` edges."""
-    out = []
+    out, neighbours = [], [[] for _ in range(g.vertex_count)]
+    for u, v in g.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
 
     def walk(path: list[int]) -> None:
         if len(path) - 1 == length:
             if path[-1] == v2:
                 out.append(tuple(path))
             return
-        for w in g.adjacency[path[-1]]:
+        for w in neighbours[path[-1]]:
             if w not in path and (w != v2 or len(path) == length):
                 walk(path + [w])
 

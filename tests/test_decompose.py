@@ -206,7 +206,8 @@ def test_validator_catches_bad_covers():
 
 def all_cherries(g):
     for b in range(g.vertex_count):
-        for a, c in combinations(sorted(g.adjacency[b]), 2):
+        neighbours = sorted(v if u == b else u for u, v in g.edges if b in (u, v))
+        for a, c in combinations(neighbours, 2):
             yield ((a, b), (b, c))
 
 

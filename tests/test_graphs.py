@@ -1,10 +1,12 @@
 import math
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regtail.decompose import double_cover
 from regtail.graphs import (
     MAX_VERTICES,
     GraphInputError,
@@ -29,7 +31,7 @@ from regtail.graphs import (
     validate_pattern,
 )
 
-from conftest import random_graph
+from conftest import edge_arcs, random_graph
 
 
 def test_from_edge_list_dedups_and_canonicalizes():
@@ -61,14 +63,11 @@ def test_generators_shapes():
 
 def test_petersen_has_girth_five():
     pet = petersen()
-    for u, v in pet.edges:
-        common = set(pet.adjacency[u]) & set(pet.adjacency[v])
-        assert not common
+    masks, edges = pet.adjacency_masks, pet.edge_set()
     for u in range(10):
         for v in range(u + 1, 10):
-            if not pet.has_edge(u, v):
-                common = set(pet.adjacency[u]) & set(pet.adjacency[v])
-                assert len(common) <= 1
+            common = (masks[u] & masks[v]).bit_count()
+            assert common == 0 if (u, v) in edges else common <= 1
 
 
 def test_bipartition():
@@ -77,8 +76,8 @@ def test_bipartition():
     a, b = side
     assert {len(a), len(b)} == {2, 3}
     assert cycle(5).bipartition() is None
-    assert cycle(6).is_bipartite()
-    assert not complete(3).is_bipartite()
+    assert cycle(6).bipartition() is not None
+    assert complete(3).bipartition() is None
 
 
 def test_connectivity_and_components():
@@ -93,7 +92,7 @@ def test_without_edges_and_span():
     g = complete(4)
     trimmed = g.without_edges([(0, 1)])
     assert trimmed.edge_count == 5
-    assert not trimmed.has_edge(0, 1)
+    assert (0, 1) not in trimmed.edge_set()
     # the span keeps only the endpoints of its edges, relabelled from 0
     sub = span_of_edges([(3, 1), (1, 2)])
     assert sub.vertex_count == 3
@@ -178,7 +177,7 @@ def test_random_regular_bipartite_is_regular():
         g = random_regular_bipartite(delta, m, rng_seed=5)
         assert g.vertex_count == 2 * m
         assert g.is_regular() and g.max_degree() == delta
-        assert g.is_bipartite()
+        assert g.bipartition() is not None
 
 
 @settings(max_examples=40, deadline=None)
@@ -196,7 +195,54 @@ def test_edge_order_does_not_matter(mask):
 @given(st.integers(0, 10**9))
 def test_components_partition_vertices(seed):
     rng = random.Random(seed)
-    g = random_graph(rng, rng.randint(1, 9), 0.3)
+    nv = rng.randint(1, 10)
+    g = random_graph(rng, nv, rng.uniform(0.1, 0.5))
     comps = g.connected_components()
     seen = sorted(v for c in comps for v in c)
-    assert seen == list(range(g.vertex_count))
+    assert seen == list(range(nv))
+    # union-find over the edge list; each group is built in vertex order
+    root = list(range(nv))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for u, v in g.edges:
+        root[find(u)] = find(v)
+    groups: dict[int, list[int]] = {}
+    for v in range(nv):
+        groups.setdefault(find(v), []).append(v)
+    assert comps == sorted(groups.values())
+    assert g.is_connected() == (len(groups) <= 1)
+    # brute-force 2-colourings
+    colourable = any(
+        all(c[u] != c[v] for u, v in g.edges) for c in product((0, 1), repeat=nv)
+    )
+    sides = g.bipartition()
+    assert (sides is not None) == colourable
+    if sides is not None:
+        side0, side1 = sides
+        assert sorted(side0 + side1) == list(range(nv))
+        assert all((u in side0) != (v in side0) for u, v in g.edges)
+        assert all(c[0] in side0 for c in comps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**9))
+def test_masks_are_the_edge_list(seed):
+    rng = random.Random(seed)
+    g = random_graph(rng, rng.randint(1, 10), rng.uniform(0.1, 0.6))
+    dropped = set(rng.sample(g.edges, len(g.edges) // 2))
+    built = [
+        g,
+        g.without_edges(dropped),
+        g.without_edges(dropped).relabelled_span(),
+        span_of_edges(dropped),
+        double_cover(g).graph,
+    ]
+    for b in built:
+        arcs = edge_arcs(b)
+        for v in range(b.vertex_count):
+            want = sum(1 << w for w in range(b.vertex_count) if (v, w) in arcs)
+            assert b.adjacency_masks[v] == want

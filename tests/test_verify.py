@@ -92,10 +92,11 @@ def _relabel(rng, g):
 
 def _degree_preserving_swap(rng, g):
     """Replace edges ab, cd by ac, bd where both are new; same degrees."""
-    edges = list(g.edges)
+    edges, present = list(g.edges), g.edge_set()
     for _ in range(20 if len(edges) >= 2 else 0):
         (a, b), (c, d) = rng.sample(edges, 2)
-        if len({a, b, c, d}) == 4 and not g.has_edge(a, c) and not g.has_edge(b, d):
+        new = {tuple(sorted(e)) for e in ((a, c), (b, d))}
+        if len({a, b, c, d}) == 4 and not new & present:
             kept = [e for e in edges if e not in ((a, b), (c, d))]
             return from_edge_list(g.vertex_count, kept + [(a, c), (b, d)])
     return g
