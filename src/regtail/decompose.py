@@ -3,8 +3,11 @@
 Bipartite double covers, edge colorings with max-degree many colors via
 alternating-path recoloring, perfect matchings dodging a small forbidden
 set, vertex-disjoint cycle/edge covers excluding one edge, and an ordered
-cover anchored at a prescribed cherry. Existence arguments are turned into
-deterministic constructions; validators re-check every claimed invariant.
+cover anchored at a prescribed cherry. The cycle/edge cover is the cycle
+decomposition of the permutation sigma that a perfect matching of the
+double cover, pairing each a with sigma(a) + v_h, induces on V(h).
+Existence arguments are turned into deterministic constructions;
+validators re-check every claimed invariant.
 """
 
 from __future__ import annotations
@@ -18,16 +21,11 @@ class NotBipartiteError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DoubleCover:
-    graph: Graph
-    projection: tuple[int, ...]
-
-
-def double_cover(h: Graph | PatternGraph) -> DoubleCover:
+def double_cover(h: Graph | PatternGraph) -> Graph:
     """Graph on two layers of V(h), edges crossing layers iff adjacent in h.
 
-    Vertex v's copies are v (layer one) and v + v_h (layer two).
+    Vertex v's copies are v (layer one) and v + v_h (layer two), so vertex
+    w of the cover projects to w % v_h.
     """
     h = as_graph(h)
     v = h.vertex_count
@@ -35,8 +33,7 @@ def double_cover(h: Graph | PatternGraph) -> DoubleCover:
     for a, b in h.edges:
         edges.append((a, b + v))
         edges.append((b, a + v))
-    cover = from_edge_list(2 * v, edges)
-    return DoubleCover(cover, tuple(i % v for i in range(2 * v)))
+    return from_edge_list(2 * v, edges)
 
 
 @dataclass(frozen=True)
@@ -167,9 +164,10 @@ def cycle_edge_cover_avoiding(h: Graph | PatternGraph, e: Edge) -> CycleEdgeCove
 
     Color the bipartite double cover with the full degree count; both
     layer-crossing lifts of e occupy at most two classes, so some class
-    avoids both. Projecting that perfect matching back gives a spanning
-    union of cycles, where an edge hit from both layers collapses to a
-    single-edge component.
+    avoids both. That perfect matching pairs each vertex a with one
+    sigma(a) + v_h, so sigma is a permutation of V(h) whose steps are
+    edges of h other than e, and the cover is its cycles: each starts at
+    its least vertex, in ascending order, and a 2-cycle is a single edge.
     """
     h = as_graph(h)
     if not h.is_regular():
@@ -181,40 +179,23 @@ def cycle_edge_cover_avoiding(h: Graph | PatternGraph, e: Edge) -> CycleEdgeCove
     if key not in h.edge_set():
         raise ValueError(f"edge {e} not in the graph")
     v = h.vertex_count
-    dc = double_cover(h)
-    classes = konig_coloring(dc.graph).classes()
     u1, u2 = key
-    lifts = {_canon(u1, u2 + v), _canon(u2, u1 + v)}
+    lifts = {(u1, u2 + v), (u2, u1 + v)}
+    classes = konig_coloring(double_cover(h)).classes()
     chosen = next(cls for cls in classes if lifts.isdisjoint(cls))
-    projected = [_canon(a % v, b % v) for a, b in chosen]
-    incident: dict[int, list[int]] = {x: [] for x in range(v)}
-    for idx, (a, b) in enumerate(projected):
-        incident[a].append(idx)
-        incident[b].append(idx)
-    # the matching covers both copies of every vertex, so the projection
-    # is 2-regular as a multigraph: doubled pairs become single edges
-    used = [False] * len(projected)
+    # cover edges are (a, b + v) with a, b < v, already canonical
+    sigma = {a: b - v for a, b in chosen}
     components: list[CoverComponent] = []
+    seen: set[int] = set()
     for start in range(v):
-        i, j = incident[start]
-        if used[i]:
-            continue
-        if projected[i] == projected[j]:
-            used[i] = used[j] = True
-            components.append(CoverComponent("edge", projected[i]))
+        if start in seen:
             continue
         seq = [start]
-        cur, eidx = start, i
-        while True:
-            used[eidx] = True
-            a, b = projected[eidx]
-            cur = b if cur == a else a
-            if cur == start:
-                break
-            seq.append(cur)
-            x, y = incident[cur]
-            eidx = y if used[x] else x
-        components.append(CoverComponent("cycle", tuple(seq)))
+        while (nxt := sigma[seq[-1]]) != start:
+            seq.append(nxt)
+        seen.update(seq)
+        kind = "edge" if len(seq) == 2 else "cycle"
+        components.append(CoverComponent(kind, tuple(seq)))
     return CycleEdgeCover(tuple(components))
 
 
@@ -284,40 +265,24 @@ def ordered_cover(h: Graph | PatternGraph, q) -> OrderedCover:
     _, u1, u2, v = _cherry(q, h.edge_set())
     if not h.is_connected():
         raise ValueError("input graph is not connected")
-    cover = cycle_edge_cover_avoiding(h, (u1, u2))
-    comp_of: dict[int, int] = {}
-    for idx, comp in enumerate(cover.components):
-        for x in comp.vertices:
-            comp_of[x] = idx
-    anchor_ids = [comp_of[u1], comp_of[u2], comp_of[v]]
-    parts = [cover.components[i] for i in anchor_ids]
-    placed: set[int] = set()
-    for i in set(anchor_ids):
-        placed |= set(cover.components[i].vertices)
-    remaining = sorted(set(range(len(cover.components))) - set(anchor_ids))
+    cover = cycle_edge_cover_avoiding(h, (u1, u2)).components
+    parts = [next(c for c in cover if a in c.vertices) for a in (u1, u2, v)]
+    masks = h.adjacency_masks
+    placed = sum(1 << x for comp in set(parts) for x in comp.vertices)
+    remaining = [comp for comp in cover if comp not in parts]
     attachments: list[tuple[int, int]] = []
     while remaining:
-        hit = None
-        for idx in remaining:
-            comp = cover.components[idx]
-            pick = None
-            for x in sorted(comp.vertices):
-                for y in bits(h.adjacency_masks[x]):
-                    if y in placed:
-                        pick = (x, y)
-                        break
-                if pick:
-                    break
-            if pick:
-                hit = (idx, pick)
+        # the first remaining part with a vertex next to a placed one
+        for comp in remaining:
+            x = min((x for x in comp.vertices if masks[x] & placed), default=None)
+            if x is not None:
                 break
-        if hit is None:
+        else:
             raise AssertionError("connected graph must link a remaining part")
-        idx, pick = hit
-        parts.append(cover.components[idx])
-        attachments.append(pick)
-        placed |= set(cover.components[idx].vertices)
-        remaining.remove(idx)
+        parts.append(comp)
+        attachments.append((x, next(bits(masks[x] & placed))))
+        placed |= sum(1 << y for y in comp.vertices)
+        remaining.remove(comp)
     return OrderedCover(tuple(parts), tuple(attachments))
 
 

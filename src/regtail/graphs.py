@@ -9,7 +9,6 @@ once, as one int bitmask per vertex; ``bits`` iterates a mask and
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from math import log
 
@@ -284,41 +283,6 @@ def petersen() -> Graph:
     return from_edge_list(10, outer + inner + spokes)
 
 
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    shift = g1.vertex_count
-    edges = list(g1.edges) + [(u + shift, v + shift) for u, v in g2.edges]
-    return from_edge_list(g1.vertex_count + g2.vertex_count, edges)
-
-
-def random_regular_bipartite(delta: int, m: int, rng_seed: int) -> Graph:
-    """Delta-regular bipartite graph on m + m vertices.
-
-    Union of delta random permutation matchings between the sides;
-    resampled whenever two matchings collide on a pair.
-    """
-    if delta < 1 or m < 1:
-        raise ValueError(f"delta and m must be positive, got ({delta}, {m})")
-    if delta > m:
-        raise ValueError(f"delta {delta} exceeds side size {m}")
-    rng = random.Random(rng_seed)
-    while True:
-        pairs: set[Edge] = set()
-        ok = True
-        for _ in range(delta):
-            perm = list(range(m))
-            rng.shuffle(perm)
-            for i in range(m):
-                e = (i, m + perm[i])
-                if e in pairs:
-                    ok = False
-                    break
-                pairs.add(e)
-            if not ok:
-                break
-        if ok:
-            return from_edge_list(2 * m, sorted(pairs))
-
-
 # ---------------------------------------------------------------------------
 # edge-list text format: header "n m", then m lines "u v"; '#' starts a comment
 
@@ -361,9 +325,3 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphInputError(f"header promises {m} edges, found {len(rows) - 1}")
     pairs = [_int_pair(lineno, line, "edge line") for lineno, line in rows[1:]]
     return from_edge_list(n, pairs)
-
-
-def format_edge_list(g: Graph) -> str:
-    lines = [f"{g.vertex_count} {g.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"

@@ -139,8 +139,7 @@ def fractional_independence(g: Graph | PatternGraph) -> FractionalIndependence:
     n = g.vertex_count
     if n > 16:
         raise GraphTooLargeError(f"{n} vertices; half-integral search capped at 16")
-    dc = double_cover(g)
-    masks = dc.graph.adjacency_masks
+    masks = double_cover(g).adjacency_masks
     memo = _independent_polys(masks)
     s = (1 << 2 * n) - 1
     value = Fraction(len(memo[s]) - 1, 2)
@@ -151,7 +150,7 @@ def fractional_independence(g: Graph | PatternGraph) -> FractionalIndependence:
         w = (s & -s).bit_length() - 1
         rest = s & ~(masks[w] | 1 << w)
         if len(memo[rest]) == len(memo[s]) - 1:
-            witness[dc.projection[w]] += Fraction(1, 2)
+            witness[w % n] += Fraction(1, 2)
             s = rest
         else:
             s ^= 1 << w

@@ -94,9 +94,8 @@ def _random_graph(rng: random.Random, nv: int, p: float) -> Graph:
     return from_edge_list(nv, edges)
 
 
-def _descriptor(seed: int, tag: str, g: Graph, extra: str = "") -> str:
-    body = f"seed={seed} {tag} n={g.vertex_count} edges={list(g.edges)}"
-    return f"{body} {extra}".strip()
+def _descriptor(seed: int, tag: str, g: Graph) -> str:
+    return f"seed={seed} {tag} n={g.vertex_count} edges={list(g.edges)}"
 
 
 def connected_graphs_up_to(max_vertices: int) -> list[Graph]:
@@ -170,6 +169,9 @@ def _first_of_each_class(candidates: Iterable[Graph]) -> list[Graph]:
     return out
 
 
+# Only tests call this, but it stays here: it generated
+# tests/data/regular_graphs_frozen.json, and it shares _first_of_each_class
+# with connected_graphs_up_to, so moving it would fork the dedup.
 def connected_regular_graphs(n: int, d: int) -> list[Graph]:
     """One representative per isomorphism class of connected d-regular
     graphs on n vertices.

@@ -257,6 +257,48 @@ def random_connected_graph(rng: random.Random, nv: int, p: float) -> Graph:
     return from_edge_list(nv, sorted(edges))
 
 
+def disjoint_union(g1: Graph, g2: Graph) -> Graph:
+    shift = g1.vertex_count
+    edges = list(g1.edges) + [(u + shift, v + shift) for u, v in g2.edges]
+    return from_edge_list(g1.vertex_count + g2.vertex_count, edges)
+
+
+def random_regular_bipartite(delta: int, m: int, rng_seed: int) -> Graph:
+    """Delta-regular bipartite graph on m + m vertices.
+
+    Union of delta random permutation matchings between the sides;
+    resampled whenever two matchings collide on a pair.
+    """
+    if delta < 1 or m < 1:
+        raise ValueError(f"delta and m must be positive, got ({delta}, {m})")
+    if delta > m:
+        raise ValueError(f"delta {delta} exceeds side size {m}")
+    rng = random.Random(rng_seed)
+    while True:
+        pairs: set[tuple[int, int]] = set()
+        ok = True
+        for _ in range(delta):
+            perm = list(range(m))
+            rng.shuffle(perm)
+            for i in range(m):
+                e = (i, m + perm[i])
+                if e in pairs:
+                    ok = False
+                    break
+                pairs.add(e)
+            if not ok:
+                break
+        if ok:
+            return from_edge_list(2 * m, sorted(pairs))
+
+
+def format_edge_list(g: Graph) -> str:
+    """The edge-list text ``parse_edge_list`` reads: "n m", then "u v" lines."""
+    lines = [f"{g.vertex_count} {g.edge_count}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges)
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)

@@ -27,7 +27,6 @@ from regtail.graphs import (
     complete,
     cycle,
     from_edge_list,
-    random_regular_bipartite,
     validate_pattern,
 )
 from regtail.independence import (
@@ -57,7 +56,11 @@ from regtail.verify import (
     summary_table,
 )
 
-from conftest import oracle_count_injective, random_graph
+from conftest import (
+    oracle_count_injective,
+    random_graph,
+    random_regular_bipartite,
+)
 
 K3 = validate_pattern(complete(3))
 C4 = validate_pattern(cycle(4))

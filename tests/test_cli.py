@@ -11,8 +11,16 @@ from hypothesis import strategies as st
 
 from regtail.cli import main
 from regtail import __version__
-from regtail.graphs import MAX_VERTICES
+from regtail.graphs import (
+    MAX_VERTICES,
+    complete,
+    complete_bipartite,
+    cycle,
+    petersen,
+)
 from regtail.verify import report_jsonl, run_all, summary_table
+
+from conftest import format_edge_list, random_regular_bipartite
 
 
 def run_cli(capsys, *argv):
@@ -212,8 +220,6 @@ def test_classify_verb(capsys):
 def test_pattern_file_with_automorphism_count(capsys, tmp_path):
     # petersen fed back through a file: counting it in itself finds its
     # 120 automorphisms
-    from regtail.graphs import format_edge_list, petersen
-
     path = tmp_path / "pet.txt"
     path.write_text(format_edge_list(petersen()))
     record = run_json(
@@ -366,8 +372,6 @@ def test_simulate_mean(capsys):
 
 
 def test_color_avoid(capsys, tmp_path):
-    from regtail.graphs import format_edge_list, random_regular_bipartite
-
     g = random_regular_bipartite(3, 4, 17)
     path = tmp_path / "bip.txt"
     path.write_text(format_edge_list(g))
@@ -440,7 +444,7 @@ def test_decompose_missing_edge_flag(capsys):
 
 
 def test_peel_verb(capsys, tmp_path):
-    from regtail.graphs import format_edge_list, from_edge_list
+    from regtail.graphs import from_edge_list
 
     g = from_edge_list(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
     path = tmp_path / "tri.txt"
@@ -478,7 +482,7 @@ def test_peel_verb(capsys, tmp_path):
     ],
 )
 def test_peel_copy_budget(capsys, tmp_path, edges, budget, code):
-    from regtail.graphs import format_edge_list, from_edge_list
+    from regtail.graphs import from_edge_list
 
     path = tmp_path / "host.txt"
     path.write_text(format_edge_list(from_edge_list(4, edges)))
@@ -614,22 +618,17 @@ def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
 
-@settings(max_examples=150, deadline=None)
-@given(graph=edge_list_text(), pattern=edge_list_text(), data=st.data())
-def test_cli_fuzz_exits_cleanly(graph, pattern, data):
-    with tempfile.TemporaryDirectory() as tmp:
-        graph_path, pattern_path = Path(tmp) / "g.txt", Path(tmp) / "h.txt"
-        graph_path.write_text(graph[1], encoding="utf-8")
-        pattern_path.write_text(pattern[1], encoding="utf-8")
-        argv = data.draw(cli_argv(str(graph_path), str(pattern_path), graph[0]))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
-            except Exception:
-                code = "crash: " + traceback.format_exc()
+def _assert_exits_cleanly(argv):
+    """Run ``main`` in process: exit 0 with strict JSON, 1 with a one-line
+    ``error:``, or 2 from argparse, and never a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            code = "crash: " + traceback.format_exc()
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
     if code == 0:
@@ -638,3 +637,66 @@ def test_cli_fuzz_exits_cleanly(graph, pattern, data):
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error:")
         assert err.getvalue().count("\n") == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=edge_list_text(), pattern=edge_list_text(), data=st.data())
+def test_cli_fuzz_exits_cleanly(graph, pattern, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        graph_path, pattern_path = Path(tmp) / "g.txt", Path(tmp) / "h.txt"
+        graph_path.write_text(graph[1], encoding="utf-8")
+        pattern_path.write_text(pattern[1], encoding="utf-8")
+        argv = data.draw(cli_argv(str(graph_path), str(pattern_path), graph[0]))
+        _assert_exits_cleanly(argv)
+
+
+# regular graphs, so that covers and colourings get past validation: cubic
+# and quartic patterns, a 2-regular one, and regular bipartite hosts
+REGULAR_TEXTS = [
+    (g.vertex_count, format_edge_list(g), g.edges)
+    for g in [complete(4), complete(5), complete_bipartite(3, 3), petersen(),
+              cycle(5)]
+    + [random_regular_bipartite(d, m, 7) for d, m in ((2, 3), (3, 4), (4, 5))]
+]
+
+
+@st.composite
+def vertex_args(draw, n: int, edges, k: int):
+    """k vertex arguments: a walk along ``edges`` (any k vertices below n
+    when there are none), each sometimes out of range or not a number."""
+    if edges:
+        arcs = [arc for u, v in edges for arc in ((u, v), (v, u))]
+        walk = list(draw(st.sampled_from(arcs)))
+        while len(walk) < k:
+            ahead = [v for u, v in arcs if u == walk[-1] and v not in walk]
+            walk.append(draw(st.sampled_from(ahead)))
+    else:
+        walk = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))
+    return [draw(_mostly([str(w)], ["-1", str(n), "x"])) for w in walk]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_covers_exit_cleanly(data):
+    if data.draw(_mostly([True], [False])):
+        n, body, edges = data.draw(st.sampled_from(REGULAR_TEXTS))
+    else:
+        (n, body), edges = data.draw(edge_list_text()), ()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.txt"
+        path.write_text(body, encoding="utf-8")
+        if data.draw(st.booleans()):
+            mode = data.draw(st.sampled_from(["cycles", "ordered"]))
+            argv = ["decompose", "--pattern-file", str(path), "--mode", mode]
+            flag = data.draw(
+                _mostly([{"cycles": "--edge", "ordered": "--cherry"}[mode]],
+                        ["--edge", "--cherry", None])
+            )
+            if flag:
+                arity = {"--edge": 2, "--cherry": 3}[flag]
+                argv += [flag] + data.draw(vertex_args(n, edges, arity))
+        else:
+            argv = ["color", "--graph", str(path)]
+            for _ in range(data.draw(st.integers(0, 3))):
+                argv += ["--avoid"] + data.draw(vertex_args(n, edges, 2))
+        _assert_exits_cleanly(argv)

@@ -23,7 +23,6 @@ from regtail.graphs import (
     complete,
     complete_bipartite,
     cycle,
-    disjoint_union,
     empty,
     from_edge_list,
     path,
@@ -33,6 +32,7 @@ from regtail.graphs import (
 from regtail.verify import connected_regular_graphs
 
 from conftest import (
+    disjoint_union,
     oracle_copy_edge_lists,
     oracle_count_hom,
     oracle_count_injective,

@@ -1,4 +1,6 @@
+import json
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -19,12 +21,13 @@ from regtail.graphs import (
     complete,
     complete_bipartite,
     cycle,
-    disjoint_union,
     empty,
     from_edge_list,
     petersen,
-    random_regular_bipartite,
 )
+from regtail.verify import connected_regular_graphs
+
+from conftest import disjoint_union, random_regular_bipartite
 
 
 def bipartite_random(rng, a, b, p):
@@ -39,19 +42,18 @@ def bipartite_random(rng, a, b, p):
 
 def test_double_cover_shape():
     dc = double_cover(complete(3))
-    assert dc.graph.vertex_count == 6
-    assert dc.graph.edge_count == 6
-    assert dc.projection == (0, 1, 2, 0, 1, 2)
-    assert dc.graph.bipartition() is not None  # the cover of K3 is C6
-    assert dc.graph.is_regular()
+    assert dc.vertex_count == 6
+    assert dc.edge_count == 6
+    assert dc.bipartition() is not None  # the cover of K3 is C6
+    assert dc.is_regular()
     # each original edge lifts to exactly two cross edges
     for u, v in complete(3).edges:
-        assert (min(u, v + 3), max(u, v + 3)) in dc.graph.edge_set()
+        assert (min(u, v + 3), max(u, v + 3)) in dc.edge_set()
 
 
 def test_double_cover_of_bipartite_is_two_copies():
     dc = double_cover(cycle(4))
-    comps = dc.graph.connected_components()
+    comps = dc.connected_components()
     assert sorted(len(c) for c in comps) == [4, 4]
 
 
@@ -263,3 +265,81 @@ def test_ordered_cover_validator_catches_tampering():
     short = OrderedCover(oc.parts[:2], ())
     with pytest.raises(ValueError, match="at least three"):
         validate_ordered_cover(short, g, q)
+
+
+def small_regular_classes():
+    """Every connected regular class with degree >= 3 that criterion 9
+    covers: enumerated up to 8 vertices, plus the frozen families."""
+    graphs = []
+    for n, d in ((4, 3), (6, 3), (8, 3), (5, 4), (6, 4), (7, 4), (8, 4)):
+        graphs.extend(connected_regular_graphs(n, d))
+    frozen = Path(__file__).parent / "data" / "regular_graphs_frozen.json"
+    for key, family in json.loads(frozen.read_text()).items():
+        n = int(key.split(",")[0])
+        graphs.extend(from_edge_list(n, [tuple(e) for e in es]) for es in family)
+    return graphs
+
+
+def test_cycle_cover_rules_on_small_regular_classes():
+    graphs = small_regular_classes()
+    assert len(graphs) == 112
+    for g in graphs:
+        n = g.vertex_count
+        classes = konig_coloring(double_cover(g)).classes()
+        for u, v in g.edges:
+            # each component steps x -> sigma(x) along the first colour
+            # class of the double cover that misses both lifts of uv
+            lifts = {(u, v + n), (v, u + n)}
+            matching = next(c for c in classes if lifts.isdisjoint(c))
+            for e in ((u, v), (v, u)):
+                cover = cycle_edge_cover_avoiding(g, e)
+                validate_cycle_edge_cover(cover, g, e)
+                steps = {
+                    (x, seq[(i + 1) % len(seq)] + n)
+                    for seq in (c.vertices for c in cover.components)
+                    for i, x in enumerate(seq)
+                }
+                assert steps == set(matching)
+                least = [min(c.vertices) for c in cover.components]
+                assert least == sorted(least)
+                for comp in cover.components:
+                    assert comp.vertices[0] == min(comp.vertices)
+                    assert (comp.kind == "edge") == (len(comp.vertices) == 2)
+
+
+def test_ordered_cover_attachments_on_small_regular_classes():
+    cherries = 0
+    for g in small_regular_classes():
+        neighbours = {x: set() for x in range(g.vertex_count)}
+        for a, b in g.edges:
+            neighbours[a].add(b)
+            neighbours[b].add(a)
+        covers = {e: cycle_edge_cover_avoiding(g, e) for e in g.edges}
+        for (a, b), (_, c) in all_cherries(g):
+            for q in (((a, b), (b, c)), ((c, b), (b, a))):
+                cherries += 1
+                oc = ordered_cover(g, q)
+                validate_ordered_cover(oc, g, q)
+                # oracle: the first remaining part, in cover order, with a
+                # vertex next to a placed one; its least such vertex x, and
+                # x's least placed neighbour
+                placed = set().union(*(p.vertex_set() for p in oc.parts[:3]))
+                remaining = [
+                    comp
+                    for comp in covers[tuple(sorted(q[0]))].components
+                    if not comp.vertex_set() & placed
+                ]
+                want_parts, want_links = [], []
+                while remaining:
+                    comp = next(
+                        c for c in remaining
+                        if any(neighbours[x] & placed for x in c.vertices)
+                    )
+                    x = min(x for x in comp.vertices if neighbours[x] & placed)
+                    want_parts.append(comp)
+                    want_links.append((x, min(neighbours[x] & placed)))
+                    placed |= comp.vertex_set()
+                    remaining.remove(comp)
+                assert oc.parts[3:] == tuple(want_parts)
+                assert oc.attachments == tuple(want_links)
+    assert cherries == 2 * 5580

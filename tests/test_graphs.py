@@ -18,20 +18,23 @@ from regtail.graphs import (
     complete,
     complete_bipartite,
     cycle,
-    disjoint_union,
     empty,
-    format_edge_list,
     from_edge_list,
     parse_edge_list,
     path,
     petersen,
-    random_regular_bipartite,
     span_of_edges,
     star,
     validate_pattern,
 )
 
-from conftest import edge_arcs, random_graph
+from conftest import (
+    disjoint_union,
+    edge_arcs,
+    format_edge_list,
+    random_graph,
+    random_regular_bipartite,
+)
 
 
 def test_from_edge_list_dedups_and_canonicalizes():
@@ -239,7 +242,7 @@ def test_masks_are_the_edge_list(seed):
         g.without_edges(dropped),
         g.without_edges(dropped).relabelled_span(),
         span_of_edges(dropped),
-        double_cover(g).graph,
+        double_cover(g),
     ]
     for b in built:
         arcs = edge_arcs(b)

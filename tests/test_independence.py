@@ -147,7 +147,7 @@ def test_fractional_is_half_alpha_of_double_cover(rng):
     # alpha*(G) = alpha(G x K2) / 2, with alpha of the cover by brute force
     for _ in range(15):
         g = random_graph(rng, rng.randint(0, 7), rng.uniform(0.1, 0.9))
-        cover_alpha = len(oracle_independent_counts(double_cover(g).graph)) - 1
+        cover_alpha = len(oracle_independent_counts(double_cover(g))) - 1
         assert 2 * fractional_independence(g).value == cover_alpha
 
 

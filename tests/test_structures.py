@@ -10,7 +10,6 @@ from regtail.graphs import (
     SparsityContext,
     complete,
     cycle,
-    disjoint_union,
     from_edge_list,
     validate_pattern,
 )
@@ -29,7 +28,7 @@ from regtail.structures import (
     peel_to_strong_core,
 )
 
-from conftest import oracle_peel, oracle_per_edge, random_graph
+from conftest import disjoint_union, oracle_peel, oracle_per_edge, random_graph
 
 K3 = validate_pattern(complete(3))
 CTX = SparsityContext(100, 0.05)

@@ -1,4 +1,7 @@
 import json
+import random
+import re
+from ast import literal_eval
 from pathlib import Path
 
 import pytest
@@ -7,7 +10,6 @@ from regtail.graphs import (
     SparsityContext,
     complete,
     cycle,
-    disjoint_union,
     from_edge_list,
     petersen,
     validate_pattern,
@@ -31,6 +33,7 @@ from regtail.verify import (
 )
 
 from conftest import (
+    disjoint_union,
     oracle_canonical_form,
     oracle_connected_catalogue,
     oracle_isomorphic,
@@ -187,6 +190,20 @@ def test_alpha_checker_counts_instances():
     result = check_alpha_count_bound(seed=101, graphs=5)
     assert result.passed
     assert result.instances > 0
+
+
+def test_violation_descriptor_replays_the_host(monkeypatch):
+    monkeypatch.setattr(verify, "count_labelled", lambda h, g: 10**9)
+    result = check_alpha_count_bound(seed=101, graphs=1)
+    text = result.violations[0][0]
+    m = re.fullmatch(
+        r"seed=101 graph#0 pattern=\[.*?\] n=(\d+) edges=(\[.*\])", text
+    )
+    assert m, text
+    rng = random.Random(101)
+    nv = rng.randint(2, 10)
+    host = random_graph(rng, nv, rng.choice([0.2, 0.4, 0.6, 0.8]))
+    assert from_edge_list(int(m[1]), literal_eval(m[2])) == host
 
 
 def test_strong_core_checker_skips_rejected_instances():
