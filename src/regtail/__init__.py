@@ -39,10 +39,8 @@ from .independence import (
 from .structures import (
     CoreParams,
     EdgePartition,
-    HighLowSplit,
     PredicateWitness,
     edge_partition,
-    high_low_bad_split,
     is_core,
     is_seed,
     is_strong_core,
@@ -63,7 +61,6 @@ from .ratefn import (
     UnsupportedRegimeError,
     classify_regime,
     exact_conditional_expectation,
-    is_pre_seed,
     plant,
     rate_function,
     variational_upper_bound,
@@ -98,10 +95,8 @@ __all__ = [
     "tilted_root",
     "CoreParams",
     "EdgePartition",
-    "HighLowSplit",
     "PredicateWitness",
     "edge_partition",
-    "high_low_bad_split",
     "is_core",
     "is_seed",
     "is_strong_core",
@@ -118,7 +113,6 @@ __all__ = [
     "UnsupportedRegimeError",
     "classify_regime",
     "exact_conditional_expectation",
-    "is_pre_seed",
     "plant",
     "rate_function",
     "variational_upper_bound",

@@ -291,10 +291,10 @@ def _cmd_peel(args) -> int:
     ctx = SparsityContext(args.n, args.p)
     params_obj = _core_params(args, h, ctx)
     if args.strong:
-        peeled = peel_to_strong_core(g, params_obj, copy_budget=args.copy_budget)
+        peeled = peel_to_strong_core(g, params_obj)
         witness = is_strong_core(peeled, params_obj)
     else:
-        peeled = peel_to_core(g, params_obj, copy_budget=args.copy_budget)
+        peeled = peel_to_core(g, params_obj)
         witness = is_core(peeled, params_obj)
     result = {
         "edges_before": g.edge_count,
@@ -541,7 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--c-bar", type=_finite_float, default=0.0)
     sub.add_argument("--c-star", type=_finite_float, default=0.0)
     sub.add_argument("--strong", action="store_true")
-    sub.add_argument("--copy-budget", type=int, default=None)
     sub.add_argument("--emit-edges", action="store_true")
     sub.set_defaults(func=_cmd_peel)
 

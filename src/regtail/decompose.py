@@ -204,6 +204,7 @@ def validate_cycle_edge_cover(
 ) -> None:
     h = as_graph(h)
     key = _canon(*forbidden)
+    edges = h.edge_set()
     seen: set[int] = set()
     for comp in cover.components:
         if comp.kind == "edge":
@@ -220,10 +221,11 @@ def validate_cycle_edge_cover(
         if vs & seen:
             raise ValueError("components are not vertex-disjoint")
         seen |= vs
-        for a, b in comp.edge_set():
-            if (a, b) not in h.edge_set():
+        comp_edges = comp.edge_set()
+        for a, b in comp_edges:
+            if (a, b) not in edges:
                 raise ValueError(f"component edge {(a, b)} not in the graph")
-        if key in comp.edge_set():
+        if key in comp_edges:
             raise ValueError(f"forbidden edge {forbidden} appears in a component")
     if seen != set(range(h.vertex_count)):
         raise ValueError("components do not cover every vertex")
@@ -292,13 +294,15 @@ def validate_ordered_cover(oc: OrderedCover, h: Graph | PatternGraph, q) -> None
     parts = oc.parts
     if len(parts) < 3:
         raise ValueError("ordered cover needs at least three labelled parts")
+    edges = h.edge_set()
     covered: set[int] = set()
     for comp in parts:
-        covered |= set(comp.vertices)
-        for edge in comp.edge_set():
-            if edge not in h.edge_set():
+        covered.update(comp.vertices)
+        comp_edges = comp.edge_set()
+        for edge in comp_edges:
+            if edge not in edges:
                 raise ValueError(f"part edge {edge} not in the graph")
-        if first in comp.edge_set():
+        if first in comp_edges:
             raise ValueError("forbidden edge appears in a part")
     if covered != set(range(h.vertex_count)):
         raise ValueError("parts do not cover every vertex")
@@ -311,23 +315,22 @@ def validate_ordered_cover(oc: OrderedCover, h: Graph | PatternGraph, q) -> None
             if pi != pj and pi.vertex_set() & pj.vertex_set():
                 raise ValueError("first three parts overlap without coinciding")
     tail = parts[3:]
+    earlier = set().union(*(comp.vertices for comp in parts[:3]))
+    # the last later part holding each vertex: a part meets a later one
+    # iff one of its vertices lies in a later part
+    last = {x: i for i, comp in enumerate(tail) for x in comp.vertices}
     for i, comp in enumerate(tail):
-        for other in tail[i + 1 :]:
-            if comp.vertex_set() & other.vertex_set():
-                raise ValueError("later parts are not vertex-disjoint")
-        for head in parts[:3]:
-            if comp.vertex_set() & head.vertex_set():
-                raise ValueError("later part overlaps an anchor part")
+        if any(last[x] > i for x in comp.vertices):
+            raise ValueError("later parts are not vertex-disjoint")
+        if not earlier.isdisjoint(comp.vertices):
+            raise ValueError("later part overlaps an anchor part")
     if len(oc.attachments) != len(tail):
         raise ValueError("one attachment required per part beyond the third")
-    for i, (x, y) in enumerate(oc.attachments):
-        comp = tail[i]
-        if x not in comp.vertex_set():
+    for comp, (x, y) in zip(tail, oc.attachments):
+        if x not in comp.vertices:
             raise ValueError(f"attachment tail {x} not in its part")
-        earlier: set[int] = set()
-        for prev in parts[: 3 + i]:
-            earlier |= set(prev.vertices)
         if y not in earlier:
             raise ValueError(f"attachment head {y} not in an earlier part")
-        if _canon(x, y) not in h.edge_set():
+        if _canon(x, y) not in edges:
             raise ValueError(f"attachment pair {(x, y)} is not a graph edge")
+        earlier.update(comp.vertices)

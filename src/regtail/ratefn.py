@@ -33,7 +33,6 @@ from .graphs import (
     span_of_edges,
 )
 from .independence import tilted_root
-from .structures import CoreParams, PredicateWitness, _ladder
 
 
 class UnsupportedRegimeError(ValueError):
@@ -199,20 +198,6 @@ def conditional_expectation_and_gain(
     _check_canvas(g, h, ctx)
     terms = list(_subset_terms(g, h))
     return _expectation_sum(terms, h, ctx, exact), _gain_sum(terms, h, ctx)
-
-
-def is_pre_seed(g: Graph, params: CoreParams) -> PredicateWitness:
-    """Conditional-expectation form of the predicate ladder's first rung."""
-    gain = exact_conditional_expectation(g, params.pattern, params.context)
-    need = (1 + params.delta * (1 - params.eps)) * params.copies_scale
-    edges = g.edge_count
-    budget = params.core_edge_budget
-    return _ladder(
-        [
-            ("copies", float(gain), need, gain >= need),
-            ("edges", float(edges), budget, edges <= budget),
-        ]
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Structural classification of host graphs.
 
 Degree-threshold edge partitions, the seed / core / strong-core predicate
-ladder, fixed-point peeling extractors, and the high/low/bad edge split.
+ladder, fixed-point peeling extractors, and the degree-product floor that
+edges of a strong core clear.
 All predicates evaluate literal inequalities at the given finite (n, p);
 nothing here asserts a limit statement.
 """
@@ -180,17 +181,12 @@ def edge_partition(g: Graph, D: int) -> EdgePartition:
     return EdgePartition(low, frozenset(e11), frozenset(e12), frozenset(e22))
 
 
-def _peel(
-    g: Graph, h: PatternGraph, threshold: float, copy_budget: int | None
-) -> Graph:
+def _peel(g: Graph, h: PatternGraph, threshold: float) -> Graph:
     """Largest subgraph whose every edge lies in at least ``threshold``
     copies; it is unique, as counts only fall when edges go."""
     if threshold <= 0:
         return g
-    report = count_with_edges(h, g)
-    if copy_budget is not None and report.total > max(copy_budget, 0):
-        raise ValueError(f"copy enumeration exceeded budget {copy_budget}")
-    per = report.per_edge
+    per = count_with_edges(h, g).per_edge
     masks = list(g.adjacency_masks)
     work = [e for e in g.edges if per[e] < threshold]
     removed: set[Edge] = set()
@@ -207,31 +203,12 @@ def _peel(
     return g.without_edges(removed)
 
 
-def peel_to_core(
-    g: Graph, params: CoreParams, copy_budget: int | None = None
-) -> Graph:
-    return _peel(g, params.pattern, params.core_min_edge_threshold, copy_budget)
+def peel_to_core(g: Graph, params: CoreParams) -> Graph:
+    return _peel(g, params.pattern, params.core_min_edge_threshold)
 
 
-def peel_to_strong_core(
-    g: Graph, params: CoreParams, copy_budget: int | None = None
-) -> Graph:
-    return _peel(g, params.pattern, params.strong_min_edge_threshold, copy_budget)
-
-
-@dataclass(frozen=True)
-class HighLowSplit:
-    """Edges split by the degree-product test, plus the bad closure.
-
-    An edge is bad when no copy of the pattern through it stays inside
-    g_low; edges meeting no copy at all are vacuously bad.
-    """
-
-    g_high: frozenset[Edge]
-    g_low: frozenset[Edge]
-    g_bad: frozenset[Edge]
-    c0: float
-    c_big0: float
+def peel_to_strong_core(g: Graph, params: CoreParams) -> Graph:
+    return _peel(g, params.pattern, params.strong_min_edge_threshold)
 
 
 def degree_product_floor(params: CoreParams) -> float:
@@ -245,47 +222,3 @@ def degree_product_floor(params: CoreParams) -> float:
     b = (1.0 / (4 * h.e_h)) ** q
     c = (2 * params.c_star) ** (-(h.v_h / 2 - (2 * d - 1) / d) * q)
     return 0.25 * a * b * c
-
-
-def degree_product_ceiling(params: CoreParams) -> float:
-    """Default upper-scale constant, large enough for the split estimates.
-
-    Chosen as the smallest closed form the sufficiency analysis supports;
-    callers may override it in high_low_bad_split.
-    """
-    h = params.pattern
-    half = 2.0 ** (h.v_h / 2.0)
-    a = params.c_star * half * h.e_h / params.eps**2
-    terms = [a]
-    if params.eps < 1.0 / 6.0:
-        terms.append(
-            half * h.e_h * params.c_star
-            / (params.eps * params.delta * (1 - 6 * params.eps))
-        )
-    return 5.0 * params.c_star * max(terms) ** h.delta
-
-
-def high_low_bad_split(
-    g: Graph,
-    params: CoreParams,
-    c_big0: float | None = None,
-) -> HighLowSplit:
-    if c_big0 is None:
-        c_big0 = degree_product_ceiling(params)
-    cutoff = c_big0 * params.edge_scale
-    high, low = set(), set()
-    for u, v in g.edges:
-        if g.degree(u) * g.degree(v) >= cutoff:
-            high.add((u, v))
-        else:
-            low.add((u, v))
-    # an edge is clean iff some copy through it avoids every high edge
-    report = count_with_edges(params.pattern, g.without_edges(high))
-    bad = g.edge_set() - {e for e, k in report.per_edge.items() if k}
-    return HighLowSplit(
-        g_high=frozenset(high),
-        g_low=frozenset(low),
-        g_bad=frozenset(bad),
-        c0=degree_product_floor(params),
-        c_big0=c_big0,
-    )

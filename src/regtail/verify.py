@@ -1,9 +1,10 @@
 """Executable inequality checkers over generated instance suites.
 
 Every checker recomputes both sides of its inequality from primitive
-counts on seed-deterministic instances and reports violations with a
-replayable descriptor. Exploratory checkers log observations instead of
-gating; everything else passes only with an empty violation list.
+counts on seed-deterministic instances. The seeded suites share one
+scaffold, ``_seeded``, which gives each violation a replayable descriptor
+``seed=S <tag> n=N edges=[...]``. Exploratory checkers log observations
+instead of gating; everything else passes only with an empty violation list.
 """
 
 from __future__ import annotations
@@ -94,8 +95,26 @@ def _random_graph(rng: random.Random, nv: int, p: float) -> Graph:
     return from_edge_list(nv, edges)
 
 
-def _descriptor(seed: int, tag: str, g: Graph) -> str:
-    return f"seed={seed} {tag} n={g.vertex_count} edges={list(g.edges)}"
+def _mixed_edges(g: Graph, D: int) -> int:
+    """Edges with at least one endpoint of degree above D."""
+    part = edge_partition(g, D)
+    return len(part.e12) + len(part.e22)
+
+
+def _seeded(check_id: str, seed: int, cases) -> CheckResult:
+    """Run a seeded suite: ``cases(rng)`` draws hosts from
+    ``random.Random(seed)`` and yields one item per instance, None when the
+    inequality holds, else ``(tag, host, lhs, rhs)``; the tag is built only
+    for a violation, whose descriptor lets the host be rebuilt."""
+    instances = 0
+    violations = []
+    for case in cases(random.Random(seed)):
+        instances += 1
+        if case is not None:
+            tag, g, lhs, rhs = case
+            descriptor = f"seed={seed} {tag} n={g.vertex_count} edges={list(g.edges)}"
+            violations.append((descriptor, float(lhs), float(rhs)))
+    return CheckResult(check_id, instances, violations)
 
 
 def connected_graphs_up_to(max_vertices: int) -> list[Graph]:
@@ -236,28 +255,23 @@ def check_alpha_count_bound(seed: int = 101, graphs: int = 40) -> CheckResult:
 
     Compared as N^2 <= (2e)^(2 alpha*) in exact integers.
     """
-    rng = random.Random(seed)
     patterns = [
         (h, int(2 * fractional_independence(h).value))
         for h in connected_graphs_up_to(5)
     ]
-    violations = []
-    instances = 0
-    for i in range(graphs):
-        nv = rng.randint(2, 10)
-        g = _random_graph(rng, nv, rng.choice([0.2, 0.4, 0.6, 0.8]))
-        for h, alpha2 in patterns:
-            instances += 1
-            n_copies = count_labelled(h, g)
-            if n_copies**2 > (2 * g.edge_count) ** alpha2:
-                violations.append(
-                    (
-                        _descriptor(seed, f"graph#{i} pattern={list(h.edges)}", g),
-                        float(n_copies),
-                        float((2 * g.edge_count) ** (alpha2 / 2)),
-                    )
+
+    def cases(rng):
+        for i in range(graphs):
+            nv = rng.randint(2, 10)
+            g = _random_graph(rng, nv, rng.choice([0.2, 0.4, 0.6, 0.8]))
+            for h, alpha2 in patterns:
+                n_copies = count_labelled(h, g)
+                yield None if n_copies**2 <= (2 * g.edge_count) ** alpha2 else (
+                    f"graph#{i} pattern={list(h.edges)}", g, n_copies,
+                    (2 * g.edge_count) ** (alpha2 / 2),
                 )
-    return CheckResult("alpha-count-bound", instances, violations)
+
+    return _seeded("alpha-count-bound", seed, cases)
 
 
 def _path_bound(s: tuple[int, ...], D: int, ebar: int) -> int:
@@ -274,76 +288,57 @@ def check_path_lemma(
     mixed-edge bound; an all-zero signature walks only low-degree
     vertices, so its bound carries no mixed-edge factor.
     """
-    rng = random.Random(seed)
-    violations = []
-    instances = 0
-    for i in range(graphs):
-        nv = rng.randint(4, 12)
-        g = _random_graph(rng, nv, rng.choice([0.2, 0.35, 0.5]))
-        for D in (2, 3):
-            part = edge_partition(g, D)
-            ebar = len(part.e12) + len(part.e22)
-            pairs = [
-                (rng.randrange(nv), rng.randrange(nv))
-                for _ in range(endpoint_pairs)
-            ]
-            for ell in range(1, 6):
-                for s in product((0, 1), repeat=ell):
-                    for v1, v2 in pairs:
-                        if v1 == v2:
-                            continue
-                        instances += 1
-                        got = count_paths_signed(g, s, v1, v2, D)
-                        bound = _path_bound(s, D, ebar)
-                        if got > bound:
-                            violations.append(
-                                (
-                                    _descriptor(
-                                        seed,
-                                        f"graph#{i} D={D} s={''.join(map(str, s))}"
-                                        f" v1={v1} v2={v2}",
-                                        g,
-                                    ),
-                                    float(got),
-                                    float(bound),
-                                )
+
+    def cases(rng):
+        for i in range(graphs):
+            nv = rng.randint(4, 12)
+            g = _random_graph(rng, nv, rng.choice([0.2, 0.35, 0.5]))
+            for D in (2, 3):
+                ebar = _mixed_edges(g, D)
+                pairs = [
+                    (rng.randrange(nv), rng.randrange(nv))
+                    for _ in range(endpoint_pairs)
+                ]
+                for ell in range(1, 6):
+                    for s in product((0, 1), repeat=ell):
+                        for v1, v2 in pairs:
+                            if v1 == v2:
+                                continue
+                            got = count_paths_signed(g, s, v1, v2, D)
+                            bound = _path_bound(s, D, ebar)
+                            yield None if got <= bound else (
+                                f"graph#{i} D={D} s={''.join(map(str, s))}"
+                                f" v1={v1} v2={v2}", g, got, bound,
                             )
-    return CheckResult("path-signature-bound", instances, violations)
+
+    return _seeded("path-signature-bound", seed, cases)
 
 
 def check_cycle_barN11(seed: int = 303, graphs: int = 18) -> CheckResult:
     """Mixed cycle copies (some low-low edge, some other edge) against the
     closed-form bound in the mixed edge count.
     """
-    rng = random.Random(seed)
-    violations = []
-    instances = 0
-    for i in range(graphs):
-        nv = rng.randint(5, 12)
-        g = _random_graph(rng, nv, rng.choice([0.25, 0.4, 0.55]))
-        for D in (2, 3):
-            part = edge_partition(g, D)
-            ebar = len(part.e12) + len(part.e22)
-            for ell in range(3, 7):
-                instances += 1
-                _, _, mixed = count_N11(cycle(ell), g, D)
-                bound = (
-                    ell * 2 ** (ell + 1) * D**ell * (2 * ebar) ** ((ell - 1) // 2)
-                )
-                if mixed > bound:
-                    violations.append(
-                        (
-                            _descriptor(seed, f"graph#{i} D={D} ell={ell}", g),
-                            float(mixed),
-                            float(bound),
-                        )
+
+    def cases(rng):
+        for i in range(graphs):
+            nv = rng.randint(5, 12)
+            g = _random_graph(rng, nv, rng.choice([0.25, 0.4, 0.55]))
+            for D in (2, 3):
+                ebar = _mixed_edges(g, D)
+                for ell in range(3, 7):
+                    _, _, mixed = count_N11(cycle(ell), g, D)
+                    bound = (
+                        ell * 2 ** (ell + 1) * D**ell * (2 * ebar) ** ((ell - 1) // 2)
                     )
-    return CheckResult("cycle-mixed-copies-bound", instances, violations)
+                    yield None if mixed <= bound else (
+                        f"graph#{i} D={D} ell={ell}", g, mixed, bound
+                    )
+
+    return _seeded("cycle-mixed-copies-bound", seed, cases)
 
 
 def check_tildeN11_bound(seed: int = 404, graphs: int = 18) -> CheckResult:
     """Copies confined to low-low edges against 2|low-low| D^(v-2)."""
-    rng = random.Random(seed)
     patterns = {
         "k3": complete(3),
         "c4": cycle(4),
@@ -351,26 +346,21 @@ def check_tildeN11_bound(seed: int = 404, graphs: int = 18) -> CheckResult:
         "c5": cycle(5),
         "c6": cycle(6),
     }
-    violations = []
-    instances = 0
-    for i in range(graphs):
-        nv = rng.randint(5, 12)
-        g = _random_graph(rng, nv, rng.choice([0.25, 0.4, 0.55]))
-        for D in (2, 3):
-            part = edge_partition(g, D)
-            for name, h in patterns.items():
-                instances += 1
-                _, confined, _ = count_N11(h, g, D)
-                bound = 2 * len(part.e11) * D ** (h.vertex_count - 2)
-                if confined > bound:
-                    violations.append(
-                        (
-                            _descriptor(seed, f"graph#{i} D={D} pattern={name}", g),
-                            float(confined),
-                            float(bound),
-                        )
+
+    def cases(rng):
+        for i in range(graphs):
+            nv = rng.randint(5, 12)
+            g = _random_graph(rng, nv, rng.choice([0.25, 0.4, 0.55]))
+            for D in (2, 3):
+                low_low = len(edge_partition(g, D).e11)
+                for name, h in patterns.items():
+                    _, confined, _ = count_N11(h, g, D)
+                    bound = 2 * low_low * D ** (h.vertex_count - 2)
+                    yield None if confined <= bound else (
+                        f"graph#{i} D={D} pattern={name}", g, confined, bound
                     )
-    return CheckResult("low-degree-only-copies-bound", instances, violations)
+
+    return _seeded("low-degree-only-copies-bound", seed, cases)
 
 
 def _bipartite_min_degree_host(
@@ -395,7 +385,6 @@ def check_small_count(seed: int = 505, rounds: int = 12) -> CheckResult:
     count of regular bipartite patterns: (2e - Delta|U1|)^v >= N^2,
     compared in exact integers.
     """
-    rng = random.Random(seed)
     patterns = [
         ("c4", cycle(4)),
         ("c6", cycle(6)),
@@ -403,27 +392,25 @@ def check_small_count(seed: int = 505, rounds: int = 12) -> CheckResult:
         ("cube", cube_graph()),
         ("k44", complete_bipartite(4, 4)),
     ]
-    violations = []
-    instances = 0
-    for name, h in patterns:
-        d = h.max_degree()
-        v = h.vertex_count
-        for i in range(rounds):
-            a = rng.randint(2, 5)
-            b = rng.randint(max(d, 3), 7)
-            g = _bipartite_min_degree_host(rng, a, b, d, rng.choice([0.0, 0.2, 0.4]))
-            instances += 1
-            n_copies = count_labelled(h, g)
-            surplus = 2 * g.edge_count - d * a
-            if surplus < 0 or n_copies**2 > surplus**v:
-                violations.append(
-                    (
-                        _descriptor(seed, f"pattern={name} round={i} |U1|={a}", g),
-                        float(n_copies),
-                        float(max(surplus, 0)) ** (v / 2),
-                    )
+
+    def cases(rng):
+        for name, h in patterns:
+            d = h.max_degree()
+            v = h.vertex_count
+            for i in range(rounds):
+                a = rng.randint(2, 5)
+                b = rng.randint(max(d, 3), 7)
+                g = _bipartite_min_degree_host(
+                    rng, a, b, d, rng.choice([0.0, 0.2, 0.4])
                 )
-    return CheckResult("bipartite-min-degree-edge-bound", instances, violations)
+                n_copies = count_labelled(h, g)
+                surplus = 2 * g.edge_count - d * a
+                yield None if surplus >= 0 and n_copies**2 <= surplus**v else (
+                    f"pattern={name} round={i} |U1|={a}", g, n_copies,
+                    float(max(surplus, 0)) ** (v / 2),
+                )
+
+    return _seeded("bipartite-min-degree-edge-bound", seed, cases)
 
 
 def _strong_core_suite() -> list[tuple[str, Graph, CoreParams]]:
@@ -513,8 +500,7 @@ def check_seqcounting_exploratory(
         budget_ok = g.edge_count <= c_n * params.core_edge_budget
         n11, _, _ = count_N11(g=g, h=h, D=params.degree_threshold)
         lower_ok = n11 >= (c_n / 2) * tau * ctx.copies_scale(h)
-        part = edge_partition(g, params.degree_threshold)
-        ebar = len(part.e12) + len(part.e22)
+        ebar = _mixed_edges(g, params.degree_threshold)
         target = (float(ctx.n) ** 2 * ctx.p**2) ** (1 + 1 / (4 * (h.v_h - 1)))
         if not (budget_ok and lower_ok):
             observations.append(
@@ -590,8 +576,7 @@ def check_mixed_growth_exponent(ks: tuple[int, ...] = (5, 7, 9, 11)) -> CheckRes
         xs, ys = [], []
         for k in ks:
             g = _hub_ring_graph(k)
-            part = edge_partition(g, D)
-            ebar = len(part.e12) + len(part.e22)
+            ebar = _mixed_edges(g, D)
             _, _, mixed = count_N11(cycle(ell), g, D)
             if mixed > 0 and ebar > 0:
                 xs.append(log(2 * ebar))

@@ -63,6 +63,14 @@ def test_record_schema(capsys):
     assert record["parameters"]["n"] == 1000000
 
 
+def test_package_surface_resolves():
+    import regtail
+
+    assert len(regtail.__all__) == len(set(regtail.__all__))
+    for name in regtail.__all__:
+        assert hasattr(regtail, name), name
+
+
 def test_theta_c4_example(capsys):
     record = run_json(capsys, "theta", "--pattern", "c4", "--delta", "1")
     assert record["result"]["theta"] == pytest.approx(0.22474487139158905, abs=1e-12)
@@ -469,34 +477,17 @@ def test_peel_verb(capsys, tmp_path):
     assert record["result"]["edges_before"] == 4
 
 
-@pytest.mark.parametrize(
-    "edges, budget, code",
-    [
-        # a triangle has six labelled copies; the budget allows at most
-        # max(budget, 0) of them
-        ([(0, 1), (1, 2), (0, 2)], -1, 1),
-        ([(0, 1), (1, 2), (0, 2)], 0, 1),
-        ([(0, 1), (1, 2), (0, 2)], 5, 1),
-        ([(0, 1), (1, 2), (0, 2)], 6, 0),
-        ([(0, 1), (2, 3)], -1, 0),
-    ],
-)
-def test_peel_copy_budget(capsys, tmp_path, edges, budget, code):
-    from regtail.graphs import from_edge_list
-
+def test_peel_rejects_the_removed_copy_budget(capsys, tmp_path):
     path = tmp_path / "host.txt"
-    path.write_text(format_edge_list(from_edge_list(4, edges)))
-    for strong in ((), ("--strong",)):
-        got, out, err = run_cli(
-            capsys, "peel", "--pattern", "k3", "--graph", str(path), "--n", "100",
-            "--p", "0.05", "--delta", "1.0", "--eps", "0.5",
-            "--copy-budget", str(budget), *strong,
-        )
-        assert got == code
-        if code:
-            assert (out, err) == ("", f"error: copy enumeration exceeded budget {budget}\n")
-        else:
-            assert err == "" and json.loads(out)["result"]["edges_before"] == len(edges)
+    path.write_text("3 3\n0 1\n1 2\n0 2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["peel", "--pattern", "k3", "--graph", str(path), "--n", "100",
+              "--p", "0.05", "--delta", "1.0", "--eps", "0.5", "--copy-budget", "3"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --copy-budget 3" in err
+    assert "Traceback" not in err
 
 
 def test_varbound_verb(capsys):
@@ -609,8 +600,6 @@ def cli_argv(draw, graph: str, pattern_file: str, n: int):
     if verb == "peel":
         argv += ["--delta", draw(_mostly(["1", "0.2"], ["0", "-1", "1e400"])),
                  "--eps", draw(_mostly(["0.1", "0.5"], ["1", "2", "0"]))]
-        if draw(st.booleans()):
-            argv += ["--copy-budget", draw(st.sampled_from(["0", "3", "-1"]))]
     return argv
 
 

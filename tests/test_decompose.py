@@ -18,6 +18,7 @@ from regtail.decompose import (
     validate_ordered_cover,
 )
 from regtail.graphs import (
+    Graph,
     complete,
     complete_bipartite,
     cycle,
@@ -265,6 +266,65 @@ def test_ordered_cover_validator_catches_tampering():
     short = OrderedCover(oc.parts[:2], ())
     with pytest.raises(ValueError, match="at least three"):
         validate_ordered_cover(short, g, q)
+
+
+def mobius_ladder(n: int) -> Graph:
+    """The cubic Moebius ladder: an n-cycle plus its n/2 long diagonals."""
+    rim = [(i, (i + 1) % n) for i in range(n)]
+    return from_edge_list(n, rim + [(i, i + n // 2) for i in range(n // 2)])
+
+
+def _replace(items: tuple, at: int, item) -> tuple:
+    return items[:at] + (item,) + items[at + 1 :]
+
+
+def test_ordered_cover_validator_names_each_fault():
+    g = mobius_ladder(12)
+    q = ((0, 1), (1, 2))
+    oc = ordered_cover(g, q)
+    validate_ordered_cover(oc, g, q)
+    # three anchor parts, three later parts, one attachment each
+    assert oc.parts == tuple(CoverComponent("edge", (i, i + 6)) for i in range(6))
+    assert oc.attachments == ((3, 2), (4, 3), (5, 4))
+    parts, links = oc.parts, oc.attachments
+    tampered = [
+        (parts + (parts[5],), links, "later parts are not vertex-disjoint"),
+        (parts + (parts[0],), links, "later part overlaps an anchor part"),
+        ((parts[1], parts[0]) + parts[2:], links, "anchor 0 missing from its part"),
+        (_replace(parts, 1, CoverComponent("cycle", (1, 2, 8, 7))), links,
+         "first three parts overlap without coinciding"),
+        (parts, _replace(links, 0, (4, 3)), "attachment tail 4 not in its part"),
+        (parts, _replace(links, 0, (3, 4)),
+         "attachment head 4 not in an earlier part"),
+        (parts, _replace(links, 0, (3, 0)),
+         "attachment pair (3, 0) is not a graph edge"),
+        (parts[:3] + (CoverComponent("edge", (3, 10)), CoverComponent("edge", (4, 9)))
+         + parts[5:], links,
+         "part edge (3, 10) not in the graph"),
+        (_replace(parts, 0, CoverComponent("cycle", (0, 1, 7, 6))), links,
+         "forbidden edge appears in a part"),
+        (parts[:5], links[:2], "parts do not cover every vertex"),
+    ]
+    for bad_parts, bad_links, message in tampered:
+        with pytest.raises(ValueError) as exc:
+            validate_ordered_cover(OrderedCover(bad_parts, bad_links), g, q)
+        assert str(exc.value) == message
+
+
+def test_cover_validators_build_the_edge_set_once(monkeypatch):
+    g = mobius_ladder(200)
+    q = ((0, 1), (1, 2))
+    cover = cycle_edge_cover_avoiding(g, (0, 1))
+    oc = ordered_cover(g, q)
+    assert len(oc.parts) > 50
+    calls = []
+    real = Graph.edge_set
+    monkeypatch.setattr(Graph, "edge_set", lambda self: calls.append(1) or real(self))
+    validate_cycle_edge_cover(cover, g, (0, 1))
+    assert len(calls) == 1
+    calls.clear()
+    validate_ordered_cover(oc, g, q)
+    assert len(calls) == 1
 
 
 def small_regular_classes():

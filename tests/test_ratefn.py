@@ -31,12 +31,10 @@ from regtail.ratefn import (
     classify_regime,
     conditional_expectation_and_gain,
     exact_conditional_expectation,
-    is_pre_seed,
     plant,
     rate_function,
     variational_upper_bound,
 )
-from regtail.structures import CoreParams
 
 K3 = validate_pattern(complete(3))
 C4 = validate_pattern(cycle(4))
@@ -373,14 +371,3 @@ def test_variational_bound_errors():
         variational_upper_bound(K3, -1.0, ctx, [("clique", 5)])
     with pytest.raises(InfeasibleFamilyError):
         variational_upper_bound(K3, 50.0, ctx, [("clique", 3)])
-
-
-def test_pre_seed_clauses():
-    ctx = SparsityContext(100, 0.05)
-    params = CoreParams(delta=0.1, eps=0.4, context=ctx, pattern=K3)
-    planted = plant(("clique", 6), ctx).realized
-    assert bool(is_pre_seed(planted, params))
-    empty_canvas = from_edge_list(100, [])
-    w = is_pre_seed(empty_canvas, params)
-    assert not w
-    assert w.violated_clause == "copies"

@@ -16,11 +16,8 @@ from regtail.graphs import (
 from regtail.structures import (
     CoreParams,
     EdgePartition,
-    HighLowSplit,
-    degree_product_ceiling,
     degree_product_floor,
     edge_partition,
-    high_low_bad_split,
     is_core,
     is_seed,
     is_strong_core,
@@ -318,7 +315,6 @@ def test_peel_memory_is_linear_in_host_edges(monkeypatch):
     inside = {e for e in edges if e[0] in clique and e[1] in clique}
     for peeled in (core, strong):
         assert inside < peeled.edge_set() < g.edge_set()
-    high_low_bad_split(g, params)
 
 
 def test_strong_peel_uses_strong_threshold():
@@ -336,50 +332,4 @@ def test_strong_peel_uses_strong_threshold():
 
 def test_degree_product_scales():
     params = make_params(delta=1.0, eps=0.25)
-    floor = degree_product_floor(params)
-    ceiling = degree_product_ceiling(params)
-    assert 0 < floor < 1
-    assert ceiling > 1
-    assert floor < ceiling
-
-
-def test_high_low_split_extremes(rng):
-    g = random_graph(rng, 12, 0.5)
-    params = make_params()
-    # cutoff below any attainable product: everything is high, so every
-    # copy is contaminated and every edge lands in the bad set
-    tiny = high_low_bad_split(g, params, c_big0=1e-12)
-    assert tiny.g_high == g.edge_set()
-    assert tiny.g_low == frozenset()
-    assert tiny.g_bad == g.edge_set()
-    # cutoff above any product: bad reduces to edges outside all copies
-    report = count_with_edges(K3, g)
-    covered = {e for e, k in report.per_edge.items() if k > 0}
-    huge = high_low_bad_split(g, params, c_big0=1e12)
-    assert huge.g_low == g.edge_set()
-    assert huge.g_bad == g.edge_set() - covered
-    assert huge.c_big0 == 1e12
-    assert huge.c0 == pytest.approx(degree_product_floor(params))
-
-
-def test_high_low_split_partition_property(rng):
-    from regtail.counting import copy_edge_lists
-
-    for pattern in (complete(3), cycle(4), complete(4), cycle(5)):
-        params = make_params(pattern=validate_pattern(pattern))
-        for _ in range(6):
-            g = random_graph(rng, rng.randint(5, 10), rng.uniform(0.3, 0.8))
-            copies = copy_edge_lists(pattern, g)
-            # the default ceiling, then cutoffs on the degree-product scale
-            # from all-high to all-low
-            for c_big0 in (None, *(t / params.edge_scale for t in (1, 4, 9, 16, 30))):
-                split = high_low_bad_split(g, params, c_big0=c_big0)
-                assert split.g_high | split.g_low == g.edge_set()
-                assert split.g_high & split.g_low == frozenset()
-                # bad = complement of the union of copies that dodge every
-                # high edge
-                clean = set()
-                for ce in copies:
-                    if split.g_high.isdisjoint(ce):
-                        clean.update(ce)
-                assert split.g_bad == g.edge_set() - clean
+    assert 0 < degree_product_floor(params) < 1

@@ -192,18 +192,56 @@ def test_alpha_checker_counts_instances():
     assert result.instances > 0
 
 
+def _random_host(lo, hi, densities):
+    def draw(rng):
+        nv = rng.randint(lo, hi)
+        return random_graph(rng, nv, rng.choice(densities))
+    return draw
+
+
+def _bipartite_host(rng):
+    # the first pattern is C4, of degree 2
+    a = rng.randint(2, 5)
+    b = rng.randint(3, 7)
+    return verify._bipartite_min_degree_host(rng, a, b, 2, rng.choice([0.0, 0.2, 0.4]))
+
+
+# (checker, seed, size keyword, descriptor tag, draw of the first host)
+SEEDED_CASES = [
+    (verify.check_alpha_count_bound, 101, "graphs", r"graph#\d+ pattern=\[.*?\]",
+     _random_host(2, 10, [0.2, 0.4, 0.6, 0.8])),
+    (verify.check_path_lemma, 202, "graphs",
+     r"graph#\d+ D=[23] s=[01]+ v1=\d+ v2=\d+",
+     _random_host(4, 12, [0.2, 0.35, 0.5])),
+    (verify.check_cycle_barN11, 303, "graphs", r"graph#\d+ D=[23] ell=\d",
+     _random_host(5, 12, [0.25, 0.4, 0.55])),
+    (verify.check_tildeN11_bound, 404, "graphs", r"graph#\d+ D=[23] pattern=\w+",
+     _random_host(5, 12, [0.25, 0.4, 0.55])),
+    (verify.check_small_count, 505, "rounds",
+     r"pattern=\w+ round=\d+ \|U1\|=\d+", _bipartite_host),
+]
+
+
 def test_violation_descriptor_replays_the_host(monkeypatch):
-    monkeypatch.setattr(verify, "count_labelled", lambda h, g: 10**9)
-    result = check_alpha_count_bound(seed=101, graphs=1)
-    text = result.violations[0][0]
-    m = re.fullmatch(
-        r"seed=101 graph#0 pattern=\[.*?\] n=(\d+) edges=(\[.*\])", text
-    )
-    assert m, text
-    rng = random.Random(101)
-    nv = rng.randint(2, 10)
-    host = random_graph(rng, nv, rng.choice([0.2, 0.4, 0.6, 0.8]))
-    assert from_edge_list(int(m[1]), literal_eval(m[2])) == host
+    # every instance fails: the counts dwarf every bound at these sizes
+    huge = 10**30
+    monkeypatch.setattr(verify, "count_labelled", lambda h, g: huge)
+    monkeypatch.setattr(verify, "count_N11", lambda h, g, D: (huge, huge, huge))
+    monkeypatch.setattr(verify, "count_paths_signed", lambda g, s, v1, v2, D: huge)
+    for checker, seed, size, tag, first_host in SEEDED_CASES:
+        result = checker(seed=seed, **{size: 2})
+        assert result.instances > 0, result.check_id
+        assert len(result.violations) == result.instances, result.check_id
+        hosts = []
+        for text, lhs, rhs in result.violations:
+            assert lhs == float(huge)
+            m = re.fullmatch(rf"seed={seed} {tag} n=(\d+) edges=(\[.*\])", text)
+            assert m, text
+            hosts.append(from_edge_list(int(m[1]), literal_eval(m[2])))
+        assert hosts[0] == first_host(random.Random(seed)), result.check_id
+    assert {c.__name__ for c, *_ in SEEDED_CASES} == {
+        name for _, name, offset, _ in CHECKS if offset is not None
+    }
 
 
 def test_strong_core_checker_skips_rejected_instances():
