@@ -219,7 +219,7 @@ def _cmd_rate(args) -> int:
 def _cmd_theta(args) -> int:
     h = _resolve_pattern(args)
     theta = tilted_root(h, args.delta)
-    residual = independence_polynomial(h.graph, theta) - (1 + args.delta)
+    residual = independence_polynomial(h, theta) - (1 + args.delta)
     _emit(args, "theta", _params(args, "pattern", "delta"),
           {"theta": theta, "residual": residual})
     return 0
@@ -234,7 +234,6 @@ def _cmd_count(args) -> int:
         result: dict = {"count": count_hom(h, g)}
     elif args.per_edge:
         report = count_with_edges(h, g)
-        assert report.per_edge is not None
         result = {
             "count": report.total,
             "per_edge": {f"{u},{v}": c for (u, v), c in sorted(report.per_edge.items())},
@@ -367,7 +366,7 @@ def _cmd_color(args) -> int:
     if args.graph:
         g = _load_graph(args.graph)
     elif params["pattern"]:
-        g = _resolve_pattern(args).graph
+        g = _resolve_pattern(args)
     else:
         raise ValueError("need --graph, --pattern, or --pattern-file")
     if args.avoid:

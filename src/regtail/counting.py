@@ -30,7 +30,7 @@ from functools import lru_cache
 from math import perm
 from typing import NamedTuple
 
-from .graphs import Edge, Graph, PatternGraph, SparsityContext, as_graph, bits
+from .graphs import Edge, Graph, PatternGraph, SparsityContext, bits, low_degree_mask
 
 
 class IsolatedPatternVertexError(ValueError):
@@ -39,10 +39,10 @@ class IsolatedPatternVertexError(ValueError):
 
 @dataclass(frozen=True)
 class CountReport:
-    """Total labelled-copy count, optionally with per-edge counts."""
+    """Total labelled-copy count with the count through each host edge."""
 
     total: int
-    per_edge: dict[Edge, int] | None = None
+    per_edge: dict[Edge, int]
 
 
 class _Compiled(NamedTuple):
@@ -86,14 +86,11 @@ def _plan(h: Graph, root: Edge | None = None) -> _Compiled:
     return _Compiled(tuple(order), tuple(backs), need, inner)
 
 
-def _compile(h: Graph | PatternGraph, root: Edge | None = None) -> _Compiled:
-    return _compiled(as_graph(h), root)
-
-
 # Dedup, Monte Carlo and peels (2 e(H) rooted plans) reuse a few plans; the
 # subset sum makes one per span, so a small bound suffices. Errors stay out.
+# A pattern hashes as its plain graph, so both share one plan.
 @lru_cache(maxsize=256)
-def _compiled(h: Graph, root: Edge | None) -> _Compiled:
+def _compile(h: Graph, root: Edge | None = None) -> _Compiled:
     return _plan(h, root)
 
 
@@ -143,7 +140,7 @@ def _search(c: _Compiled, gmask, visit=None, injective=True, pin=()) -> int:
     return rec(0, 0)
 
 
-def count_labelled(h: Graph | PatternGraph, g: Graph) -> int:
+def count_labelled(h: Graph, g: Graph) -> int:
     """Number of injective maps V(h) -> V(g) preserving all edges of h."""
     return _search(_compile(h), g.adjacency_masks)
 
@@ -164,7 +161,7 @@ def _tally(c: _Compiled, per):
     return visit
 
 
-def count_with_edges(h: Graph | PatternGraph, g: Graph) -> CountReport:
+def count_with_edges(h: Graph, g: Graph) -> CountReport:
     """Total count plus, for every host edge, the count of copies through it.
 
     All per-edge counters are filled in one pass, a last level at a time.
@@ -174,7 +171,7 @@ def count_with_edges(h: Graph | PatternGraph, g: Graph) -> CountReport:
     return CountReport(_search(c, g.adjacency_masks, _tally(c, per)), per)
 
 
-def count_through(h: Graph | PatternGraph, gmask, e: Edge) -> Counter:
+def count_through(h: Graph, gmask, e: Edge) -> Counter:
     """Per-edge counts of the copies through host edge e, in the host with
     adjacency masks ``gmask``; edges in no such copy are absent.
 
@@ -182,14 +179,14 @@ def count_through(h: Graph | PatternGraph, gmask, e: Edge) -> Counter:
     orientation, so one search per rooted pattern edge finds it once.
     """
     per: Counter = Counter()
-    for a, b in as_graph(h).edges:
+    for a, b in h.edges:
         for root in ((a, b), (b, a)):
             c = _compile(h, root)
             _search(c, gmask, _tally(c, per), pin=e)
     return per
 
 
-def copy_edge_lists(h: Graph | PatternGraph, g: Graph) -> list[tuple[Edge, ...]]:
+def copy_edge_lists(h: Graph, g: Graph) -> list[tuple[Edge, ...]]:
     """Edge sets of every labelled copy; ``ratefn._edge_orbits`` reads the
     automorphisms of a pattern from its copies in itself.
 
@@ -197,7 +194,7 @@ def copy_edge_lists(h: Graph | PatternGraph, g: Graph) -> list[tuple[Edge, ...]]
     order.
     """
     c = _compile(h)
-    edges = as_graph(h).edges
+    edges = h.edges
     out: list[tuple[Edge, ...]] = []
 
     def visit(assign: list[int], m: int) -> None:
@@ -214,21 +211,18 @@ def copy_edge_lists(h: Graph | PatternGraph, g: Graph) -> list[tuple[Edge, ...]]
     return out
 
 
-def count_hom(h: Graph | PatternGraph, g: Graph) -> int:
+def count_hom(h: Graph, g: Graph) -> int:
     """Count all edge-preserving maps, injective or not.
 
     Isolated pattern vertices map anywhere. For even cycles this equals the
     trace of the matching adjacency power, which the test suite cross-checks.
     """
-    h = as_graph(h)
     isolated = h.adjacency_masks.count(0)
     core = _search(_compile(h.relabelled_span()), g.adjacency_masks, injective=False)
     return core * g.vertex_count ** isolated
 
 
-def count_N11(
-    h: Graph | PatternGraph, g: Graph, D: int
-) -> tuple[int, int, int]:
+def count_N11(h: Graph, g: Graph, D: int) -> tuple[int, int, int]:
     """Copy counts split by usage of edges whose endpoints both have degree <= D.
 
     Returns (copies using at least one such edge, copies using only such
@@ -239,7 +233,7 @@ def count_N11(
     # a copy uses only low-low edges iff it lies in the low-low subgraph, and
     # no low-low edge iff it lies in the host minus the low-low edges
     c, gmask = _compile(h), g.adjacency_masks
-    low = sum(1 << v for v, m in enumerate(gmask) if m.bit_count() <= D)
+    low = low_degree_mask(gmask, D)
     low_low = [m & low if low >> v & 1 else 0 for v, m in enumerate(gmask)]
     n11 = _search(c, gmask) - _search(c, [m ^ ll for m, ll in zip(gmask, low_low)])
     tilde = _search(c, low_low)
@@ -263,7 +257,7 @@ def count_paths_signed(
     if v1 == v2:
         return 0
     gmask, last = g.adjacency_masks, len(sig) - 1
-    low = sum(1 << v for v, m in enumerate(gmask) if m.bit_count() <= D)
+    low = low_degree_mask(gmask, D)
 
     def rec(u: int, i: int, used: int) -> int:
         # the next vertex w: edge uw is class 0 iff u and w are both low

@@ -14,20 +14,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Edge, Graph, PatternGraph, _canon, as_graph, bits, from_edge_list
+from .graphs import Edge, Graph, _canon, bits, from_edge_list
 
 
 class NotBipartiteError(ValueError):
     pass
 
 
-def double_cover(h: Graph | PatternGraph) -> Graph:
+def double_cover(h: Graph) -> Graph:
     """Graph on two layers of V(h), edges crossing layers iff adjacent in h.
 
     Vertex v's copies are v (layer one) and v + v_h (layer two), so vertex
     w of the cover projects to w % v_h.
     """
-    h = as_graph(h)
     v = h.vertex_count
     edges = []
     for a, b in h.edges:
@@ -159,7 +158,7 @@ class CycleEdgeCover:
     components: tuple[CoverComponent, ...]
 
 
-def cycle_edge_cover_avoiding(h: Graph | PatternGraph, e: Edge) -> CycleEdgeCover:
+def cycle_edge_cover_avoiding(h: Graph, e: Edge) -> CycleEdgeCover:
     """Vertex-disjoint cycles and single edges covering V(h) without e.
 
     Color the bipartite double cover with the full degree count; both
@@ -169,7 +168,6 @@ def cycle_edge_cover_avoiding(h: Graph | PatternGraph, e: Edge) -> CycleEdgeCove
     edges of h other than e, and the cover is its cycles: each starts at
     its least vertex, in ascending order, and a 2-cycle is a single edge.
     """
-    h = as_graph(h)
     if not h.is_regular():
         raise ValueError("input graph is not regular")
     d = h.max_degree()
@@ -200,9 +198,8 @@ def cycle_edge_cover_avoiding(h: Graph | PatternGraph, e: Edge) -> CycleEdgeCove
 
 
 def validate_cycle_edge_cover(
-    cover: CycleEdgeCover, h: Graph | PatternGraph, forbidden: Edge
+    cover: CycleEdgeCover, h: Graph, forbidden: Edge
 ) -> None:
-    h = as_graph(h)
     key = _canon(*forbidden)
     edges = h.edge_set()
     seen: set[int] = set()
@@ -262,8 +259,7 @@ def _cherry(
     return first, u1, u2, v
 
 
-def ordered_cover(h: Graph | PatternGraph, q) -> OrderedCover:
-    h = as_graph(h)
+def ordered_cover(h: Graph, q) -> OrderedCover:
     _, u1, u2, v = _cherry(q, h.edge_set())
     if not h.is_connected():
         raise ValueError("input graph is not connected")
@@ -288,8 +284,7 @@ def ordered_cover(h: Graph | PatternGraph, q) -> OrderedCover:
     return OrderedCover(tuple(parts), tuple(attachments))
 
 
-def validate_ordered_cover(oc: OrderedCover, h: Graph | PatternGraph, q) -> None:
-    h = as_graph(h)
+def validate_ordered_cover(oc: OrderedCover, h: Graph, q) -> None:
     first, u1, u2, v = _cherry(q)
     parts = oc.parts
     if len(parts) < 3:

@@ -68,19 +68,34 @@ def components(masks):
         yield comp, odd
 
 
-@dataclass(frozen=True)
+def low_degree_mask(masks, D: int) -> int:
+    """The vertices of degree <= D in the graph with adjacency ``masks``; the
+    low side of the paper's degree split."""
+    return sum(1 << v for v, m in enumerate(masks) if m.bit_count() <= D)
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable simple graph.
 
     ``edges`` is the canonical sorted tuple of (min, max) pairs.
     ``adjacency_masks[v]`` has bit w set iff vw is an edge. It is the only
     adjacency a graph stores; its size follows v's largest neighbour label,
-    not v's degree.
+    not v's degree. Equality and hashing read (vertex_count, edges) only, so
+    a validated pattern equals, and hashes as, its plain graph.
     """
 
     vertex_count: int
     edges: tuple[Edge, ...]
-    adjacency_masks: tuple[int, ...] = field(repr=False, compare=False)
+    adjacency_masks: tuple[int, ...] = field(repr=False)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (self.vertex_count, self.edges) == (other.vertex_count, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.vertex_count, self.edges))
 
     @property
     def edge_count(self) -> int:
@@ -132,13 +147,7 @@ class Graph:
     def relabelled_span(self) -> "Graph":
         """Drop isolated vertices and relabel the rest densely from 0; a
         graph without isolated vertices is returned as it is."""
-        kept = self.support()
-        if len(kept) == self.vertex_count:
-            return self
-        index = {v: i for i, v in enumerate(kept)}
-        return from_edge_list(
-            len(kept), [(index[u], index[v]) for u, v in self.edges]
-        )
+        return self if all(self.adjacency_masks) else span_of_edges(self.edges)
 
 
 def from_edge_list(n: int, pairs) -> Graph:
@@ -168,22 +177,20 @@ def span_of_edges(pairs) -> Graph:
     return from_edge_list(len(verts), [(index[u], index[v]) for u, v in pairs])
 
 
-@dataclass(frozen=True)
-class PatternGraph:
-    """A connected regular graph with degree at least 2, used as a count pattern."""
+@dataclass(frozen=True, eq=False)
+class PatternGraph(Graph):
+    """A connected regular graph with degree at least 2, used as a count
+    pattern; only ``validate_pattern`` builds one."""
 
-    graph: Graph
     delta: int
-    v_h: int
-    e_h: int
 
     @property
-    def vertex_count(self) -> int:
-        return self.v_h
+    def v_h(self) -> int:
+        return self.vertex_count
 
     @property
-    def edge_count(self) -> int:
-        return self.e_h
+    def e_h(self) -> int:
+        return self.edge_count
 
 
 def validate_pattern(g: Graph) -> PatternGraph:
@@ -200,11 +207,7 @@ def validate_pattern(g: Graph) -> PatternGraph:
         raise PatternDegreeError(f"pattern degree {delta} < 2")
     # degree sum: e = (delta/2) * v, always integral here
     assert g.edge_count * 2 == delta * g.vertex_count
-    return PatternGraph(graph=g, delta=delta, v_h=g.vertex_count, e_h=g.edge_count)
-
-
-def as_graph(h: Graph | PatternGraph) -> Graph:
-    return h.graph if isinstance(h, PatternGraph) else h
+    return PatternGraph(g.vertex_count, g.edges, g.adjacency_masks, delta)
 
 
 @dataclass(frozen=True)
@@ -288,10 +291,16 @@ def petersen() -> Graph:
 
 # Largest header vertex count parse_edge_list accepts. Building a graph costs
 # O(n) memory before any edge is read, so an untrusted header is capped here
-# rather than trusted. A graph then stores one bitmask per vertex, sized by
-# its largest neighbour label, so a sparse graph with high labels can take
-# up to n^2/8 bytes.
+# rather than trusted.
 MAX_VERTICES = 100_000
+
+# Largest total mask size parse_edge_list accepts, in bytes. A graph stores one
+# bitmask per vertex, as wide as its largest neighbour label, so a few edges
+# on high labels can cost n^2/8 bytes: a star on the top label at
+# MAX_VERTICES needs 1.25 GB. The benchmark's largest host, G(1000, 4995),
+# needs about 114 KB and a random host with 20000 vertices and edges about
+# 28 MB; 32 MiB admits both and refuses the star from 2700 leaves on.
+MAX_MASK_BYTES = 1 << 25
 
 
 def _int_pair(lineno: int, line: str, what: str) -> tuple[int, int]:
@@ -324,4 +333,17 @@ def parse_edge_list(text: str) -> Graph:
     if len(rows) - 1 != m:
         raise GraphInputError(f"header promises {m} edges, found {len(rows) - 1}")
     pairs = [_int_pair(lineno, line, "edge line") for lineno, line in rows[1:]]
+    # the mask bytes follow from each vertex's largest neighbour label; an
+    # out-of-range pair is left to from_edge_list's own error
+    top: dict[int, int] = {}
+    for u, v in pairs:
+        if u < n and v < n:
+            top[u] = max(top.get(u, 0), v)
+            top[v] = max(top.get(v, 0), u)
+    mask_bytes = sum(w // 8 + 1 for w in top.values())
+    if mask_bytes > MAX_MASK_BYTES:
+        raise GraphInputError(
+            f"adjacency masks would take {mask_bytes} bytes, above the limit "
+            f"of {MAX_MASK_BYTES}"
+        )
     return from_edge_list(n, pairs)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .decompose import double_cover
-from .graphs import Graph, PatternGraph, as_graph
+from .graphs import Graph
 
 
 class GraphTooLargeError(ValueError):
@@ -49,16 +49,15 @@ def _independent_polys(masks: tuple[int, ...]) -> dict[int, list[int]]:
     return memo
 
 
-def independent_set_counts(g: Graph | PatternGraph) -> list[int]:
+def independent_set_counts(g: Graph) -> list[int]:
     """Coefficients i(0..alpha) of the independence polynomial."""
-    g = as_graph(g)
     n = g.vertex_count
     if n > 24:
         raise GraphTooLargeError(f"{n} vertices; exhaustive enumeration capped at 24")
     return _independent_polys(g.adjacency_masks)[(1 << n) - 1]
 
 
-def independence_polynomial(g: Graph | PatternGraph, x: float | Fraction):
+def independence_polynomial(g: Graph, x: float | Fraction):
     """Evaluate the independence polynomial at x by Horner's rule."""
     return _poly_eval(independent_set_counts(g), x)
 
@@ -78,7 +77,7 @@ def _poly_deriv_eval(coeffs: list[int], x: float) -> float:
     return acc
 
 
-def tilted_root(g: Graph | PatternGraph, delta: float) -> float:
+def tilted_root(g: Graph, delta: float) -> float:
     """The positive x solving P(x) = 1 + delta.
 
     Bisection on a doubling bracket down to near machine width, then a few
@@ -134,8 +133,7 @@ class FractionalIndependence:
     witness: tuple[Fraction, ...]
 
 
-def fractional_independence(g: Graph | PatternGraph) -> FractionalIndependence:
-    g = as_graph(g)
+def fractional_independence(g: Graph) -> FractionalIndependence:
     n = g.vertex_count
     if n > 16:
         raise GraphTooLargeError(f"{n} vertices; half-integral search capped at 16")

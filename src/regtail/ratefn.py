@@ -26,9 +26,9 @@ from math import log, perm
 from .counting import copy_edge_lists, count_labelled
 from .graphs import (
     Graph,
+    MAX_VERTICES,
     PatternGraph,
     SparsityContext,
-    as_graph,
     from_edge_list,
     span_of_edges,
 )
@@ -125,12 +125,11 @@ def _edge_orbits(h: Graph) -> list[tuple[int, int]]:
 def _subset_terms(g: Graph, h: PatternGraph):
     """Yield (|A|, v_A, N(span A, g), orbit size), one term per Aut(H)-orbit
     of pattern edge subsets A, in ascending order of the least mask."""
-    hg = as_graph(h)
-    edges = hg.edges
+    edges = h.edges
     m = len(edges)
     if m > 20:
         raise PatternTooLargeError(f"{m} pattern edges; subset sum capped at 20")
-    for mask, orbit_size in _edge_orbits(hg):
+    for mask, orbit_size in _edge_orbits(h):
         chosen = [edges[i] for i in range(m) if mask >> i & 1]
         span = span_of_edges(chosen)
         yield len(chosen), span.vertex_count, count_labelled(span, g), orbit_size
@@ -238,6 +237,11 @@ def _layout(kind: tuple, n: int) -> tuple[list[tuple[tuple, int]], int]:
             count += closed
         if start > n:
             raise ValueError(f"planted structure needs {start} vertices, n={n}")
+    # the canvas holds one adjacency mask per vertex, built for every size
+    if n > MAX_VERTICES:
+        raise ValueError(
+            f"canvas of n={n} vertices is above the limit of {MAX_VERTICES}"
+        )
     if count > MAX_PLANTED_EDGES:
         raise ValueError(
             f"planted structure has {count} edges, above the limit of "
@@ -262,7 +266,8 @@ def plant(kind, ctx: SparsityContext) -> PlantedStructure:
     Kinds: ("clique", m), ("hub", u), ("bipartite", a, b), and
     ("union", (part, ...)) of clique/bipartite parts on fresh blocks.
     A hub joins u vertices to everything, itself included, so it cannot
-    appear inside a union. At most MAX_PLANTED_EDGES edges are realized.
+    appear inside a union. At most MAX_PLANTED_EDGES edges are realized,
+    on a canvas of at most MAX_VERTICES vertices.
     """
     kind = tuple(kind)
     layout, count = _layout(kind, ctx.n)

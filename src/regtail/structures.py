@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import ceil
 
 from .counting import CountReport, count_labelled, count_through, count_with_edges
-from .graphs import Edge, Graph, PatternGraph, SparsityContext
+from .graphs import Edge, Graph, PatternGraph, SparsityContext, bits, low_degree_mask
 
 
 @dataclass(frozen=True)
@@ -173,12 +173,13 @@ class EdgePartition:
 def edge_partition(g: Graph, D: int) -> EdgePartition:
     if D < 0:
         raise ValueError(f"degree threshold must be >= 0, got {D}")
-    low = frozenset(v for v in range(g.vertex_count) if g.degree(v) <= D)
+    low = low_degree_mask(g.adjacency_masks, D)
     e11, e12, e22 = set(), set(), set()
     for u, v in g.edges:
-        inside = (u in low) + (v in low)
-        (e22, e12, e11)[inside].add((u, v))
-    return EdgePartition(low, frozenset(e11), frozenset(e12), frozenset(e22))
+        (e22, e12, e11)[(low >> u & 1) + (low >> v & 1)].add((u, v))
+    return EdgePartition(
+        frozenset(bits(low)), frozenset(e11), frozenset(e12), frozenset(e22)
+    )
 
 
 def _peel(g: Graph, h: PatternGraph, threshold: float) -> Graph:

@@ -352,10 +352,11 @@ def check_tildeN11_bound(seed: int = 404, graphs: int = 18) -> CheckResult:
             nv = rng.randint(5, 12)
             g = _random_graph(rng, nv, rng.choice([0.25, 0.4, 0.55]))
             for D in (2, 3):
-                low_low = len(edge_partition(g, D).e11)
+                e11 = edge_partition(g, D).e11
+                low_low = from_edge_list(nv, e11)
                 for name, h in patterns.items():
-                    _, confined, _ = count_N11(h, g, D)
-                    bound = 2 * low_low * D ** (h.vertex_count - 2)
+                    confined = count_labelled(h, low_low)
+                    bound = 2 * len(e11) * D ** (h.vertex_count - 2)
                     yield None if confined <= bound else (
                         f"graph#{i} D={D} pattern={name}", g, confined, bound
                     )

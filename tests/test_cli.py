@@ -3,6 +3,7 @@ import io
 import json
 import tempfile
 import traceback
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from regtail.cli import main
 from regtail import __version__
 from regtail.graphs import (
+    MAX_MASK_BYTES,
     MAX_VERTICES,
     complete,
     complete_bipartite,
@@ -112,6 +114,34 @@ def test_hostile_header_vertex_count_is_refused(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert str(MAX_VERTICES) in err
+
+
+def _star_on_top_label(leaves: int) -> str:
+    """Edge-list text of a star centred on vertex MAX_VERTICES - 1: few
+    edges, but every leaf's mask is MAX_VERTICES bits wide."""
+    top = MAX_VERTICES - 1
+    return "\n".join([f"{MAX_VERTICES} {leaves}"]
+                     + [f"{i} {top}" for i in range(leaves)]) + "\n"
+
+
+def test_mask_heavy_file_is_refused_before_building(capsys, tmp_path):
+    # its masks would take 1.25 GB; the text and parsed pairs take far less
+    path = tmp_path / "star.txt"
+    path.write_text(_star_on_top_label(MAX_VERTICES - 1))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(
+            capsys, "count", "--pattern", "k3", "--graph", str(path)
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: adjacency masks would take ")
+    assert err.endswith(f" above the limit of {MAX_MASK_BYTES}\n")
+    assert err.count("\n") == 1
+    assert peak < 64 << 20
 
 
 def test_usage_error_exits_two(capsys):
@@ -294,6 +324,26 @@ def test_plant_refuses_huge_structure_before_building(capsys, monkeypatch, argv)
     assert err.startswith("error: planted structure has ")
     assert err.endswith(f" edges, above the limit of {ratefn.MAX_PLANTED_EDGES}\n")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["plant", "--kind", "clique:3"],
+    ["plant", "--kind", "hub:1"],
+    ["varbound", "--pattern", "k3", "--delta", "1", "--clique-range", "3:4"],
+])
+def test_plant_refuses_huge_canvas_before_building(capsys, monkeypatch, argv):
+    import regtail.ratefn as ratefn
+
+    def no_edges(*args):
+        raise AssertionError(f"edge list of {args} requested")
+
+    monkeypatch.setattr(ratefn, "_block_edges", no_edges)
+    code, out, err = run_cli(capsys, *argv, "--n", "1e9", "--p", "0.1")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"error: canvas of n=1000000000 vertices is above the limit of {MAX_VERTICES}\n"
+    )
 
 
 def test_plant_bad_kind_exits_one(capsys):
@@ -560,11 +610,17 @@ HOSTILE_HEADERS = [
 ]
 
 
+# 3000 leaves on the top label need 37.5 MB of masks in a 33 KB file
+MASK_HEAVY_TEXT = _star_on_top_label(3000)
+
+
 @st.composite
 def edge_list_text(draw):
     """(n, text): mostly well-formed edge lists, some with hostile headers,
-    out-of-range endpoints or a junk line."""
+    out-of-range endpoints, a junk line or masks above MAX_MASK_BYTES."""
     n = draw(st.integers(2, 8))
+    if draw(st.sampled_from([False] * 9 + [True])):
+        return n, MASK_HEAVY_TEXT
     ends = st.integers(0, n - 1)
     pairs = draw(
         st.lists(st.tuples(ends, ends).filter(lambda e: e[0] != e[1]), max_size=16)

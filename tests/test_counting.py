@@ -336,7 +336,7 @@ def test_leaf_masks_are_nonempty_and_cover_every_copy(rng):
 
 
 def test_plan_built_once_per_distinct_pattern(monkeypatch):
-    counting._compiled.cache_clear()
+    counting._compile.cache_clear()
     planned = []
     plan = counting._plan
     monkeypatch.setattr(
@@ -352,16 +352,16 @@ def test_plan_built_once_per_distinct_pattern(monkeypatch):
     # the catalogue dedup compares candidates against a bucket's first
     # member, which is the kernel's pattern and is planned once
     planned.clear()
-    hits = counting._compiled.cache_info().hits
+    hits = counting._compile.cache_info().hits
     cubic = connected_regular_graphs(8, 3)
     assert len(cubic) == 5
     assert planned and len(planned) == len(set(planned))
     assert set(planned) <= set(cubic)
-    assert counting._compiled.cache_info().hits > hits
+    assert counting._compile.cache_info().hits > hits
 
 
 def test_plan_cache_stays_bounded():
-    bound = counting._compiled.cache_info().maxsize
+    bound = counting._compile.cache_info().maxsize
     pairs = [(u, v) for u in range(5) for v in range(u + 1, 5)]
     labelled = (
         from_edge_list(5, [e for i, e in enumerate(pairs) if mask >> i & 1])
@@ -371,8 +371,8 @@ def test_plan_cache_stays_bounded():
     assert len(patterns) == bound + 40
     for h in patterns:
         count_labelled(h, complete(5))
-        assert counting._compiled.cache_info().currsize <= bound
-    assert counting._compiled.cache_info().currsize == bound
+        assert counting._compile.cache_info().currsize <= bound
+    assert counting._compile.cache_info().currsize == bound
 
 
 def test_hom_with_isolated_pattern_vertices(rng):

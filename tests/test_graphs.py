@@ -6,15 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regtail.decompose import double_cover
+from regtail.cli import PATTERNS
+from regtail.counting import count_hom, count_labelled, count_N11, count_with_edges
+from regtail.decompose import cycle_edge_cover_avoiding, double_cover, ordered_cover
 from regtail.graphs import (
     MAX_VERTICES,
+    Graph,
     GraphInputError,
     PatternDegreeError,
     PatternError,
     PatternNotConnectedError,
     PatternNotRegularError,
     SparsityContext,
+    bits,
     complete,
     complete_bipartite,
     cycle,
@@ -34,6 +38,11 @@ from conftest import (
     format_edge_list,
     random_graph,
     random_regular_bipartite,
+)
+from regtail.independence import (
+    fractional_independence,
+    independent_set_counts,
+    tilted_root,
 )
 
 
@@ -107,6 +116,37 @@ def test_validate_pattern_accepts_regular_connected():
         h = validate_pattern(g)
         assert h.delta == g.max_degree()
         assert 2 * h.e_h == h.delta * h.v_h
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return repr(exc)
+
+
+def test_pattern_graph_is_a_graph():
+    host = random_graph(random.Random(3), 8, 0.5)
+    for name, make in PATTERNS.items():
+        g = make()
+        h = validate_pattern(g)
+        assert isinstance(h, Graph)
+        assert h == g and g == h and hash(h) == hash(g)
+        assert h.adjacency_masks is g.adjacency_masks
+        cherry = ((0, 1), (1, max(bits(g.adjacency_masks[1]))))
+        for fn, args in [
+            (count_labelled, (host,)),
+            (count_with_edges, (host,)),
+            (count_hom, (host,)),
+            (count_N11, (host, 3)),
+            (independent_set_counts, ()),
+            (tilted_root, (1.0,)),
+            (fractional_independence, ()),
+            (double_cover, ()),
+            (cycle_edge_cover_avoiding, ((0, 1),)),
+            (ordered_cover, (cherry,)),
+        ]:
+            assert _outcome(fn, h, *args) == _outcome(fn, g, *args), (name, fn)
 
 
 def test_validate_pattern_rejections():

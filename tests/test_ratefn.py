@@ -193,10 +193,10 @@ def test_orbit_sum_matches_per_subset_oracle(name, seed):
     for p in (0.1, 0.3):
         ctx = SparsityContext(n, p)
         got = exact_conditional_expectation(g, h, ctx, exact=True)
-        assert got == oracle_conditional_expectation(g, h.graph, n, p)
+        assert got == oracle_conditional_expectation(g, h, n, p)
         gain = asymptotic_conditional_gain(g, h, ctx)
         assert gain == pytest.approx(
-            oracle_conditional_gain(g, h.graph, n, p), rel=1e-12
+            oracle_conditional_gain(g, h, n, p), rel=1e-12
         )
 
 
@@ -208,9 +208,9 @@ def test_float_sum_order_is_ascending_orbit_mask():
     g = planted_host(2, n, clique=6)
     q = 1 / p - 1
     total = 0.0
-    for orbit in oracle_edge_orbits(h.graph):
+    for orbit in oracle_edge_orbits(h):
         mask = min(orbit)
-        chosen = [e for i, e in enumerate(h.graph.edges) if mask >> i & 1]
+        chosen = [e for i, e in enumerate(h.edges) if mask >> i & 1]
         span = span_of_edges(chosen)
         cnt = count_labelled(span, g)
         if cnt:

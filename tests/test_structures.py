@@ -5,12 +5,14 @@ import tracemalloc
 import pytest
 
 from regtail import counting, structures
-from regtail.counting import count_labelled, count_with_edges
+from regtail.counting import count_labelled, count_N11, count_with_edges
 from regtail.graphs import (
     SparsityContext,
+    bits,
     complete,
     cycle,
     from_edge_list,
+    low_degree_mask,
     validate_pattern,
 )
 from regtail.structures import (
@@ -25,7 +27,13 @@ from regtail.structures import (
     peel_to_strong_core,
 )
 
-from conftest import disjoint_union, oracle_peel, oracle_per_edge, random_graph
+from conftest import (
+    disjoint_union,
+    oracle_count_N11,
+    oracle_peel,
+    oracle_per_edge,
+    random_graph,
+)
 
 K3 = validate_pattern(complete(3))
 CTX = SparsityContext(100, 0.05)
@@ -127,7 +135,7 @@ def _two_pass_witness(g, params, slack, budget, floor):
         ("edges", float(g.edge_count), budget, g.edge_count <= budget),
     ]
     if floor is not None:
-        per_edge = oracle_per_edge(params.pattern.graph, g)
+        per_edge = oracle_per_edge(params.pattern, g)
         worst = min(per_edge.values(), default=None)
         clauses.append((
             "min-edge-copies",
@@ -209,6 +217,26 @@ def test_edge_partition_covers_all_edges(rng):
             part = edge_partition(g, D)
             assert part.e11 | part.e12 | part.e22 == g.edge_set()
             assert len(part.e11) + len(part.e12) + len(part.e22) == g.edge_count
+
+
+def test_degree_split_agrees_everywhere(rng):
+    # the edge partition, the N11 split and the direct low-low count all
+    # read one low-degree mask
+    for _ in range(12):
+        g = random_graph(rng, rng.randint(5, 9), rng.choice([0.3, 0.5]))
+        for D in range(5):
+            part = edge_partition(g, D)
+            low = low_degree_mask(g.adjacency_masks, D)
+            assert part.low_vertices == set(bits(low))
+            assert part.low_vertices == {v for v in range(g.vertex_count)
+                                         if g.degree(v) <= D}
+            if D < 1:
+                continue
+            low_low = from_edge_list(g.vertex_count, part.e11)
+            for h in (complete(3), cycle(4)):
+                split = count_N11(h, g, D)
+                assert split[1] == count_labelled(h, low_low)
+                assert split == oracle_count_N11(h, g, D)
 
 
 PEEL_PARAMS = CoreParams(
