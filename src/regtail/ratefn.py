@@ -15,6 +15,20 @@ The term for A depends only on the isomorphism type of span A, so the sum
 is taken once per orbit of Aut(H) acting on edge subsets, weighted by the
 orbit size. Orbits are visited in ascending order of their least edge
 mask, which fixes the floating-point summation order.
+
+N(span A, g) needs no search when g is one of the paper's two localized
+structures. For a graph F without isolated vertices,
+
+    N(F, K_m) = (m)_(v_F)
+    N(F, hub(u, n)) = sum_k i_k(F) * (n - u)_k * (u)_(v_F - k)
+
+since the vertices F sends outside a hub form an independent set of F;
+i_k(F) counts the independent k-sets. A host given as a graph is counted
+by the first form when its edges form one clique plus isolated vertices,
+and by the backtracking kernel otherwise. ``variational_upper_bound``
+counts a clique or hub candidate from its descriptor and realizes only
+the winner. The counts are the same integers either way, so every sum is
+bit-identical; the kernel stays the general path.
 """
 
 from __future__ import annotations
@@ -26,13 +40,14 @@ from math import log, perm
 from .counting import copy_edge_lists, count_labelled
 from .graphs import (
     Graph,
+    MAX_MASK_BYTES,
     MAX_VERTICES,
     PatternGraph,
     SparsityContext,
     from_edge_list,
     span_of_edges,
 )
-from .independence import tilted_root
+from .independence import independent_set_counts, tilted_root
 
 
 class UnsupportedRegimeError(ValueError):
@@ -122,9 +137,10 @@ def _edge_orbits(h: Graph) -> list[tuple[int, int]]:
     return out
 
 
-def _subset_terms(g: Graph, h: PatternGraph):
+def _subset_terms(h: PatternGraph, count):
     """Yield (|A|, v_A, N(span A, g), orbit size), one term per Aut(H)-orbit
-    of pattern edge subsets A, in ascending order of the least mask."""
+    of pattern edge subsets A, in ascending order of the least mask; the
+    count function gives N(span A, g)."""
     edges = h.edges
     m = len(edges)
     if m > 20:
@@ -132,7 +148,36 @@ def _subset_terms(g: Graph, h: PatternGraph):
     for mask, orbit_size in _edge_orbits(h):
         chosen = [edges[i] for i in range(m) if mask >> i & 1]
         span = span_of_edges(chosen)
-        yield len(chosen), span.vertex_count, count_labelled(span, g), orbit_size
+        yield len(chosen), span.vertex_count, count(span), orbit_size
+
+
+def _clique_count(m: int):
+    return lambda span: perm(m, span.vertex_count)
+
+
+def _hub_count(u: int, n: int):
+    def count(span: Graph) -> int:
+        v = span.vertex_count
+        return sum(
+            i * perm(n - u, k) * perm(u, v - k)
+            for k, i in enumerate(independent_set_counts(span))
+        )
+
+    return count
+
+
+def _host_count(g: Graph):
+    """N(span, g) as a function of the span: the falling factorial when g's
+    edges form one clique plus isolated vertices, the kernel otherwise.
+
+    g is such a host iff every non-isolated vertex has the same closed
+    neighbourhood, which is then the support; the test stops at the first
+    vertex that differs."""
+    masks, support = g.adjacency_masks, g.support()
+    clique = next((masks[v] | 1 << v for v in support), 0)
+    if all(masks[v] | 1 << v == clique for v in support):
+        return _clique_count(len(support))
+    return lambda span: count_labelled(span, g)
 
 
 def _expectation_sum(terms, h: PatternGraph, ctx: SparsityContext, exact: bool):
@@ -158,10 +203,10 @@ def _gain_sum(terms, h: PatternGraph, ctx: SparsityContext) -> float:
     return total
 
 
-def _check_canvas(g: Graph, h: PatternGraph, ctx: SparsityContext) -> None:
-    if g.vertex_count != ctx.n:
+def _check_canvas(vertex_count: int, h: PatternGraph, ctx: SparsityContext) -> None:
+    if vertex_count != ctx.n:
         raise ValueError(
-            f"planted graph has {g.vertex_count} vertices, context has {ctx.n}"
+            f"planted graph has {vertex_count} vertices, context has {ctx.n}"
         )
     if ctx.n < h.v_h:
         raise ValueError(f"n={ctx.n} smaller than pattern order {h.v_h}")
@@ -175,8 +220,8 @@ def exact_conditional_expectation(
     With exact=True, p is taken as the binary rational of the stored float
     and a Fraction is returned; otherwise a float.
     """
-    _check_canvas(g, h, ctx)
-    return _expectation_sum(_subset_terms(g, h), h, ctx, exact)
+    _check_canvas(g.vertex_count, h, ctx)
+    return _expectation_sum(_subset_terms(h, _host_count(g)), h, ctx, exact)
 
 
 def asymptotic_conditional_gain(
@@ -187,15 +232,15 @@ def asymptotic_conditional_gain(
     Sums N(span A, g) * (1 - p^|A|) * n^(v_H - v_A) * p^(e_H - |A|) over
     nonempty edge subsets A, with plain powers of n.
     """
-    return _gain_sum(_subset_terms(g, h), h, ctx)
+    return _gain_sum(_subset_terms(h, _host_count(g)), h, ctx)
 
 
 def conditional_expectation_and_gain(
     g: Graph, h: PatternGraph, ctx: SparsityContext, exact: bool = False
 ):
     """Both values above from a single walk over the subset terms."""
-    _check_canvas(g, h, ctx)
-    terms = list(_subset_terms(g, h))
+    _check_canvas(g.vertex_count, h, ctx)
+    terms = list(_subset_terms(h, _host_count(g)))
     return _expectation_sum(terms, h, ctx, exact), _gain_sum(terms, h, ctx)
 
 
@@ -214,27 +259,40 @@ class PlantedStructure:
 MAX_PLANTED_EDGES = 100_000
 
 
+def _mask_bytes(vertices: int, top: int) -> int:
+    """Bytes of the masks of ``vertices`` vertices whose neighbours reach
+    label ``top``, counted as ``parse_edge_list`` counts them."""
+    return vertices * (top // 8 + 1)
+
+
 def _layout(kind: tuple, n: int) -> tuple[list[tuple[tuple, int]], int]:
     """Each part of a planted kind with its first vertex, and the realized
-    edge count, in closed form: nothing is built."""
+    edge count, in closed form: nothing is built. The adjacency mask bytes
+    are bounded in closed form too, taking every vertex of a block to be as
+    wide as its largest possible neighbour label."""
     if kind[0] == "hub":
         (_, u) = kind
         if not 1 <= u <= n:
             raise ValueError(f"hub size {u} does not fit in n={n}")
         layout, count = [(kind, 0)], u * (n - u) + u * (u - 1) // 2
+        mask_bytes = _mask_bytes(u, n - 1) + _mask_bytes(n - u, u - 1)
     else:
-        layout, start, count = [], 0, 0
+        layout, start, count, mask_bytes = [], 0, 0, 0
         for part in list(kind[1]) if kind[0] == "union" else [kind]:
             match part := tuple(part):
                 case ("clique", int(m)) if m >= 1:
                     width, closed = m, m * (m - 1) // 2
+                    masks = _mask_bytes(m, start + m - 1) if m > 1 else 0
                 case ("bipartite", int(a), int(b)) if a >= 1 and b >= 1:
                     width, closed = a + b, a * b
+                    masks = (_mask_bytes(a, start + a + b - 1)
+                             + _mask_bytes(b, start + a - 1))
                 case _:
                     raise ValueError(f"unsupported planted part {part!r}")
             layout.append((part, start))
             start += width
             count += closed
+            mask_bytes += masks
         if start > n:
             raise ValueError(f"planted structure needs {start} vertices, n={n}")
     # the canvas holds one adjacency mask per vertex, built for every size
@@ -246,6 +304,11 @@ def _layout(kind: tuple, n: int) -> tuple[list[tuple[tuple, int]], int]:
         raise ValueError(
             f"planted structure has {count} edges, above the limit of "
             f"{MAX_PLANTED_EDGES}"
+        )
+    if mask_bytes > MAX_MASK_BYTES:
+        raise ValueError(
+            f"adjacency masks would take {mask_bytes} bytes, above the limit "
+            f"of {MAX_MASK_BYTES}"
         )
     return layout, count
 
@@ -267,7 +330,8 @@ def plant(kind, ctx: SparsityContext) -> PlantedStructure:
     ("union", (part, ...)) of clique/bipartite parts on fresh blocks.
     A hub joins u vertices to everything, itself included, so it cannot
     appear inside a union. At most MAX_PLANTED_EDGES edges are realized,
-    on a canvas of at most MAX_VERTICES vertices.
+    on a canvas of at most MAX_VERTICES vertices, with adjacency masks of
+    at most MAX_MASK_BYTES.
     """
     kind = tuple(kind)
     layout, count = _layout(kind, ctx.n)
@@ -294,22 +358,28 @@ def variational_upper_bound(
         raise ValueError("search family is empty")
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    for desc in descriptors:  # refuse a misfit or oversized one before any work
-        _layout(desc, ctx.n)
+    # refuse a misfit or oversized candidate before any work
+    edge_counts = [_layout(desc, ctx.n)[1] for desc in descriptors]
+    _check_canvas(ctx.n, h, ctx)
     threshold = (1 + delta) * ctx.copies_scale(h)
     scale = ctx.edge_scale(h)
-    best: tuple[float, PlantedStructure] | None = None
-    for desc in descriptors:
-        ps = plant(desc, ctx)
-        value = exact_conditional_expectation(ps.realized, h, ctx)
-        if value < threshold:
+    best: tuple[float, tuple] | None = None
+    for desc, edge_count in zip(descriptors, edge_counts):
+        match desc:
+            case ("clique", m):
+                count = _clique_count(m)
+            case ("hub", u):
+                count = _hub_count(u, ctx.n)
+            case _:
+                count = _host_count(plant(desc, ctx).realized)
+        if _expectation_sum(_subset_terms(h, count), h, ctx, False) < threshold:
             continue
-        cost = ps.realized.edge_count / scale
+        cost = edge_count / scale
         if best is None or cost < best[0]:
-            best = (cost, ps)
+            best = (cost, desc)
     if best is None:
         raise InfeasibleFamilyError(
             f"no structure among {len(descriptors)} candidates meets the "
             "conditional-expectation constraint"
         )
-    return best
+    return best[0], plant(best[1], ctx)

@@ -299,6 +299,17 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def forbid_kernel(monkeypatch) -> None:
+    """Make the conditional expectation's kernel calls fail, so a test can
+    show that a closed-form count served every term."""
+    import regtail.ratefn as ratefn
+
+    def kernel(*args):
+        raise AssertionError("count_labelled called")
+
+    monkeypatch.setattr(ratefn, "count_labelled", kernel)
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)

@@ -4,6 +4,7 @@ import json
 import tempfile
 import traceback
 import tracemalloc
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -18,11 +19,17 @@ from regtail.graphs import (
     complete,
     complete_bipartite,
     cycle,
+    from_edge_list,
     petersen,
 )
 from regtail.verify import report_jsonl, run_all, summary_table
 
-from conftest import format_edge_list, random_regular_bipartite
+from conftest import (
+    forbid_kernel,
+    format_edge_list,
+    oracle_conditional_expectation,
+    random_regular_bipartite,
+)
 
 
 def run_cli(capsys, *argv):
@@ -346,6 +353,49 @@ def test_plant_refuses_huge_canvas_before_building(capsys, monkeypatch, argv):
     )
 
 
+def test_plant_refuses_mask_heavy_structure_before_building(capsys):
+    # 99999 left vertices, each with a mask reaching label 99999: 1.25 GB,
+    # though the part has only 99999 edges
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "plant", "--kind", "bipartite:99999,1",
+                                 "--n", "100000", "--p", "0.1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: adjacency masks would take ")
+    assert err.endswith(f" above the limit of {MAX_MASK_BYTES}\n")
+    assert err.count("\n") == 1
+    assert peak < 1 << 20
+
+
+def test_planted_cliques_and_hubs_skip_the_kernel(capsys, monkeypatch, tmp_path):
+    n, p = 30, 0.2
+    labels = (2, 9, 17, 23, 29)
+    g = from_edge_list(n, combinations(labels, 2))
+    path = tmp_path / "k5.txt"
+    path.write_text(format_edge_list(g))
+    expect = oracle_conditional_expectation(g, cycle(6), n, p)
+    forbid_kernel(monkeypatch)
+    record = run_json(capsys, "cond-exp", "--pattern", "c6", "--graph", str(path),
+                      "--n", str(n), "--p", str(p), "--exact", "--gain")
+    frac = f"{expect.numerator}/{expect.denominator}"
+    assert record["result"]["expectation_exact"] == frac
+    # the argmins the kernel gave for these two families
+    record = run_json(capsys, "varbound", "--pattern", "k4", "--delta", "1",
+                      "--n", "60", "--p", "0.1", "--clique-range", "4:20",
+                      "--hub-range", "1:10")
+    assert (record["result"]["argmin"], record["result"]["argmin_edges"]) == (
+        ["clique", 4], 6)
+    record = run_json(capsys, "varbound", "--pattern", "k4", "--delta", "1",
+                      "--n", "400", "--p", "0.05", "--hub-range", "1:8")
+    assert (record["result"]["argmin"], record["result"]["argmin_edges"]) == (
+        ["hub", 1], 399)
+    assert record["result"]["cost"] == 19.949999999999996
+
+
 def test_plant_bad_kind_exits_one(capsys):
     code, out, err = run_cli(
         capsys, "plant", "--kind", "ring:4", "--n", "30", "--p", "0.1"
@@ -617,14 +667,20 @@ MASK_HEAVY_TEXT = _star_on_top_label(3000)
 @st.composite
 def edge_list_text(draw):
     """(n, text): mostly well-formed edge lists, some with hostile headers,
-    out-of-range endpoints, a junk line or masks above MAX_MASK_BYTES."""
+    out-of-range endpoints, a junk line or masks above MAX_MASK_BYTES. Some
+    are one clique plus isolated vertices, which cond-exp counts in closed
+    form."""
     n = draw(st.integers(2, 8))
     if draw(st.sampled_from([False] * 9 + [True])):
         return n, MASK_HEAVY_TEXT
     ends = st.integers(0, n - 1)
-    pairs = draw(
-        st.lists(st.tuples(ends, ends).filter(lambda e: e[0] != e[1]), max_size=16)
-    )
+    if draw(st.sampled_from([False] * 3 + [True])):
+        members = sorted(draw(st.lists(ends, unique=True, max_size=n)))
+        pairs = list(combinations(members, 2))
+    else:
+        pairs = draw(st.lists(
+            st.tuples(ends, ends).filter(lambda e: e[0] != e[1]), max_size=16
+        ))
     header = draw(st.sampled_from([f"{n} {len(pairs)}"] * 20 + HOSTILE_HEADERS))
     lines = [header] + [f"{u} {v}" for u, v in pairs]
     junk = st.sampled_from(["1 1", "-1 2", f"0 {n}", "0", "# note"])

@@ -5,7 +5,9 @@ from itertools import combinations
 
 import pytest
 
+import regtail.ratefn as ratefn
 from conftest import (
+    forbid_kernel,
     oracle_conditional_expectation,
     oracle_conditional_gain,
     oracle_edge_orbits,
@@ -233,7 +235,7 @@ def test_one_walk_feeds_both_sums_bit_identically(name, monkeypatch):
     walks = []
     real = ratefn._subset_terms
     monkeypatch.setattr(
-        ratefn, "_subset_terms", lambda g, h: walks.append(1) or real(g, h)
+        ratefn, "_subset_terms", lambda h, count: walks.append(1) or real(h, count)
     )
     for exact in (False, True):
         walks.clear()
@@ -241,6 +243,102 @@ def test_one_walk_feeds_both_sums_bit_identically(name, monkeypatch):
         assert len(walks) == 1
         assert value == exact_conditional_expectation(g, h, ctx, exact=exact)
         assert gain == asymptotic_conditional_gain(g, h, ctx)
+
+
+CLOSED_FORM_PATTERNS = {
+    "k3": complete(3), "c4": cycle(4), "k4": complete(4), "c5": cycle(5),
+    "c6": cycle(6),
+}
+
+
+def _orbit_spans(h: Graph) -> list[Graph]:
+    return [
+        span_of_edges([e for i, e in enumerate(h.edges) if mask >> i & 1])
+        for mask, _ in _edge_orbits(h)
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_PATTERNS))
+def test_closed_forms_match_the_kernel(name):
+    spans = _orbit_spans(CLOSED_FORM_PATTERNS[name])
+    for u in (1, 2, 3, 4):
+        for n in range(u, 15):
+            hub = plant(("hub", u), SparsityContext(n, 0.5)).realized
+            count = ratefn._hub_count(u, n)
+            assert [count(f) for f in spans] == [count_labelled(f, hub) for f in spans]
+        m = u + 3
+        clique = ratefn._clique_count(m)
+        assert [clique(f) for f in spans] == [count_labelled(f, complete(m)) for f in spans]
+        # the same clique on scattered labels among isolated vertices
+        g = from_edge_list(30, combinations(range(u, 30, 4)[:m], 2))
+        host = ratefn._host_count(g)
+        assert [host(f) for f in spans] == [count_labelled(f, g) for f in spans]
+
+
+def test_planted_cliques_and_hubs_are_counted_without_the_kernel(monkeypatch):
+    h = validate_pattern(cycle(5))
+    n = 14
+    ctx = SparsityContext(n, 0.3)
+    family = [("clique", m) for m in range(3, 9)] + [("hub", u) for u in range(1, 5)]
+    planted = {desc: plant(desc, ctx).realized for desc in family}
+    kernel = {
+        desc: ratefn._expectation_sum(
+            ratefn._subset_terms(h, lambda f, g=g: count_labelled(f, g)), h, ctx, False
+        )
+        for desc, g in planted.items()
+    }
+    g = from_edge_list(n, combinations((1, 4, 6, 11, 13), 2))
+    expect = oracle_conditional_expectation(g, h, n, ctx.p)
+    forbid_kernel(monkeypatch)
+    assert exact_conditional_expectation(g, h, ctx, exact=True) == expect
+    for desc, value in kernel.items():
+        count = {"clique": ratefn._clique_count,
+                 "hub": lambda u: ratefn._hub_count(u, n)}[desc[0]](desc[1])
+        terms = ratefn._subset_terms(h, count)
+        assert ratefn._expectation_sum(terms, h, ctx, exact=False) == value
+        if desc[0] == "clique":  # a realized clique is a clique host too
+            assert exact_conditional_expectation(planted[desc], h, ctx) == value
+    # the cheapest feasible candidate, ties to the smallest descriptor
+    threshold = 1.5 * ctx.copies_scale(h)
+    cost, ps = variational_upper_bound(h, 0.5, ctx, family)
+    feasible = [d for d in family if kernel[d] >= threshold]
+    best = min(feasible, key=lambda d: (planted[d].edge_count, d))
+    assert ps.descriptor == best
+    assert ps.realized == planted[best]
+    assert cost == planted[best].edge_count / ctx.edge_scale(h)
+
+
+def test_other_hosts_stay_on_the_kernel(monkeypatch):
+    # a K8 plus one pendant edge is not a clique plus isolated vertices
+    h = validate_pattern(cycle(6))
+    n, p = 20, 0.2
+    block = (0, 3, 5, 8, 11, 12, 16, 19)
+    g = from_edge_list(n, [*combinations(block, 2), (3, 4)])
+    calls = []
+    real = ratefn.count_labelled
+    monkeypatch.setattr(
+        ratefn, "count_labelled", lambda f, g: calls.append(1) or real(f, g)
+    )
+    got = exact_conditional_expectation(g, h, SparsityContext(n, p), exact=True)
+    assert len(calls) == len(_edge_orbits(h))
+    assert got == oracle_conditional_expectation(g, h, n, p)
+
+
+def test_planted_mask_bytes_are_bounded_in_closed_form(monkeypatch):
+    # the bound counts each vertex of a part as wide as the part's top
+    # neighbour label, so it is at most one byte per part above the masks
+    ctx = SparsityContext(40, 0.1)
+    for kind in (("hub", 3), ("hub", 40), ("clique", 17), ("bipartite", 30, 1),
+                 ("union", (("clique", 9), ("bipartite", 12, 2), ("clique", 1)))):
+        monkeypatch.undo()
+        g = plant(kind, ctx).realized
+        masks = sum((m.bit_length() - 1) // 8 + 1 for m in g.adjacency_masks if m)
+        parts = len(kind[1]) if kind[0] == "union" else 1
+        monkeypatch.setattr(ratefn, "MAX_MASK_BYTES", masks + parts)
+        plant(kind, ctx)
+        monkeypatch.setattr(ratefn, "MAX_MASK_BYTES", masks - 1)
+        with pytest.raises(ValueError, match="adjacency masks would take"):
+            plant(kind, ctx)
 
 
 def test_gain_single_edge_closed_form():
