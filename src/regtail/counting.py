@@ -187,7 +187,7 @@ def count_through(h: Graph, gmask, e: Edge) -> Counter:
 
 
 def copy_edge_lists(h: Graph, g: Graph) -> list[tuple[Edge, ...]]:
-    """Edge sets of every labelled copy; ``ratefn._edge_orbits`` reads the
+    """Edge sets of every labelled copy; ``ratefn._orbit_table`` reads the
     automorphisms of a pattern from its copies in itself.
 
     Each copy lists the images of the pattern edges in the pattern's edge

@@ -13,8 +13,9 @@ in exact arithmetic.
 
 The term for A depends only on the isomorphism type of span A, so the sum
 is taken once per orbit of Aut(H) acting on edge subsets, weighted by the
-orbit size. Orbits are visited in ascending order of their least edge
-mask, which fixes the floating-point summation order.
+orbit size. ``_orbit_table`` lists each orbit's least edge mask, span and
+size in ascending mask order, which fixes the floating-point summation
+order; each call builds it once and counts every host it scores against it.
 
 N(span A, g) needs no search when g is one of the paper's two localized
 structures. For a graph F without isolated vertices,
@@ -113,19 +114,21 @@ def rate_function(
     )
 
 
-def _edge_orbits(h: Graph) -> list[tuple[int, int]]:
-    """(least edge mask, orbit size) for each Aut(h)-orbit of edge subsets.
+def _orbit_table(h: PatternGraph) -> list[tuple[int, Graph, int]]:
+    """(least edge mask, span A, orbit size) for each Aut(h)-orbit of
+    pattern edge subsets A, in ascending order of the least mask.
 
     The labelled copies of h in h are its automorphisms: an injective
     edge-preserving self-map keeps all e(h) edges, so it permutes them.
-    Orbits come in ascending order of their least mask.
     """
     edges = h.edges
+    m = len(edges)
+    if m > 20:
+        raise PatternTooLargeError(f"{m} pattern edges; subset sum capped at 20")
     index = {e: i for i, e in enumerate(edges)}
     perms = [[index[e] for e in copy] for copy in copy_edge_lists(h, h)]
-    m = len(edges)
     seen = bytearray(1 << m)
-    out = []
+    table = []
     for mask in range(1 << m):
         if seen[mask]:
             continue
@@ -133,22 +136,14 @@ def _edge_orbits(h: Graph) -> list[tuple[int, int]]:
         orbit = {sum(1 << s[i] for i in bits) for s in perms}
         for image_mask in orbit:
             seen[image_mask] = 1
-        out.append((mask, len(orbit)))
-    return out
+        table.append((mask, span_of_edges([edges[i] for i in bits]), len(orbit)))
+    return table
 
 
-def _subset_terms(h: PatternGraph, count):
-    """Yield (|A|, v_A, N(span A, g), orbit size), one term per Aut(H)-orbit
-    of pattern edge subsets A, in ascending order of the least mask; the
-    count function gives N(span A, g)."""
-    edges = h.edges
-    m = len(edges)
-    if m > 20:
-        raise PatternTooLargeError(f"{m} pattern edges; subset sum capped at 20")
-    for mask, orbit_size in _edge_orbits(h):
-        chosen = [edges[i] for i in range(m) if mask >> i & 1]
-        span = span_of_edges(chosen)
-        yield len(chosen), span.vertex_count, count(span), orbit_size
+def _terms(table, count):
+    """(|A|, v_A, N(span A, g), orbit size) per table row; count gives N."""
+    for _, span, orbit_size in table:
+        yield span.edge_count, span.vertex_count, count(span), orbit_size
 
 
 def _clique_count(m: int):
@@ -212,6 +207,13 @@ def _check_canvas(vertex_count: int, h: PatternGraph, ctx: SparsityContext) -> N
         raise ValueError(f"n={ctx.n} smaller than pattern order {h.v_h}")
 
 
+def _planted_terms(g: Graph, h: PatternGraph, ctx: SparsityContext) -> list:
+    """The terms of g after the canvas check; the three entry points below
+    share this path."""
+    _check_canvas(g.vertex_count, h, ctx)
+    return list(_terms(_orbit_table(h), _host_count(g)))
+
+
 def exact_conditional_expectation(
     g: Graph, h: PatternGraph, ctx: SparsityContext, exact: bool = False
 ):
@@ -220,8 +222,7 @@ def exact_conditional_expectation(
     With exact=True, p is taken as the binary rational of the stored float
     and a Fraction is returned; otherwise a float.
     """
-    _check_canvas(g.vertex_count, h, ctx)
-    return _expectation_sum(_subset_terms(h, _host_count(g)), h, ctx, exact)
+    return _expectation_sum(_planted_terms(g, h, ctx), h, ctx, exact)
 
 
 def asymptotic_conditional_gain(
@@ -232,15 +233,14 @@ def asymptotic_conditional_gain(
     Sums N(span A, g) * (1 - p^|A|) * n^(v_H - v_A) * p^(e_H - |A|) over
     nonempty edge subsets A, with plain powers of n.
     """
-    return _gain_sum(_subset_terms(h, _host_count(g)), h, ctx)
+    return _gain_sum(_planted_terms(g, h, ctx), h, ctx)
 
 
 def conditional_expectation_and_gain(
     g: Graph, h: PatternGraph, ctx: SparsityContext, exact: bool = False
 ):
     """Both values above from a single walk over the subset terms."""
-    _check_canvas(g.vertex_count, h, ctx)
-    terms = list(_subset_terms(h, _host_count(g)))
+    terms = _planted_terms(g, h, ctx)
     return _expectation_sum(terms, h, ctx, exact), _gain_sum(terms, h, ctx)
 
 
@@ -363,6 +363,7 @@ def variational_upper_bound(
     _check_canvas(ctx.n, h, ctx)
     threshold = (1 + delta) * ctx.copies_scale(h)
     scale = ctx.edge_scale(h)
+    table = _orbit_table(h)
     best: tuple[float, tuple] | None = None
     for desc, edge_count in zip(descriptors, edge_counts):
         match desc:
@@ -372,7 +373,7 @@ def variational_upper_bound(
                 count = _hub_count(u, ctx.n)
             case _:
                 count = _host_count(plant(desc, ctx).realized)
-        if _expectation_sum(_subset_terms(h, count), h, ctx, False) < threshold:
+        if _expectation_sum(_terms(table, count), h, ctx, False) < threshold:
             continue
         cost = edge_count / scale
         if best is None or cost < best[0]:

@@ -482,19 +482,15 @@ def check_degree_product_strong_core(
 # exploratory and design-decision checkers
 
 
-def check_seqcounting_exploratory(
-    instances_in: list[tuple[str, Graph, CoreParams, float, float]] | None = None,
-) -> CheckResult:
+def check_seqcounting_exploratory() -> CheckResult:
     """Reports, without gating, whether hosts holding many copies through
     low-low edges under the stated edge budget also show the predicted
     mixed-edge volume. The driving statement is asymptotic, so a failed
     implication at desk scale is an observation, not a violation.
     """
-    if instances_in is None:
-        instances_in = _seqcounting_suite()
     observations = []
     count = 0
-    for tag, g, params, tau, c_n in instances_in:
+    for tag, g, params, tau, c_n in _seqcounting_suite():
         count += 1
         h = params.pattern
         ctx = params.context
@@ -617,12 +613,14 @@ def run_all(
     seed: int = 0,
     trials: int = 0,
     lemma: str | None = None,
-    include_exploratory: bool = True,
 ) -> list[CheckResult]:
-    """Run every registered checker whose key contains ``lemma``."""
+    """Run every registered checker whose key contains ``lemma``; trials 0
+    keeps each seeded suite's own size."""
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     results = []
     for key, name, offset, size in CHECKS:
-        if (lemma and lemma not in key) or (key == "tail" and not include_exploratory):
+        if lemma and lemma not in key:
             continue
         kwargs = {}
         if offset is not None:

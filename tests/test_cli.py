@@ -278,6 +278,38 @@ def test_pattern_file_with_automorphism_count(capsys, tmp_path):
     assert record["result"]["count"] == 120
 
 
+def test_subset_sum_cap_comes_before_the_automorphism_search(
+    capsys, tmp_path, monkeypatch
+):
+    # the prism C7 x K2 is 3-regular with 21 edges, one over the cap
+    import regtail.ratefn as ratefn
+
+    def refuse(h, g):
+        raise AssertionError("automorphism search reached")
+
+    monkeypatch.setattr(ratefn, "copy_edge_lists", refuse)
+    prism = from_edge_list(14, [
+        *((i, (i + 1) % 7) for i in range(7)),
+        *((7 + i, 7 + (i + 1) % 7) for i in range(7)),
+        *((i, 7 + i) for i in range(7)),
+    ])
+    pattern = tmp_path / "prism.txt"
+    pattern.write_text(format_edge_list(prism))
+    host = tmp_path / "host.txt"
+    host.write_text(format_edge_list(from_edge_list(20, combinations(range(5), 2))))
+    scale = ("--n", "20", "--p", "0.3")
+    for argv in (
+        ("cond-exp", "--graph", str(host), *scale),
+        ("cond-exp", "--graph", str(host), "--exact", "--gain", *scale),
+        ("varbound", "--delta", "1", "--clique-range", "3:5", "--hub-range", "1:2",
+         *scale),
+    ):
+        code, out, err = run_cli(capsys, argv[0], "--pattern-file", str(pattern),
+                                 *argv[1:])
+        assert (code, out) == (1, "")
+        assert err == "error: 21 pattern edges; subset sum capped at 20\n"
+
+
 def test_pattern_file_rejects_irregular(capsys, tmp_path):
     path = tmp_path / "path.txt"
     path.write_text("3 2\n0 1\n1 2\n")
@@ -444,6 +476,13 @@ def test_verify_is_run_all(capsys):
     results = run_all(seed=5, trials=4, lemma="cycle")
     assert code == 0
     assert out == summary_table(results) + report_jsonl(results)
+
+
+def test_verify_refuses_negative_trials(capsys):
+    # a negative size would run no instance and still report a pass
+    code, out, err = run_cli(capsys, "verify", "--trials", "-3", "--lemma", "alpha")
+    assert (code, out) == (1, "")
+    assert err == "error: trials must be non-negative, got -3\n"
 
 
 def test_verify_jsonl_deterministic(capsys):

@@ -28,7 +28,7 @@ from regtail.independence import tilted_root
 from regtail.ratefn import (
     InfeasibleFamilyError,
     UnsupportedRegimeError,
-    _edge_orbits,
+    _orbit_table,
     asymptotic_conditional_gain,
     classify_regime,
     conditional_expectation_and_gain,
@@ -142,6 +142,27 @@ def test_exact_conditional_expectation_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "g, ctx, message",
+    [
+        pytest.param(complete(10), SparsityContext(20, 0.2),
+                     "planted graph has 10 vertices, context has 20", id="canvas"),
+        pytest.param(from_edge_list(2, []), SparsityContext(2, 0.2),
+                     "n=2 smaller than pattern order 3", id="order"),
+    ],
+)
+def test_gain_is_validated_like_its_siblings(g, ctx, message):
+    # all three entry points refuse the same inputs with the same text
+    for call in (
+        exact_conditional_expectation,
+        asymptotic_conditional_gain,
+        conditional_expectation_and_gain,
+    ):
+        with pytest.raises(ValueError) as info:
+            call(g, K3, ctx)
+        assert str(info.value) == message
+
+
 SMALL_PATTERNS = {
     "k3": complete(3),
     "c4": cycle(4),
@@ -172,10 +193,10 @@ def planted_host(seed: int, n: int, clique: int) -> Graph:
 )
 def test_edge_orbit_counts(h, aut, orbits):
     assert count_labelled(h, h) == aut
-    got = _edge_orbits(h)
+    got = _orbit_table(h)
     assert len(got) == orbits
-    assert sum(size for _, size in got) == 2**h.edge_count
-    assert all(aut % size == 0 for _, size in got)
+    assert sum(size for *_, size in got) == 2**h.edge_count
+    assert all(aut % size == 0 for *_, size in got)
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_PATTERNS))
@@ -183,7 +204,13 @@ def test_edge_orbits_match_brute_force(name):
     # ascending least masks, sizes from the full vertex-permutation group
     h = SMALL_PATTERNS[name]
     expect = [(min(orbit), len(orbit)) for orbit in oracle_edge_orbits(h)]
-    assert _edge_orbits(h) == expect
+    table = _orbit_table(h)
+    assert [(mask, size) for mask, _, size in table] == expect
+    # each span carries exactly the edges of its least mask
+    for mask, span, _ in table:
+        assert span == span_of_edges(
+            [e for i, e in enumerate(h.edges) if mask >> i & 1]
+        )
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_PATTERNS))
@@ -233,9 +260,9 @@ def test_one_walk_feeds_both_sums_bit_identically(name, monkeypatch):
     g = planted_host(3, n, clique=6)
     ctx = SparsityContext(n, 0.3)
     walks = []
-    real = ratefn._subset_terms
+    real = ratefn._orbit_table
     monkeypatch.setattr(
-        ratefn, "_subset_terms", lambda h, count: walks.append(1) or real(h, count)
+        ratefn, "_orbit_table", lambda h: walks.append(1) or real(h)
     )
     for exact in (False, True):
         walks.clear()
@@ -252,10 +279,7 @@ CLOSED_FORM_PATTERNS = {
 
 
 def _orbit_spans(h: Graph) -> list[Graph]:
-    return [
-        span_of_edges([e for i, e in enumerate(h.edges) if mask >> i & 1])
-        for mask, _ in _edge_orbits(h)
-    ]
+    return [span for _, span, _ in _orbit_table(h)]
 
 
 @pytest.mark.parametrize("name", sorted(CLOSED_FORM_PATTERNS))
@@ -283,7 +307,8 @@ def test_planted_cliques_and_hubs_are_counted_without_the_kernel(monkeypatch):
     planted = {desc: plant(desc, ctx).realized for desc in family}
     kernel = {
         desc: ratefn._expectation_sum(
-            ratefn._subset_terms(h, lambda f, g=g: count_labelled(f, g)), h, ctx, False
+            ratefn._terms(ratefn._orbit_table(h), lambda f, g=g: count_labelled(f, g)),
+            h, ctx, False,
         )
         for desc, g in planted.items()
     }
@@ -294,7 +319,7 @@ def test_planted_cliques_and_hubs_are_counted_without_the_kernel(monkeypatch):
     for desc, value in kernel.items():
         count = {"clique": ratefn._clique_count,
                  "hub": lambda u: ratefn._hub_count(u, n)}[desc[0]](desc[1])
-        terms = ratefn._subset_terms(h, count)
+        terms = ratefn._terms(ratefn._orbit_table(h), count)
         assert ratefn._expectation_sum(terms, h, ctx, exact=False) == value
         if desc[0] == "clique":  # a realized clique is a clique host too
             assert exact_conditional_expectation(planted[desc], h, ctx) == value
@@ -306,6 +331,25 @@ def test_planted_cliques_and_hubs_are_counted_without_the_kernel(monkeypatch):
     assert ps.descriptor == best
     assert ps.realized == planted[best]
     assert cost == planted[best].edge_count / ctx.edge_scale(h)
+
+
+def test_varbound_searches_aut_h_once_per_call(monkeypatch):
+    # 31 candidates, cliques and hubs counted in closed form plus a union on
+    # the kernel, all scored against one orbit table
+    h = validate_pattern(cycle(5))
+    ctx = SparsityContext(40, 0.3)
+    family = ([("clique", m) for m in range(3, 18)]
+              + [("hub", u) for u in range(1, 16)]
+              + [("union", (("clique", 4), ("bipartite", 2, 3)))])
+    searches = []
+    real = ratefn.copy_edge_lists
+    monkeypatch.setattr(
+        ratefn, "copy_edge_lists", lambda f, g: searches.append(1) or real(f, g)
+    )
+    cost, ps = variational_upper_bound(h, 0.5, ctx, family)
+    assert len(family) == 31
+    assert len(searches) == 1
+    assert (cost, ps.descriptor) == (0.25, ("clique", 9))
 
 
 def test_other_hosts_stay_on_the_kernel(monkeypatch):
@@ -320,7 +364,7 @@ def test_other_hosts_stay_on_the_kernel(monkeypatch):
         ratefn, "count_labelled", lambda f, g: calls.append(1) or real(f, g)
     )
     got = exact_conditional_expectation(g, h, SparsityContext(n, p), exact=True)
-    assert len(calls) == len(_edge_orbits(h))
+    assert len(calls) == len(_orbit_table(h))
     assert got == oracle_conditional_expectation(g, h, n, p)
 
 

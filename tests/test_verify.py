@@ -179,7 +179,9 @@ def test_frozen_regular_graph_data_consistent():
 
 
 def test_gating_checkers_pass():
-    for result in run_all(include_exploratory=False):
+    for result in run_all():
+        if result.check_id == "tail-threshold-exploratory":
+            continue
         assert isinstance(result, CheckResult)
         assert result.passed, (result.check_id, result.violations[:3])
         assert result.instances > 0
@@ -298,7 +300,7 @@ def test_run_all_composition():
     ids = [r.check_id for r in results]
     assert len(ids) == len(set(ids))
     assert len(results) == len(CHECKS)
-    trimmed = run_all(include_exploratory=False)
+    trimmed = [r for r in results if r.check_id != "tail-threshold-exploratory"]
     assert len(trimmed) == len(CHECKS) - 1
     assert "tail-threshold-exploratory" not in [r.check_id for r in trimmed]
 
@@ -323,8 +325,23 @@ def test_run_all_seed_offsets_and_sizes(monkeypatch):
     ]
     calls.clear()
     # "i" matches bipartite and tail; trials 0 keeps each suite's own size
-    assert run_all(lemma="i", include_exploratory=False) == ["check_small_count"]
-    assert calls == [("check_small_count", {"seed": 505})]
+    assert run_all(lemma="i") == [
+        "check_small_count", "check_seqcounting_exploratory"
+    ]
+    assert calls == [
+        ("check_small_count", {"seed": 505}),
+        ("check_seqcounting_exploratory", {}),
+    ]
+
+
+def test_run_all_refuses_negative_trials(monkeypatch):
+    # refused before any checker runs; trials 0 means each suite's default
+    calls = []
+    for _, name, _, _ in CHECKS:
+        monkeypatch.setattr(verify, name, lambda **kw: calls.append(kw))
+    with pytest.raises(ValueError, match="^trials must be non-negative, got -1$"):
+        run_all(trials=-1)
+    assert calls == []
 
 
 def test_reports_are_deterministic():
