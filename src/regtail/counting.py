@@ -4,19 +4,34 @@ Every count here is a number of edge-preserving maps of a pattern h into a
 host g, and one backtracking search, ``_search``, finds them all. It walks a
 connected search order of the pattern; each candidate set is a host-degree
 floor mask minus the used vertices, intersected with the host neighborhoods
-of the placed pattern neighbors, all on integer bitmasks. It runs in these
-modes:
+of the placed pattern neighbors, all on integer bitmasks.
+
+Injective searches break the pattern's symmetry (Grochow & Kellis, RECOMB
+2007). The copies of h with one image edge set are the |Aut(h)| maps
+phi o sigma, sigma in Aut(h). Along the search order, position i gets the
+orbit of its vertex under the automorphisms that fix the earlier vertices,
+and the search keeps only maps sending that vertex below every other
+vertex of the orbit. Exactly one map of each image set survives, and it
+stands for ``weight`` = |Aut(h)| maps, the product of the orbit sizes.
+The orbits are decided by pinned searches of h in itself, so Aut(h) is
+never listed. The search runs in these modes:
 
 - counting: injective maps, with the last search level counted by popcount
   (``count_labelled``, and ``count_N11`` on two subgraphs of the host);
 - visiting: injective maps; ``visit(assign, m)`` gets each placement of all
   pattern vertices but the last (``assign[u]`` is the host image of u) with
   the bitmask m of the last vertex's images, so a visitor tallies a whole
-  last level at once (``count_with_edges``, ``copy_edge_lists``);
+  last level at once. Each visited map stands for the plan's ``weight``
+  maps with the same image edges (``count_with_edges``), unless the plan is
+  unbroken (``copy_edge_lists`` lists every map);
 - pinned: the first search positions have fixed host images. A plan rooted
-  at a pattern edge (a, b) starts a, b, so pinning it to a host edge finds
-  the copies that map (a, b) onto that edge (``count_through``);
-- non-injective: every edge-preserving map, counted (``count_hom``).
+  at a pattern edge (a, b) starts a, b and breaks only the symmetry that
+  fixes a and b, so pinning it to a host edge finds the copies that map
+  (a, b) onto that edge (``count_through``, once per Aut(h)-orbit of
+  oriented pattern edges); stopped at its first leaf, it decides whether a
+  map exists (the orbits above, and isomorphism in ``verify``);
+- non-injective: every edge-preserving map, counted without symmetry
+  breaking (``count_hom``).
 
 A pattern's search plan is built once per root, in a small bounded cache.
 Counts are arbitrary-precision integers throughout.
@@ -52,6 +67,13 @@ class _Compiled(NamedTuple):
     backs: tuple[tuple[int, ...], ...]  # pattern neighbours placed earlier
     need: tuple[int, ...]  # pattern degree at each position
     inner: tuple[Edge, ...]
+    lows: tuple[tuple[int, ...], ...]  # vertices whose image is below this one's
+    weight: int  # maps each leaf stands for: the product of the orbit sizes
+
+
+def _unbroken(c: _Compiled) -> _Compiled:
+    """The plan without symmetry breaking: every map is a leaf."""
+    return c._replace(lows=((),) * len(c.order), weight=1)
 
 
 def _plan(h: Graph, root: Edge | None = None) -> _Compiled:
@@ -83,12 +105,71 @@ def _plan(h: Graph, root: Edge | None = None) -> _Compiled:
         before |= 1 << v
     need = tuple(h.degree(u) for u in order)
     inner = tuple(e for e in h.edges if order[-1] not in e) if order else ()
-    return _Compiled(tuple(order), tuple(backs), need, inner)
+    base = _Compiled(tuple(order), tuple(backs), need, inner, ((),) * len(order), 1)
+    return _break_symmetry(base, hm, 0 if root is None else 2)
 
 
-# Dedup, Monte Carlo and peels (2 e(H) rooted plans) reuse a few plans; the
-# subset sum makes one per span, so a small bound suffices. Errors stay out.
-# A pattern hashes as its plain graph, so both share one plan.
+def _distances(hm, v: int) -> list[int]:
+    """Breadth-first distance from v to every vertex; len(hm) if unreachable."""
+    dist = [len(hm)] * len(hm)
+    seen = frontier = 1 << v
+    d = 0
+    while frontier:
+        reach = 0
+        for x in bits(frontier):
+            dist[x] = d
+            reach |= hm[x]
+        frontier = reach & ~seen
+        seen |= frontier
+        d += 1
+    return dist
+
+
+def _refine(classes, keys) -> list[int]:
+    """Split each vertex class by one more key per vertex."""
+    ids: dict = {}
+    return [ids.setdefault(ck, len(ids)) for ck in zip(classes, keys)]
+
+
+def _break_symmetry(c: _Compiled, hm, start: int) -> _Compiled:
+    """Add the stabilizer chain of the pattern with masks ``hm`` along c's
+    order, from position ``start`` (the first positions stay pinned).
+
+    The orbit of ``order[i]`` under the automorphisms fixing ``order[:i]``
+    holds the later vertices w with such an automorphism sending order[i]
+    to w: a pinned search of the pattern in itself, stopped at its first
+    leaf. Those automorphisms keep distances to ``order[:i]``, so only
+    vertices with the same distances, and the same sorted distance row,
+    are searched. A condition implied by a chain of others is dropped.
+    """
+    order, k = c.order, len(c.order)
+    dist = [_distances(hm, v) for v in range(k)]
+    classes = _refine([0] * k, [tuple(sorted(row)) for row in dist])
+    below: list[set[int]] = [set() for _ in range(k)]
+    weight = 1
+    for i, u in enumerate(order):
+        if i >= start:
+            orbit = [
+                w for w in order[i + 1:]
+                if classes[w] == classes[u] and _exists(c, hm, order[:i] + (w,))
+            ]
+            weight *= len(orbit) + 1
+            for w in orbit:
+                below[w].add(u)
+        classes = _refine(classes, dist[u])
+    under: list[set[int]] = [set() for _ in range(k)]
+    lows = []
+    for w in order:
+        implied = set().union(*(under[u] for u in below[w]))
+        lows.append(tuple(sorted(below[w] - implied)))
+        under[w] = implied | below[w]
+    return c._replace(lows=tuple(lows), weight=weight)
+
+
+# Dedup, Monte Carlo and peels (one rooted plan per orbit of oriented pattern
+# edges) reuse a few plans; the subset sum makes one per span, so a small
+# bound suffices. Errors stay out. A pattern hashes as its plain graph, so
+# both share one plan.
 @lru_cache(maxsize=256)
 def _compile(h: Graph, root: Edge | None = None) -> _Compiled:
     return _plan(h, root)
@@ -97,11 +178,15 @@ def _compile(h: Graph, root: Edge | None = None) -> _Compiled:
 def _search(c: _Compiled, gmask, visit=None, injective=True, pin=()) -> int:
     """Count the edge-preserving maps of pattern c into the host with
     adjacency masks ``gmask``, injective by default; ``visit(assign, m)`` is
-    called for every nonempty last-level mask m. ``pin`` fixes the host
-    images of the first search positions."""
+    called for every nonempty last-level mask m, whose maps stand for
+    ``c.weight`` maps each. ``pin`` fixes the host images of the first
+    search positions."""
     k = len(c.order)
     if k == 0:
         return 1
+    if not injective:
+        # Aut(h) acts freely on injective maps only
+        c = _unbroken(c)
     if pin:
         # no floor scan; all-vertex masks (never -1) keep unpinned loops finite
         full = (1 << len(gmask)) - 1
@@ -117,7 +202,7 @@ def _search(c: _Compiled, gmask, visit=None, injective=True, pin=()) -> int:
         if injective and k > floors[min(floors)].bit_count():
             return 0
         allowed = [floors[d] for d in need]
-    order, backs = c.order, c.backs
+    order, backs, lows = c.order, c.backs, c.lows
     assign = [0] * k
     last = k - 1
 
@@ -125,6 +210,8 @@ def _search(c: _Compiled, gmask, visit=None, injective=True, pin=()) -> int:
         m = allowed[i] & ~used
         for w in backs[i]:
             m &= gmask[assign[w]]
+        for w in lows[i]:
+            m &= -(2 << assign[w])
         if i == last:
             if visit is not None and m:
                 visit(assign, m)
@@ -137,7 +224,24 @@ def _search(c: _Compiled, gmask, visit=None, injective=True, pin=()) -> int:
             cnt += rec(i + 1, used | b if injective else 0)
         return cnt
 
-    return rec(0, 0)
+    return rec(0, 0) * c.weight
+
+
+class _Leaf(Exception):
+    """Stops a search at its first leaf."""
+
+
+def _stop(assign: list[int], m: int) -> None:
+    raise _Leaf
+
+
+def _exists(c: _Compiled, gmask, pin=()) -> bool:
+    """Whether the injective search of c has a leaf; it stops at the first."""
+    try:
+        # only the empty pattern's one map is counted without a leaf
+        return _search(c, gmask, _stop, pin=pin) > 0
+    except _Leaf:
+        return True
 
 
 def count_labelled(h: Graph, g: Graph) -> int:
@@ -145,18 +249,19 @@ def count_labelled(h: Graph, g: Graph) -> int:
     return _search(_compile(h), g.adjacency_masks)
 
 
-def _tally(c: _Compiled, per):
-    """Visitor adding one to ``per`` at every edge image of every copy."""
+def _tally(c: _Compiled, per, weight: int):
+    """Visitor adding ``weight`` to ``per`` at every edge image of every map
+    it visits."""
 
     def visit(assign: list[int], m: int) -> None:
-        hits = m.bit_count()
+        hits = m.bit_count() * weight
         for u, v in c.inner:
             a, b = assign[u], assign[v]
             per[(a, b) if a < b else (b, a)] += hits
         images = [assign[u] for u in c.backs[-1]]
         for x in bits(m):
             for a in images:
-                per[(a, x) if a < x else (x, a)] += 1
+                per[(a, x) if a < x else (x, a)] += weight
 
     return visit
 
@@ -168,21 +273,44 @@ def count_with_edges(h: Graph, g: Graph) -> CountReport:
     """
     c = _compile(h)
     per: dict[Edge, int] = {e: 0 for e in g.edges}
-    return CountReport(_search(c, g.adjacency_masks, _tally(c, per)), per)
+    return CountReport(_search(c, g.adjacency_masks, _tally(c, per, c.weight)), per)
+
+
+@lru_cache(maxsize=256)
+def _arc_orbits(h: Graph) -> tuple[tuple[Edge, int], ...]:
+    """(first arc, orbit size) for each Aut(h)-orbit of the oriented pattern
+    edges, taken in edge order. An arc joins the orbit of a root (a, b)
+    when the plan rooted there, pinned to it, has a leaf; an automorphism
+    keeps each endpoint's sorted distance row, so only arcs that match
+    there are searched."""
+    hm = h.adjacency_masks
+    rows = [tuple(sorted(_distances(hm, v))) for v in range(h.vertex_count)]
+    left = [arc for a, b in h.edges for arc in ((a, b), (b, a))]
+    out = []
+    while left:
+        root, rest = left[0], left[1:]
+        c = _unbroken(_compile(h, root))
+        key = (rows[root[0]], rows[root[1]])
+        left = [
+            s for s in rest if (rows[s[0]], rows[s[1]]) != key or not _exists(c, hm, s)
+        ]
+        out.append((root, len(rest) - len(left) + 1))
+    return tuple(out)
 
 
 def count_through(h: Graph, gmask, e: Edge) -> Counter:
     """Per-edge counts of the copies through host edge e, in the host with
     adjacency masks ``gmask``; edges in no such copy are absent.
 
-    A copy through e maps exactly one pattern edge onto e, in one
-    orientation, so one search per rooted pattern edge finds it once.
+    A copy through e maps exactly one oriented pattern edge onto e. The
+    copies mapping any arc of one Aut(h)-orbit onto e are as many, with the
+    same image edges, as those mapping its first arc, so one rooted search
+    per orbit, weighted by the orbit size, finds them all.
     """
     per: Counter = Counter()
-    for a, b in h.edges:
-        for root in ((a, b), (b, a)):
-            c = _compile(h, root)
-            _search(c, gmask, _tally(c, per), pin=e)
+    for root, size in _arc_orbits(h):
+        c = _compile(h, root)
+        _search(c, gmask, _tally(c, per, c.weight * size), pin=e)
     return per
 
 
@@ -191,9 +319,9 @@ def copy_edge_lists(h: Graph, g: Graph) -> list[tuple[Edge, ...]]:
     automorphisms of a pattern from its copies in itself.
 
     Each copy lists the images of the pattern edges in the pattern's edge
-    order.
+    order. The search is unbroken, so every labelled copy is listed.
     """
-    c = _compile(h)
+    c = _unbroken(_compile(h))
     edges = h.edges
     out: list[tuple[Edge, ...]] = []
 

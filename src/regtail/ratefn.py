@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import log, perm
 
 from .counting import copy_edge_lists, count_labelled
@@ -150,12 +151,15 @@ def _clique_count(m: int):
     return lambda span: perm(m, span.vertex_count)
 
 
-def _hub_count(u: int, n: int):
+def _hub_count(u: int, n: int, counts=independent_set_counts):
+    """N(span, hub(u, n)); ``counts`` gives i_k(span), so that candidates
+    scored against one table can share one computation per span."""
+
     def count(span: Graph) -> int:
         v = span.vertex_count
         return sum(
             i * perm(n - u, k) * perm(u, v - k)
-            for k, i in enumerate(independent_set_counts(span))
+            for k, i in enumerate(counts(span))
         )
 
     return count
@@ -364,13 +368,15 @@ def variational_upper_bound(
     threshold = (1 + delta) * ctx.copies_scale(h)
     scale = ctx.edge_scale(h)
     table = _orbit_table(h)
+    # i_k of each row's span, computed at the first hub candidate
+    counts = cache(independent_set_counts)
     best: tuple[float, tuple] | None = None
     for desc, edge_count in zip(descriptors, edge_counts):
         match desc:
             case ("clique", m):
                 count = _clique_count(m)
             case ("hub", u):
-                count = _hub_count(u, ctx.n)
+                count = _hub_count(u, ctx.n, counts)
             case _:
                 count = _host_count(plant(desc, ctx).realized)
         if _expectation_sum(_terms(table, count), h, ctx, False) < threshold:

@@ -17,6 +17,8 @@ from itertools import combinations, product
 from math import log
 
 from .counting import (
+    _compile,
+    _exists,
     count_labelled,
     count_N11,
     count_paths_signed,
@@ -161,14 +163,15 @@ def _mask_invariant(g: Graph) -> tuple:
 def _isomorphic(a: Graph, b: Graph) -> bool:
     """Isomorphism by the counting kernel: with equal order and size, an
     injective edge-preserving map sends the edges of a onto all edges of b,
-    so it is an isomorphism. Equal degree multisets give equal numbers of
-    isolated vertices, so both sides drop theirs before the search.
+    so it is an isomorphism, and the kernel's search stops at the first
+    one. Equal degree multisets give equal numbers of isolated vertices, so
+    both sides drop theirs before the search.
     """
     if a.vertex_count != b.vertex_count or a.edge_count != b.edge_count:
         return False
     if sorted(a.degrees()) != sorted(b.degrees()):
         return False
-    return count_labelled(a.relabelled_span(), b.relabelled_span()) > 0
+    return _exists(_compile(a.relabelled_span()), b.relabelled_span().adjacency_masks)
 
 
 def _first_of_each_class(candidates: Iterable[Graph]) -> list[Graph]:

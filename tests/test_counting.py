@@ -1,6 +1,10 @@
+import json
 import random
+import tracemalloc
 from collections import Counter
 from itertools import product
+from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +33,7 @@ from regtail.graphs import (
     petersen,
     validate_pattern,
 )
+from regtail.ratefn import _orbit_table
 from regtail.verify import connected_regular_graphs
 
 from conftest import (
@@ -293,7 +298,10 @@ def test_visitor_modes_match_oracles(rng):
 
 
 def test_count_through_is_what_removing_the_edge_loses(rng):
-    patterns = _small_patterns(rng) + [path(3)]
+    # a path and K4 minus an edge have several orbits of oriented edges
+    k4_minus_edge = from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    patterns = _small_patterns(rng) + [path(3), k4_minus_edge]
+    assert len(counting._arc_orbits(k4_minus_edge)) == 3
     assert any(not h.is_connected() for h in patterns)
     for g in _small_hosts(rng):
         for h in patterns:
@@ -331,8 +339,55 @@ def test_leaf_masks_are_nonempty_and_cover_every_copy(rng):
             c = counting._compile(h)
             total = counting._search(c, g.adjacency_masks, lambda a, m: masks.append(m))
             assert all(masks)
-            assert sum(m.bit_count() for m in masks) == total
+            assert sum(m.bit_count() for m in masks) * c.weight == total
             assert total == oracle_count_injective(h, g)
+
+
+FROZEN = Path(__file__).parent / "data" / "regular_graphs_frozen.json"
+
+
+def test_plan_weight_is_the_automorphism_count():
+    # the copies of a pattern in itself are its automorphisms
+    named = [complete(3), cycle(4), complete(4), cycle(5), cycle(6),
+             complete_bipartite(3, 3), petersen()]
+    for h in named:
+        # every built-in pattern is arc-transitive: one rooted search
+        assert counting._arc_orbits(h) == ((h.edges[0], 2 * h.edge_count),)
+        for _, span, _ in _orbit_table(validate_pattern(h)):
+            if span.edge_count:
+                assert counting._compile(span).weight == len(copy_edge_lists(span, span))
+    frozen = json.loads(FROZEN.read_text())
+    for key, family in frozen.items():
+        n = int(key.split(",")[0])
+        for edges in family:
+            g = from_edge_list(n, [tuple(e) for e in edges])
+            assert counting._compile(g).weight == len(copy_edge_lists(g, g))
+
+
+def test_plan_never_lists_the_automorphism_group():
+    matching = from_edge_list(20, [(2 * i, 2 * i + 1) for i in range(10)])
+    tracemalloc.start()
+    try:
+        assert counting._plan(complete(12)).weight == factorial(12)
+        assert counting._plan(matching).weight == 2**10 * factorial(10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9))
+def test_counts_invariant_under_pattern_relabelling(seed):
+    # the symmetry-breaking conditions depend on the pattern's labels
+    rng = random.Random(seed)
+    h = random_graph(rng, rng.randint(2, 6), rng.uniform(0.3, 0.9)).relabelled_span()
+    g = random_graph(rng, rng.randint(3, 8), rng.uniform(0.3, 0.8))
+    perm = list(range(h.vertex_count))
+    rng.shuffle(perm)
+    relabelled = from_edge_list(h.vertex_count, [(perm[u], perm[v]) for u, v in h.edges])
+    assert count_labelled(h, g) == count_labelled(relabelled, g)
+    assert count_with_edges(h, g) == count_with_edges(relabelled, g)
 
 
 def test_plan_built_once_per_distinct_pattern(monkeypatch):
