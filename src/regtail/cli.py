@@ -14,18 +14,8 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import __version__
-from .counting import count_hom, count_labelled, count_with_edges, expected_count
-from .decompose import (
-    cycle_edge_cover_avoiding,
-    konig_coloring,
-    matching_avoiding,
-    ordered_cover,
-    validate_cycle_edge_cover,
-    validate_ordered_cover,
-)
 from .graphs import (
     Graph,
     GraphInputError,
@@ -37,27 +27,15 @@ from .graphs import (
     petersen,
     validate_pattern,
 )
-from .independence import independence_polynomial, tilted_root
-from .ratefn import (
-    MAX_PLANTED_EDGES,
-    Regime,
-    classify_regime,
-    conditional_expectation_and_gain,
-    exact_conditional_expectation,
-    plant,
-    rate_function,
-    variational_upper_bound,
-)
-from .structures import (
-    CoreParams,
-    edge_partition,
-    is_core,
-    is_strong_core,
-    peel_to_core,
-    peel_to_strong_core,
-)
-from .sim import mc_conditional_mean, mc_mean_count, tail_threshold, upper_tail_frequency
-from .verify import report_jsonl, run_all, summary_table
+
+# Every verb reads a pattern or a host, so graphs loads with the parser; each
+# handler imports the rest of what it runs, and a process pays only for its
+# own verb. Type checkers read this name as typing.TYPE_CHECKING, which
+# would cost an import of typing here.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .ratefn import Regime
+    from .structures import CoreParams
 
 PATTERNS = {
     "k3": lambda: complete(3),
@@ -208,6 +186,8 @@ def _emit(
 
 
 def _cmd_rate(args) -> int:
+    from .ratefn import rate_function
+
     h = _resolve_pattern(args)
     ctx = SparsityContext(args.n, args.p)
     value, regime = rate_function(h, args.delta, ctx)
@@ -217,6 +197,8 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_theta(args) -> int:
+    from .independence import independence_polynomial, tilted_root
+
     h = _resolve_pattern(args)
     theta = tilted_root(h, args.delta)
     residual = independence_polynomial(h, theta) - (1 + args.delta)
@@ -226,6 +208,8 @@ def _cmd_theta(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    from .counting import count_hom, count_labelled, count_with_edges
+
     h = _resolve_pattern(args)
     g = _load_graph(args.graph)
     params = _params(args, "pattern", "graph")
@@ -245,6 +229,11 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_cond_exp(args) -> int:
+    from fractions import Fraction
+
+    from .counting import expected_count
+    from .ratefn import conditional_expectation_and_gain, exact_conditional_expectation
+
     h = _resolve_pattern(args)
     g = _load_graph(args.graph)
     ctx = SparsityContext(args.n, args.p)
@@ -265,6 +254,8 @@ def _cmd_cond_exp(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .ratefn import classify_regime
+
     h = _resolve_pattern(args)
     ctx = SparsityContext(args.n, args.p)
     regime = classify_regime(h, ctx)
@@ -274,6 +265,8 @@ def _cmd_classify(args) -> int:
 
 
 def _core_params(args, h: PatternGraph, ctx: SparsityContext) -> CoreParams:
+    from .structures import CoreParams
+
     return CoreParams(
         delta=args.delta,
         eps=args.eps,
@@ -285,6 +278,8 @@ def _core_params(args, h: PatternGraph, ctx: SparsityContext) -> CoreParams:
 
 
 def _cmd_peel(args) -> int:
+    from .structures import is_core, is_strong_core, peel_to_core, peel_to_strong_core
+
     h = _resolve_pattern(args)
     g = _load_graph(args.graph)
     ctx = SparsityContext(args.n, args.p)
@@ -311,6 +306,8 @@ def _cmd_peel(args) -> int:
 
 
 def _cmd_partition(args) -> int:
+    from .structures import edge_partition
+
     g = _load_graph(args.graph)
     part = edge_partition(g, args.degree_threshold)
     result = {
@@ -329,6 +326,13 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .decompose import (
+        cycle_edge_cover_avoiding,
+        ordered_cover,
+        validate_cycle_edge_cover,
+        validate_ordered_cover,
+    )
+
     h = _resolve_pattern(args)
     if args.mode == "cycles":
         if args.edge is None:
@@ -362,6 +366,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_color(args) -> int:
+    from .decompose import konig_coloring, matching_avoiding
+
     params = _params(args, "pattern", "graph")
     if args.graph:
         g = _load_graph(args.graph)
@@ -384,6 +390,8 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_plant(args) -> int:
+    from .ratefn import plant
+
     ctx = SparsityContext(args.n, args.p)
     kind = _parse_kind(args.kind)
     planted = plant(kind, ctx)
@@ -400,6 +408,8 @@ def _cmd_plant(args) -> int:
 
 
 def _cmd_varbound(args) -> int:
+    from .ratefn import MAX_PLANTED_EDGES, variational_upper_bound
+
     h = _resolve_pattern(args)
     ctx = SparsityContext(args.n, args.p)
     family = [_parse_kind(text) for text in args.candidate or []]
@@ -428,6 +438,8 @@ def _cmd_varbound(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import report_jsonl, run_all, summary_table
+
     results = run_all(args.seed, args.trials, args.lemma)
     if not results:
         raise ValueError(f"no checker matches --lemma {args.lemma!r}")
@@ -438,6 +450,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .counting import expected_count
+    from .sim import mc_conditional_mean, mc_mean_count, tail_threshold, upper_tail_frequency
+
     h = _resolve_pattern(args)
     params = _params(args, "pattern", "n", "p", "trials")
     if args.tail_delta is not None:

@@ -1,38 +1,24 @@
 """Constructive decompositions of patterns.
 
-Bipartite double covers, edge colorings with max-degree many colors via
-alternating-path recoloring, perfect matchings dodging a small forbidden
-set, vertex-disjoint cycle/edge covers excluding one edge, and an ordered
-cover anchored at a prescribed cherry. The cycle/edge cover is the cycle
+Edge colorings with max-degree many colors via alternating-path
+recoloring, perfect matchings dodging a small forbidden set,
+vertex-disjoint cycle/edge covers excluding one edge, and an ordered cover
+anchored at a prescribed cherry. The cycle/edge cover is the cycle
 decomposition of the permutation sigma that a perfect matching of the
-double cover, pairing each a with sigma(a) + v_h, induces on V(h).
-Existence arguments are turned into deterministic constructions;
-validators re-check every claimed invariant.
+double cover (``graphs.double_cover``), pairing each a with sigma(a) + v_h,
+induces on V(h). Existence arguments are turned into deterministic
+constructions; validators re-check every claimed invariant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Edge, Graph, _canon, bits, from_edge_list
+from .graphs import Edge, Graph, _canon, bits, double_cover
 
 
 class NotBipartiteError(ValueError):
     pass
-
-
-def double_cover(h: Graph) -> Graph:
-    """Graph on two layers of V(h), edges crossing layers iff adjacent in h.
-
-    Vertex v's copies are v (layer one) and v + v_h (layer two), so vertex
-    w of the cover projects to w % v_h.
-    """
-    v = h.vertex_count
-    edges = []
-    for a, b in h.edges:
-        edges.append((a, b + v))
-        edges.append((b, a + v))
-    return from_edge_list(2 * v, edges)
 
 
 @dataclass(frozen=True)

@@ -169,6 +169,20 @@ def from_edge_list(n: int, pairs) -> Graph:
     return Graph(vertex_count=n, edges=edges, adjacency_masks=tuple(masks))
 
 
+def double_cover(h: Graph) -> Graph:
+    """Graph on two layers of V(h), edges crossing layers iff adjacent in h.
+
+    Vertex v's copies are v (layer one) and v + v_h (layer two), so vertex
+    w of the cover projects to w % v_h.
+    """
+    v = h.vertex_count
+    edges = []
+    for a, b in h.edges:
+        edges.append((a, b + v))
+        edges.append((b, a + v))
+    return from_edge_list(2 * v, edges)
+
+
 def span_of_edges(pairs) -> Graph:
     """Graph carrying exactly ``pairs``, on the densely relabelled endpoint set."""
     pairs = [_canon(u, v) for u, v in pairs]

@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .decompose import double_cover
-from .graphs import Graph
+from .graphs import Graph, double_cover
 
 
 class GraphTooLargeError(ValueError):

@@ -9,14 +9,19 @@ correct.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import perm
+from pathlib import Path
 
 import pytest
 
+import regtail
 from regtail.counting import count_labelled
 from regtail.graphs import Graph, from_edge_list, span_of_edges
 
@@ -308,6 +313,18 @@ def forbid_kernel(monkeypatch) -> None:
         raise AssertionError("count_labelled called")
 
     monkeypatch.setattr(ratefn, "count_labelled", kernel)
+
+
+def run_fresh(code: str, *args: str) -> str:
+    """Run ``code`` in a new interpreter that imports this regtail, with
+    ``args`` as ``sys.argv[1:]``, and return its stdout; it must exit 0."""
+    src = Path(regtail.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True,
+        text=True, check=True,
+    )
+    return out.stdout
 
 
 @pytest.fixture

@@ -8,6 +8,8 @@ from pathlib import Path
 import regtail
 import regtail.cli  # noqa: F401  (the tracer patches every module, cli included)
 
+from conftest import run_fresh
+
 TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
 
 
@@ -53,3 +55,12 @@ def test_tracer_names_resolve_and_uninstall_restores_them():
         assert set(now) == set(names), space
         for name, value in names.items():
             assert now[name] is value, f"{space.__name__}.{name} not restored"
+
+
+def test_package_resolves_every_traced_module_in_a_fresh_process():
+    # the package loads its modules on demand, so the tracer's
+    # getattr(regtail, m) must import each one, not find it already loaded
+    code = ("import sys, types, regtail, regtail.cli\n"
+            "print(all(isinstance(getattr(regtail, m), types.ModuleType)"
+            " for m in sys.argv[1:]))")
+    assert run_fresh(code, *_load_tracing().MODULES).strip() == "True"

@@ -29,6 +29,7 @@ from conftest import (
     format_edge_list,
     oracle_conditional_expectation,
     random_regular_bipartite,
+    run_fresh,
 )
 
 
@@ -78,6 +79,32 @@ def test_package_surface_resolves():
     assert len(regtail.__all__) == len(set(regtail.__all__))
     for name in regtail.__all__:
         assert hasattr(regtail, name), name
+
+
+SURFACE_PROBE = """
+import json, sys
+import regtail
+lazy = not any(m.startswith("regtail.") for m in sys.modules)
+listed = set(regtail.__all__) <= set(dir(regtail))
+try:
+    regtail.no_such_name
+except AttributeError as exc:
+    error = str(exc)
+from regtail import *
+unbound = [n for n in regtail.__all__ if globals().get(n) is not getattr(regtail, n)]
+import regtail.decompose, regtail.graphs
+same = regtail.double_cover is regtail.graphs.double_cover is regtail.decompose.double_cover
+print(json.dumps([lazy, listed, error, unbound, same]))
+"""
+
+
+def test_package_surface_loads_on_demand():
+    lazy, listed, error, unbound, same = json.loads(run_fresh(SURFACE_PROBE))
+    assert lazy, "import regtail loaded a submodule"
+    assert listed
+    assert error == "module 'regtail' has no attribute 'no_such_name'"
+    assert unbound == []
+    assert same
 
 
 def test_theta_c4_example(capsys):
@@ -186,12 +213,12 @@ def test_non_finite_numbers_are_usage_errors(capsys, argv):
 
 
 def test_non_finite_result_is_an_error_not_json(capsys, monkeypatch):
-    import regtail.cli as cli
+    import regtail.ratefn as ratefn
 
     def infinite_rate(h, delta, ctx):
-        return float("inf"), cli.classify_regime(h, ctx)
+        return float("inf"), ratefn.classify_regime(h, ctx)
 
-    monkeypatch.setattr(cli, "rate_function", infinite_rate)
+    monkeypatch.setattr(ratefn, "rate_function", infinite_rate)
     for extra in ([], ["--csv"]):
         code, out, err = run_cli(
             capsys, "rate", "--pattern", "k3", "--delta", "1", "--n", "1e6",
@@ -668,7 +695,6 @@ def test_varbound_no_candidates_exits_one(capsys):
 
 @pytest.mark.parametrize("flag", ["--clique-range", "--hub-range"])
 def test_varbound_huge_range_is_cut_before_building(capsys, monkeypatch, flag):
-    import regtail.cli as cli
     import regtail.ratefn as ratefn
 
     argv = ["varbound", "--pattern", "k3", "--delta", "1", "--n", "100",
@@ -676,12 +702,13 @@ def test_varbound_huge_range_is_cut_before_building(capsys, monkeypatch, flag):
     expect = run_cli(capsys, *argv, "1:500")
     assert expect[0] == 1 and expect[2].startswith("error: ")
     lengths = []
+    bound = ratefn.variational_upper_bound
 
     def recording(h, delta, ctx, family):
         lengths.append(len(family))
-        return ratefn.variational_upper_bound(h, delta, ctx, family)
+        return bound(h, delta, ctx, family)
 
-    monkeypatch.setattr(cli, "variational_upper_bound", recording)
+    monkeypatch.setattr(ratefn, "variational_upper_bound", recording)
     assert run_cli(capsys, *argv, "1:1000000000") == expect
     assert lengths == [ratefn.MAX_PLANTED_EDGES + 1]
     # a range that fits is not cut: every size is a candidate

@@ -1,9 +1,10 @@
-"""Golden records of the JSON verbs.
+"""Golden records of the JSON verbs, the help text and each verb's imports.
 
 Each case runs the CLI in process on fixed argv over small edge-list files
 and compares the whole stdout (command, parameters, result, version and
 seed, in key order) with ``tests/data/cli_golden.json``. Input paths are
-written as ``{tmp}`` there.
+written as ``{tmp}`` there. ``tests/data/cli_help.json`` holds the text of
+``--help`` and of every verb's ``--help`` at 80 columns.
 """
 
 import json
@@ -11,11 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from regtail.cli import main
+from regtail.cli import build_parser, main
 
-GOLDEN = json.loads(
-    (Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8")
-)
+from conftest import run_fresh
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = json.loads((DATA / "cli_golden.json").read_text(encoding="utf-8"))
+HELP = json.loads((DATA / "cli_help.json").read_text(encoding="utf-8"))
 
 FILES = {
     "host.txt": "6 8\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n3 4\n4 5\n",
@@ -86,3 +89,66 @@ def test_golden_record(run, name):
 
 def test_golden_csv(run):
     assert run(CASES["peel"] + ["--csv"]) == GOLDEN["csv"]
+
+
+def test_help_covers_every_verb():
+    verbs = build_parser()._subparsers._group_actions[0].choices
+    assert set(HELP) == {"--help"} | {f"{verb} --help" for verb in verbs}
+
+
+@pytest.mark.parametrize("argv", sorted(HELP))
+def test_help_text(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == HELP[argv]
+
+
+# The regtail modules each verb loads beside the package and cli, one case
+# per verb, and whether numpy loads: a verb pays only for its own modules.
+RATEFN = {"graphs", "counting", "independence", "ratefn"}
+LOADS = {
+    "--version": ({"graphs"}, False),
+    "rate": (RATEFN, False),
+    "theta": ({"graphs", "independence"}, False),
+    "count": ({"graphs", "counting"}, False),
+    "cond-exp": (RATEFN, False),
+    "classify": (RATEFN, False),
+    "peel": ({"graphs", "counting", "structures"}, False),
+    "partition": ({"graphs", "counting", "structures"}, False),
+    "decompose-ordered": ({"graphs", "decompose"}, False),
+    "color": ({"graphs", "decompose"}, False),
+    "plant": (RATEFN, False),
+    "varbound": (RATEFN, False),
+    "verify": ({"graphs", "counting", "independence", "structures", "verify"}, False),
+    "simulate-planted": ({"graphs", "counting", "sim"}, True),
+}
+ARGV = {**CASES, "--version": ["--version"],
+        "verify": ["verify", "--seed", "0", "--trials", "1"]}
+LOAD_PROBE = """
+import json, sys
+from regtail.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+loaded = sorted(m[8:] for m in sys.modules if m.startswith("regtail."))
+print(json.dumps([code, loaded, "numpy" in sys.modules]))
+"""
+
+
+def test_loads_cover_every_verb():
+    assert {ARGV[case][0] for case in LOADS} == JSON_VERBS | {"--version", "verify"}
+
+
+@pytest.mark.parametrize("case", sorted(LOADS))
+def test_verb_loads_only_its_modules(case, tmp_path):
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in ARGV[case]]
+    code, loaded, numpy = json.loads(run_fresh(LOAD_PROBE, *argv).splitlines()[-1])
+    modules, uses_numpy = LOADS[case]
+    assert code == 0
+    assert set(loaded) == modules | {"cli"}
+    assert numpy == uses_numpy

@@ -1,12 +1,7 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import regtail
 from regtail import sim
 from regtail.graphs import (
     SparsityContext,
@@ -185,17 +180,6 @@ def test_upper_tail_threshold_uses_plain_powers():
     # n(n-1)(n-2) < n^3, so the frequency at delta = 0 is 0, not 1
     est = upper_tail_frequency(K3, 10, 1.0, 0.0, 5, 2)
     assert est.mean == 0.0
-
-
-def test_cli_import_leaves_numpy_unloaded():
-    src = Path(regtail.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    code = "import sys, regtail.cli; print('numpy' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "False"
 
 
 def test_estimators_sum_integer_counts(monkeypatch):
