@@ -210,6 +210,8 @@ def _cmd_theta(args) -> int:
 def _cmd_count(args) -> int:
     from .counting import count_hom, count_labelled, count_with_edges
 
+    if args.hom and args.per_edge:
+        raise ValueError("--per-edge cannot be combined with --hom")
     h = _resolve_pattern(args)
     g = _load_graph(args.graph)
     params = _params(args, "pattern", "graph")
@@ -467,23 +469,25 @@ def _cmd_simulate(args) -> int:
         }
     elif args.planted:
         g = _load_graph(args.planted)
+        # a bad (n, p) is refused before any trial runs
         ctx = SparsityContext(args.n, args.p)
+        unconditional = expected_count(h, ctx)
         est = mc_conditional_mean(g, h, ctx, args.trials, args.seed)
         params["planted"] = args.planted
         result = {
             "mean": est.mean,
             "std_error": est.std_error,
             "trials": est.trials,
-            "unconditional": expected_count(h, ctx),
+            "unconditional": unconditional,
         }
     else:
+        expected = expected_count(h, SparsityContext(args.n, args.p))
         est = mc_mean_count(h, args.n, args.p, args.trials, args.seed)
-        ctx = SparsityContext(args.n, args.p)
         result = {
             "mean": est.mean,
             "std_error": est.std_error,
             "trials": est.trials,
-            "expected": expected_count(h, ctx),
+            "expected": expected,
         }
     _emit(args, "simulate", params, result, seed=args.seed)
     return 0

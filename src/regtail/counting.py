@@ -1,10 +1,12 @@
 """Exact counting kernels.
 
-Every count here is a number of edge-preserving maps of a pattern h into a
-host g, and one backtracking search, ``_search``, finds them all. It walks a
-connected search order of the pattern; each candidate set is a host-degree
-floor mask minus the used vertices, intersected with the host neighborhoods
-of the placed pattern neighbors, all on integer bitmasks.
+Every pattern count here is a number of edge-preserving maps of a pattern h
+into a host g, and one backtracking search, ``_search``, finds them all
+(``count_paths_signed`` walks host paths by its own recursion, and
+``expected_count`` is a closed form). The search walks a connected search
+order of the pattern; each candidate set is a host-degree floor mask minus
+the used vertices, intersected with the host neighborhoods of the placed
+pattern neighbors, all on integer bitmasks.
 
 Injective searches break the pattern's symmetry (Grochow & Kellis, RECOMB
 2007). The copies of h with one image edge set are the |Aut(h)| maps
@@ -45,7 +47,9 @@ from functools import lru_cache
 from math import perm
 from typing import NamedTuple
 
-from .graphs import Edge, Graph, PatternGraph, SparsityContext, bits, low_degree_mask
+from .graphs import (
+    Edge, Graph, PatternGraph, SparsityContext, bits, layers, low_degree_mask,
+)
 
 
 class IsolatedPatternVertexError(ValueError):
@@ -112,16 +116,9 @@ def _plan(h: Graph, root: Edge | None = None) -> _Compiled:
 def _distances(hm, v: int) -> list[int]:
     """Breadth-first distance from v to every vertex; len(hm) if unreachable."""
     dist = [len(hm)] * len(hm)
-    seen = frontier = 1 << v
-    d = 0
-    while frontier:
-        reach = 0
-        for x in bits(frontier):
+    for d, layer in enumerate(layers(hm, 1 << v)):
+        for x in bits(layer):
             dist[x] = d
-            reach |= hm[x]
-        frontier = reach & ~seen
-        seen |= frontier
-        d += 1
     return dist
 
 
@@ -167,9 +164,10 @@ def _break_symmetry(c: _Compiled, hm, start: int) -> _Compiled:
 
 
 # Dedup, Monte Carlo and peels (one rooted plan per orbit of oriented pattern
-# edges) reuse a few plans; the subset sum makes one per span, so a small
-# bound suffices. Errors stay out. A pattern hashes as its plain graph, so
-# both share one plan.
+# edges) reuse a few plans; the subset sum makes one per span it counts with
+# the kernel, and none for a planted clique or hub, whose counts are closed
+# forms, so a small bound suffices. Errors stay out. A pattern hashes as its
+# plain graph, so both share one plan.
 @lru_cache(maxsize=256)
 def _compile(h: Graph, root: Edge | None = None) -> _Compiled:
     return _plan(h, root)
@@ -280,16 +278,17 @@ def count_with_edges(h: Graph, g: Graph) -> CountReport:
 def _arc_orbits(h: Graph) -> tuple[tuple[Edge, int], ...]:
     """(first arc, orbit size) for each Aut(h)-orbit of the oriented pattern
     edges, taken in edge order. An arc joins the orbit of a root (a, b)
-    when the plan rooted there, pinned to it, has a leaf; an automorphism
-    keeps each endpoint's sorted distance row, so only arcs that match
-    there are searched."""
+    when the plan rooted there, pinned to it, has a leaf; that plan breaks
+    symmetry only after a and b, so it keeps a map for every pin that has
+    one. An automorphism keeps each endpoint's sorted distance row, so only
+    arcs that match there are searched."""
     hm = h.adjacency_masks
     rows = [tuple(sorted(_distances(hm, v))) for v in range(h.vertex_count)]
     left = [arc for a, b in h.edges for arc in ((a, b), (b, a))]
     out = []
     while left:
         root, rest = left[0], left[1:]
-        c = _unbroken(_compile(h, root))
+        c = _compile(h, root)
         key = (rows[root[0]], rows[root[1]])
         left = [
             s for s in rest if (rows[s[0]], rows[s[1]]) != key or not _exists(c, hm, s)

@@ -147,9 +147,9 @@ class CycleEdgeCover:
 def cycle_edge_cover_avoiding(h: Graph, e: Edge) -> CycleEdgeCover:
     """Vertex-disjoint cycles and single edges covering V(h) without e.
 
-    Color the bipartite double cover with the full degree count; both
-    layer-crossing lifts of e occupy at most two classes, so some class
-    avoids both. That perfect matching pairs each vertex a with one
+    The double cover is bipartite and d-regular with d >= 3, so
+    ``matching_avoiding`` finds a perfect matching of it missing both
+    layer-crossing lifts of e. That matching pairs each vertex a with one
     sigma(a) + v_h, so sigma is a permutation of V(h) whose steps are
     edges of h other than e, and the cover is its cycles: each starts at
     its least vertex, in ascending order, and a 2-cycle is a single edge.
@@ -164,9 +164,7 @@ def cycle_edge_cover_avoiding(h: Graph, e: Edge) -> CycleEdgeCover:
         raise ValueError(f"edge {e} not in the graph")
     v = h.vertex_count
     u1, u2 = key
-    lifts = {(u1, u2 + v), (u2, u1 + v)}
-    classes = konig_coloring(double_cover(h)).classes()
-    chosen = next(cls for cls in classes if lifts.isdisjoint(cls))
+    chosen = matching_avoiding(double_cover(h), [(u1, u2 + v), (u2, u1 + v)])
     # cover edges are (a, b + v) with a, b < v, already canonical
     sigma = {a: b - v for a, b in chosen}
     components: list[CoverComponent] = []

@@ -4,7 +4,7 @@ All graphs are simple and undirected, with 0-based dense vertex labels.
 Isolated vertices are representable on purpose: edge peeling leaves them
 behind, and copy counts never depend on them. A graph stores its adjacency
 once, as one int bitmask per vertex; ``bits`` iterates a mask and
-``components`` is the one breadth-first search over masks.
+``layers`` is the one breadth-first search over masks.
 """
 
 from __future__ import annotations
@@ -48,22 +48,29 @@ def bits(m: int):
         yield b.bit_length() - 1
 
 
+def layers(masks, start: int):
+    """The breadth-first layers from the vertex mask ``start`` in the graph
+    with adjacency ``masks``: layer d holds the vertices at distance d."""
+    seen = frontier = start
+    while frontier:
+        yield frontier
+        reach = 0
+        for v in bits(frontier):
+            reach |= masks[v]
+        frontier = reach & ~seen
+        seen |= frontier
+
+
 def components(masks):
     """Each connected component of the graph with adjacency ``masks``, in
     order of least vertex, as (vertex mask, mask of its odd BFS layers)."""
     left = (1 << len(masks)) - 1
     while left:
-        comp = frontier = left & -left
-        odd, layer = 0, 0
-        while frontier:
-            reach = 0
-            for v in bits(frontier):
-                reach |= masks[v]
-            frontier = reach & ~comp
-            comp |= frontier
-            layer ^= 1
-            if layer:
-                odd |= frontier
+        comp = odd = 0
+        for d, layer in enumerate(layers(masks, left & -left)):
+            comp |= layer
+            if d & 1:
+                odd |= layer
         left &= ~comp
         yield comp, odd
 
@@ -124,7 +131,8 @@ class Graph:
         )
 
     def is_connected(self) -> bool:
-        return len(self.connected_components()) <= 1
+        full = (1 << self.vertex_count) - 1
+        return next(components(self.adjacency_masks), (0, 0))[0] == full
 
     def connected_components(self) -> list[list[int]]:
         """Vertex lists, each sorted, in order of least vertex."""

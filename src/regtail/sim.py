@@ -5,21 +5,19 @@ with counter [0, 0, i mod 2^64, i >> 64], which is the base stream jumped i
 times, so estimates do not depend on evaluation order and rerunning any
 single trial reproduces it bit for bit. A run sets one generator's counter
 before each trial and feeds the kept pairs to the kernel as adjacency masks.
-Count reduction is exact integer summation, converted to float once. numpy
-is imported on first use, so verbs that do not sample never load it.
+Count reduction is exact integer summation, converted to float once. Only
+the CLI's ``simulate`` verb imports this module, and with it numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
-from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .counting import _compile, _search
 from .graphs import Graph, PatternGraph, SparsityContext, from_edge_list
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Largest n the sampler draws on. Its pair table holds n(n-1)/2 rows, so an
 # untrusted n is capped here before that table is built.
@@ -33,8 +31,6 @@ class RngSpec:
     seed: int
 
     def stream(self, index: int) -> np.random.Generator:
-        import numpy as np
-
         bits = np.random.Philox(key=self.seed, counter=_counter(index))
         return np.random.Generator(bits)
 
@@ -73,8 +69,6 @@ def _estimate(values: list[int]) -> McEstimate:
 
 
 def _pairs(n: int) -> np.ndarray:
-    import numpy as np
-
     return np.column_stack(np.triu_indices(n, k=1))
 
 

@@ -22,7 +22,8 @@ class CoreParams:
 
     c_bar budgets edges against n^2 p^Delta log(1/p); c_star against
     n^2 p^Delta alone and must stay >= 32 delta^(2/v) for the strong-core
-    per-edge threshold to be meaningful.
+    per-edge threshold to be meaningful. A zero c_bar or c_star takes the
+    default; a negative c_bar would make the budget and the floor negative.
     """
 
     delta: float
@@ -37,6 +38,8 @@ class CoreParams:
             raise ValueError(f"delta must be positive, got {self.delta}")
         if not 0 < self.eps < 1:
             raise ValueError(f"eps must lie in (0,1), got {self.eps}")
+        if self.c_bar < 0:
+            raise ValueError(f"c_bar must be nonnegative, got {self.c_bar}")
         floor = 32.0 * self.delta ** (2.0 / self.pattern.v_h)
         if self.c_bar == 0.0:
             object.__setattr__(self, "c_bar", 10.0 / (self.delta * self.eps))

@@ -249,6 +249,57 @@ def test_simulate_refuses_huge_n_before_pair_table(capsys, monkeypatch, extra):
     )
 
 
+BAD_P = "p must lie strictly inside (0, 1), got 1.0"
+SMALL_N = "n=3 smaller than pattern order 4"
+
+
+@pytest.mark.parametrize("argv, planted, message", [
+    (["--pattern", "c4", "--n", "300", "--p", "1"], None, BAD_P),
+    (["--pattern", "c4", "--n", "300", "--p", "1"], "300 0\n", BAD_P),
+    (["--pattern", "k4", "--n", "3", "--p", "0.5"], None, SMALL_N),
+    (["--pattern", "k4", "--n", "3", "--p", "0.5"], "3 0\n", SMALL_N),
+], ids=["p-one", "p-one-planted", "small-n", "small-n-planted"])
+def test_simulate_refuses_bad_scale_before_sampling(
+    capsys, monkeypatch, tmp_path, argv, planted, message
+):
+    import regtail.sim as sim
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("trials ran before (n, p) was checked")
+
+    if planted is not None:
+        path = tmp_path / "planted.txt"
+        path.write_text(planted)
+        argv = [*argv, "--planted", str(path)]
+    monkeypatch.setattr(sim, "_trial_counts", no_trials)
+    code, out, err = run_cli(capsys, "simulate", *argv, "--trials", "2")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_simulate_tail_accepts_p_one(capsys):
+    record = run_json(capsys, "simulate", "--pattern", "k3", "--n", "5", "--p", "1",
+                      "--trials", "2", "--tail-delta", "1")
+    assert record["result"]["threshold"] == 250.0
+    assert record["result"]["frequency"] == 0.0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["count", "--pattern", "k3", "--graph", "{graph}", "--hom", "--per-edge"],
+     "--per-edge cannot be combined with --hom"),
+    (["peel", "--pattern", "k3", "--graph", "{graph}", "--n", "100", "--p", "0.05",
+      "--delta", "1", "--eps", "0.5", "--c-bar", "-2"],
+     "c_bar must be nonnegative, got -2.0"),
+    (["plant", "--kind", "clique:x", "--n", "30", "--p", "0.1"],
+     "bad structure sizes in 'clique:x'"),
+    (["color"], "need --graph, --pattern, or --pattern-file"),
+], ids=["count-hom-per-edge", "peel-negative-c-bar", "plant-bad-size", "color-no-graph"])
+def test_refusals_are_one_line_errors(capsys, tmp_path, argv, message):
+    path = tmp_path / "k3.txt"
+    path.write_text("3 3\n0 1\n1 2\n0 2\n")
+    argv = [str(path) if a == "{graph}" else a for a in argv]
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 def test_domain_error_exits_one(capsys):
     # poisson regime is a domain refusal, not a crash
     code, out, err = run_cli(

@@ -162,6 +162,35 @@ def test_count_N11_consistency(rng):
             assert 0 <= with_low <= count_labelled(k3, g)
 
 
+def test_count_N11_refuses_threshold_below_one():
+    with pytest.raises(ValueError, match="D must be >= 1, got 0"):
+        count_N11(complete(3), complete(4), 0)
+
+
+def test_distances_match_edge_relaxation(rng):
+    # the oracle relaxes every edge until nothing changes; an unreachable
+    # vertex keeps the vertex count
+    disconnected = 0
+    for _ in range(60):
+        nv = rng.randint(1, 9)
+        g = random_graph(rng, nv, rng.uniform(0.1, 0.6))
+        if rng.random() < 0.3:
+            g = disjoint_union(g, cycle(rng.randint(3, 5)))
+        disconnected += not g.is_connected()
+        for v in range(g.vertex_count):
+            want = [g.vertex_count] * g.vertex_count
+            want[v] = 0
+            changed = True
+            while changed:
+                changed = False
+                for a, b in g.edges:
+                    for x, y in ((a, b), (b, a)):
+                        if want[x] + 1 < want[y]:
+                            want[y], changed = want[x] + 1, True
+            assert counting._distances(g.adjacency_masks, v) == want
+    assert disconnected > 10
+
+
 def test_count_N11_split_hand_case():
     # two triangles sharing vertex 2; hang two pendants on vertex 2 so it
     # crosses degree threshold 2 while all others stay low
@@ -225,6 +254,9 @@ def test_paths_signed_validation():
         count_paths_signed(g, (), 0, 1, 2)
     with pytest.raises(ValueError):
         count_paths_signed(g, (2,), 0, 1, 2)
+    for v1, v2 in ((0, 4), (-1, 1)):
+        with pytest.raises(ValueError, match="out of range"):
+            count_paths_signed(g, (0,), v1, v2, 2)
     assert count_paths_signed(g, (0,), 1, 1, 2) == 0
 
 

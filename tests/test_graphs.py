@@ -98,6 +98,9 @@ def test_connectivity_and_components():
     comps = g.connected_components()
     assert sorted(len(c) for c in comps) == [3, 4]
     assert complete(3).is_connected()
+    # no vertex and one vertex are each connected
+    assert empty(0).is_connected() and empty(1).is_connected()
+    assert not empty(2).is_connected()
 
 
 def test_without_edges_and_span():

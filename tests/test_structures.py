@@ -61,6 +61,8 @@ def test_core_params_validation():
         make_params(delta=1.0, c_star=1.0)  # below the 32 delta^(2/v) floor
     # exactly at the floor is allowed
     make_params(delta=1.0, c_star=32.0)
+    with pytest.raises(ValueError, match="c_bar must be nonnegative, got -2"):
+        make_params(c_bar=-2.0)
 
 
 def test_scale_shorthands():
