@@ -418,7 +418,12 @@ def _cmd_varbound(args) -> int:
     for spec_text, name in ((args.clique_range, "clique"), (args.hub_range, "hub")):
         if spec_text:
             lo, _, hi = spec_text.partition(":")
-            lo, hi = int(lo), int(hi)
+            try:
+                lo, hi = int(lo), int(hi)
+            except ValueError:
+                raise ValueError(
+                    f"--{name}-range takes LO:HI integers, got {spec_text!r}"
+                ) from None
             # far fewer than MAX_PLANTED_EDGES sizes fit, so the cut keeps
             # the first refused size and with it the error
             hi = min(hi, lo + MAX_PLANTED_EDGES)

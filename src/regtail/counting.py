@@ -48,7 +48,8 @@ from math import perm
 from typing import NamedTuple
 
 from .graphs import (
-    Edge, Graph, PatternGraph, SparsityContext, bits, layers, low_degree_mask,
+    Edge, Graph, PatternError, PatternGraph, SparsityContext, bits, layers,
+    low_degree_mask,
 )
 
 
@@ -80,9 +81,20 @@ def _unbroken(c: _Compiled) -> _Compiled:
     return c._replace(lows=((),) * len(c.order), weight=1)
 
 
+# The search recurses once per pattern vertex, and Python's default stack
+# holds about 1000 frames, less those of its caller (a CLI verb, a test
+# runner), so a larger pattern is refused before any search.
+MAX_PATTERN_VERTICES = 800
+
+
 def _plan(h: Graph, root: Edge | None = None) -> _Compiled:
     """Deterministic connected search order and what the kernel needs of it;
     with a pattern edge ``root`` = (a, b), the order starts a, b."""
+    if h.vertex_count > MAX_PATTERN_VERTICES:
+        raise PatternError(
+            f"pattern has {h.vertex_count} vertices, above the limit of "
+            f"{MAX_PATTERN_VERTICES}"
+        )
     hm = h.adjacency_masks
     if 0 in hm:
         raise IsolatedPatternVertexError(f"pattern vertex {hm.index(0)} is isolated")

@@ -131,8 +131,7 @@ class CoverComponent:
         return frozenset(self.vertices)
 
     def edge_set(self) -> frozenset[Edge]:
-        if self.kind == "edge":
-            return frozenset({_canon(self.vertices[0], self.vertices[1])})
+        """The closed walk through ``vertices``; two vertices give one edge."""
         seq = self.vertices
         return frozenset(
             _canon(seq[i], seq[(i + 1) % len(seq)]) for i in range(len(seq))
@@ -181,13 +180,13 @@ def cycle_edge_cover_avoiding(h: Graph, e: Edge) -> CycleEdgeCover:
     return CycleEdgeCover(tuple(components))
 
 
-def validate_cycle_edge_cover(
-    cover: CycleEdgeCover, h: Graph, forbidden: Edge
-) -> None:
+def _check_cover(components, h: Graph, edges, forbidden: Edge) -> None:
+    """Components of known kind and length, each without a repeated vertex,
+    pairwise vertex-disjoint, built from edges of h other than forbidden,
+    and covering V(h)."""
     key = _canon(*forbidden)
-    edges = h.edge_set()
     seen: set[int] = set()
-    for comp in cover.components:
+    for comp in components:
         if comp.kind == "edge":
             if len(comp.vertices) != 2:
                 raise ValueError(f"edge component with {len(comp.vertices)} vertices")
@@ -212,6 +211,12 @@ def validate_cycle_edge_cover(
         raise ValueError("components do not cover every vertex")
 
 
+def validate_cycle_edge_cover(
+    cover: CycleEdgeCover, h: Graph, forbidden: Edge
+) -> None:
+    _check_cover(cover.components, h, h.edge_set(), forbidden)
+
+
 @dataclass(frozen=True)
 class OrderedCover:
     """Cover relabelled so three anchor vertices land in the first three
@@ -223,16 +228,14 @@ class OrderedCover:
     attachments: tuple[tuple[int, int], ...]  # aligned with parts[3:]
 
 
-def _cherry(
-    q, edges: frozenset[Edge] | None = None
-) -> tuple[Edge, int, int, int]:
+def _cherry(q, edges: frozenset[Edge]) -> tuple[Edge, int, int, int]:
     """The cherry's first edge, canonical, and its vertices (u1, u2, v):
     u2 is the shared center, u1 and v the far ends of the first and second
-    edges. With ``edges``, both cherry edges must lie in it."""
+    edges. Both cherry edges must lie in ``edges``."""
     (a1, b1), (a2, b2) = q
     first = _canon(a1, b1)
     second = _canon(a2, b2)
-    if edges is not None and (first not in edges or second not in edges):
+    if first not in edges or second not in edges:
         raise ValueError("cherry edges must belong to the graph")
     shared = set(first) & set(second)
     if len(shared) != 1:
@@ -269,42 +272,22 @@ def ordered_cover(h: Graph, q) -> OrderedCover:
 
 
 def validate_ordered_cover(oc: OrderedCover, h: Graph, q) -> None:
-    first, u1, u2, v = _cherry(q)
-    parts = oc.parts
+    edges = h.edge_set()
+    first, u1, u2, v = _cherry(q, edges)
+    parts, tail = oc.parts, oc.parts[3:]
     if len(parts) < 3:
         raise ValueError("ordered cover needs at least three labelled parts")
-    edges = h.edge_set()
-    covered: set[int] = set()
-    for comp in parts:
-        covered.update(comp.vertices)
-        comp_edges = comp.edge_set()
-        for edge in comp_edges:
-            if edge not in edges:
-                raise ValueError(f"part edge {edge} not in the graph")
-        if first in comp_edges:
-            raise ValueError("forbidden edge appears in a part")
-    if covered != set(range(h.vertex_count)):
-        raise ValueError("parts do not cover every vertex")
+    # the first three parts may coincide; the distinct parts form the cover
+    distinct = dict.fromkeys(parts)
+    _check_cover(distinct, h, edges, first)
+    if len(distinct) != len(set(parts[:3])) + len(tail):
+        raise ValueError("later part repeats an earlier part")
     for anchor, comp in zip((u1, u2, v), parts[:3]):
         if anchor not in comp.vertex_set():
             raise ValueError(f"anchor {anchor} missing from its part")
-    for i in range(3):
-        for j in range(i + 1, 3):
-            pi, pj = parts[i], parts[j]
-            if pi != pj and pi.vertex_set() & pj.vertex_set():
-                raise ValueError("first three parts overlap without coinciding")
-    tail = parts[3:]
-    earlier = set().union(*(comp.vertices for comp in parts[:3]))
-    # the last later part holding each vertex: a part meets a later one
-    # iff one of its vertices lies in a later part
-    last = {x: i for i, comp in enumerate(tail) for x in comp.vertices}
-    for i, comp in enumerate(tail):
-        if any(last[x] > i for x in comp.vertices):
-            raise ValueError("later parts are not vertex-disjoint")
-        if not earlier.isdisjoint(comp.vertices):
-            raise ValueError("later part overlaps an anchor part")
     if len(oc.attachments) != len(tail):
         raise ValueError("one attachment required per part beyond the third")
+    earlier = set().union(*(comp.vertices for comp in parts[:3]))
     for comp, (x, y) in zip(tail, oc.attachments):
         if x not in comp.vertices:
             raise ValueError(f"attachment tail {x} not in its part")

@@ -284,9 +284,11 @@ def _path_bound(s: tuple[int, ...], D: int, ebar: int) -> int:
     return D**ell
 
 
-def check_path_lemma(
-    seed: int = 202, graphs: int = 25, endpoint_pairs: int = 4
-) -> CheckResult:
+# endpoint pairs drawn per host graph and degree threshold
+_ENDPOINT_PAIRS = 4
+
+
+def check_path_lemma(seed: int = 202, graphs: int = 25) -> CheckResult:
     """Signed path counts between fixed endpoints against the degree and
     mixed-edge bound; an all-zero signature walks only low-degree
     vertices, so its bound carries no mixed-edge factor.
@@ -300,7 +302,7 @@ def check_path_lemma(
                 ebar = _mixed_edges(g, D)
                 pairs = [
                     (rng.randrange(nv), rng.randrange(nv))
-                    for _ in range(endpoint_pairs)
+                    for _ in range(_ENDPOINT_PAIRS)
                 ]
                 for ell in range(1, 6):
                     for s in product((0, 1), repeat=ell):

@@ -292,12 +292,44 @@ def test_simulate_tail_accepts_p_one(capsys):
     (["plant", "--kind", "clique:x", "--n", "30", "--p", "0.1"],
      "bad structure sizes in 'clique:x'"),
     (["color"], "need --graph, --pattern, or --pattern-file"),
-], ids=["count-hom-per-edge", "peel-negative-c-bar", "plant-bad-size", "color-no-graph"])
+    (["varbound", "--pattern", "k3", "--delta", "1", "--n", "1e4", "--p", "5e-3",
+      "--clique-range", "5"], "--clique-range takes LO:HI integers, got '5'"),
+    (["varbound", "--pattern", "k3", "--delta", "1", "--n", "1e4", "--p", "5e-3",
+      "--hub-range", "1:x"], "--hub-range takes LO:HI integers, got '1:x'"),
+], ids=["count-hom-per-edge", "peel-negative-c-bar", "plant-bad-size", "color-no-graph",
+        "varbound-bad-clique-range", "varbound-bad-hub-range"])
 def test_refusals_are_one_line_errors(capsys, tmp_path, argv, message):
     path = tmp_path / "k3.txt"
     path.write_text("3 3\n0 1\n1 2\n0 2\n")
     argv = [str(path) if a == "{graph}" else a for a in argv]
     assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def _cycle_file(path, n: int) -> str:
+    path.write_text(f"{n} {n}\n" + "".join(f"{i} {(i + 1) % n}\n" for i in range(n)))
+    return str(path)
+
+
+@pytest.mark.parametrize("extra", [1, 400])
+def test_pattern_above_the_vertex_limit_is_refused(capsys, tmp_path, extra):
+    from regtail.counting import MAX_PATTERN_VERTICES as limit
+
+    big = _cycle_file(tmp_path / "big.txt", limit + extra)
+    k3 = _cycle_file(tmp_path / "k3.txt", 3)
+    message = f"pattern has {limit + extra} vertices, above the limit of {limit}"
+    for verb in (["count"], ["count", "--hom"]):
+        assert run_cli(capsys, *verb, "--pattern-file", big, "--graph", k3) == (
+            1, "", f"error: {message}\n"
+        )
+
+
+def test_pattern_at_the_vertex_limit_counts(capsys, tmp_path):
+    from regtail.counting import MAX_PATTERN_VERTICES as limit
+
+    # the search recurses through every pattern vertex on each copy
+    ring = _cycle_file(tmp_path / "ring.txt", limit)
+    record = run_json(capsys, "count", "--pattern-file", ring, "--graph", ring)
+    assert record["result"]["count"] == 2 * limit
 
 
 def test_domain_error_exits_one(capsys):

@@ -288,11 +288,11 @@ def test_ordered_cover_validator_names_each_fault():
     assert oc.attachments == ((3, 2), (4, 3), (5, 4))
     parts, links = oc.parts, oc.attachments
     tampered = [
-        (parts + (parts[5],), links, "later parts are not vertex-disjoint"),
-        (parts + (parts[0],), links, "later part overlaps an anchor part"),
+        (parts + (parts[5],), links, "later part repeats an earlier part"),
+        (parts + (parts[0],), links, "later part repeats an earlier part"),
         ((parts[1], parts[0]) + parts[2:], links, "anchor 0 missing from its part"),
         (_replace(parts, 1, CoverComponent("cycle", (1, 2, 8, 7))), links,
-         "first three parts overlap without coinciding"),
+         "components are not vertex-disjoint"),
         (parts, _replace(links, 0, (4, 3)), "attachment tail 4 not in its part"),
         (parts, _replace(links, 0, (3, 4)),
          "attachment head 4 not in an earlier part"),
@@ -300,14 +300,34 @@ def test_ordered_cover_validator_names_each_fault():
          "attachment pair (3, 0) is not a graph edge"),
         (parts[:3] + (CoverComponent("edge", (3, 10)), CoverComponent("edge", (4, 9)))
          + parts[5:], links,
-         "part edge (3, 10) not in the graph"),
+         "component edge (3, 10) not in the graph"),
         (_replace(parts, 0, CoverComponent("cycle", (0, 1, 7, 6))), links,
-         "forbidden edge appears in a part"),
-        (parts[:5], links[:2], "parts do not cover every vertex"),
+         "forbidden edge (0, 1) appears in a component"),
+        (parts[:5], links[:2], "components do not cover every vertex"),
     ]
     for bad_parts, bad_links, message in tampered:
         with pytest.raises(ValueError) as exc:
             validate_ordered_cover(OrderedCover(bad_parts, bad_links), g, q)
+        assert str(exc.value) == message
+    # the parts are checked as a cycle/edge cover: kind, length, cherry
+    k4, k4_cherry = complete(4), ((0, 1), (1, 2))
+    long_edge = CoverComponent("edge", (0, 2, 1, 3))
+    short_cycle, other = CoverComponent("cycle", (0, 2)), CoverComponent("cycle", (1, 3))
+    loop = CoverComponent("loop", (0, 2, 1, 3))
+    pet = petersen()
+    pet_cover = ordered_cover(pet, ((0, 1), (1, 2)))
+    holes = [
+        (OrderedCover((long_edge,) * 3, ()), k4, k4_cherry,
+         "edge component with 4 vertices"),
+        (OrderedCover((short_cycle, other, short_cycle), ()), k4, k4_cherry,
+         "cycle component of length 2"),
+        (OrderedCover((loop,) * 3, ()), k4, k4_cherry, "unknown component kind 'loop'"),
+        # (1, 7) is not an edge of Petersen
+        (pet_cover, pet, ((0, 1), (1, 7)), "cherry edges must belong to the graph"),
+    ]
+    for bad, graph, cherry, message in holes:
+        with pytest.raises(ValueError) as exc:
+            validate_ordered_cover(bad, graph, cherry)
         assert str(exc.value) == message
 
 
