@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -35,7 +36,6 @@ from .graphs import (
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .ratefn import Regime
-    from .structures import CoreParams
 
 PATTERNS = {
     "k3": lambda: complete(3),
@@ -266,32 +266,15 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _core_params(args, h: PatternGraph, ctx: SparsityContext) -> CoreParams:
-    from .structures import CoreParams
-
-    return CoreParams(
-        delta=args.delta,
-        eps=args.eps,
-        context=ctx,
-        pattern=h,
-        c_bar=args.c_bar,
-        c_star=args.c_star,
-    )
-
-
 def _cmd_peel(args) -> int:
-    from .structures import is_core, is_strong_core, peel_to_core, peel_to_strong_core
+    from .structures import CoreParams, peel
 
     h = _resolve_pattern(args)
     g = _load_graph(args.graph)
-    ctx = SparsityContext(args.n, args.p)
-    params_obj = _core_params(args, h, ctx)
-    if args.strong:
-        peeled = peel_to_strong_core(g, params_obj)
-        witness = is_strong_core(peeled, params_obj)
-    else:
-        peeled = peel_to_core(g, params_obj)
-        witness = is_core(peeled, params_obj)
+    params_obj = CoreParams(delta=args.delta, eps=args.eps,
+                            context=SparsityContext(args.n, args.p), pattern=h,
+                            c_bar=args.c_bar, c_star=args.c_star)
+    peeled, witness = peel(g, params_obj, "strong-core" if args.strong else "core")
     result = {
         "edges_before": g.edge_count,
         "edges_after": peeled.edge_count,
@@ -371,6 +354,8 @@ def _cmd_color(args) -> int:
     from .decompose import konig_coloring, matching_avoiding
 
     params = _params(args, "pattern", "graph")
+    if args.graph and params["pattern"]:
+        raise ValueError("--graph cannot be combined with --pattern or --pattern-file")
     if args.graph:
         g = _load_graph(args.graph)
     elif params["pattern"]:
@@ -460,6 +445,8 @@ def _cmd_simulate(args) -> int:
     from .counting import expected_count
     from .sim import mc_conditional_mean, mc_mean_count, tail_threshold, upper_tail_frequency
 
+    if args.tail_delta is not None and args.planted:
+        raise ValueError("--planted cannot be combined with --tail-delta")
     h = _resolve_pattern(args)
     params = _params(args, "pattern", "n", "p", "trials")
     if args.tail_delta is not None:
@@ -631,9 +618,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the flush at exit would fail again: send what is left nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

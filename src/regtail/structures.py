@@ -106,14 +106,6 @@ class PredicateWitness:
         return self.attained - self.required
 
 
-def _ladder(clauses: list[tuple[str, float, float, bool]]) -> PredicateWitness:
-    """Each clause: (name, attained, required, ok)."""
-    for name, attained, required, ok in clauses:
-        if not ok:
-            return PredicateWitness(False, name, attained, required)
-    return PredicateWitness(True)
-
-
 # The seed / core / strong-core rungs: (eps multiple in the copy floor, edge
 # budget, per-edge copy floor or None), the last two named as CoreParams
 # properties.
@@ -148,7 +140,10 @@ def _rung(
         floor = getattr(params, floor_name)
         ok = worst is None or worst >= floor
         clauses.append(("min-edge-copies", float(worst or 0), floor, ok))
-    return _ladder(clauses)
+    for name, attained, required, ok in clauses:
+        if not ok:
+            return PredicateWitness(False, name, attained, required)
+    return PredicateWitness(True)
 
 
 def is_seed(g: Graph, params: CoreParams) -> PredicateWitness:
@@ -185,15 +180,12 @@ def edge_partition(g: Graph, D: int) -> EdgePartition:
     )
 
 
-def _peel(g: Graph, h: PatternGraph, threshold: float) -> Graph:
+def _peel(g: Graph, h: PatternGraph, threshold: float, per: dict[Edge, int]) -> Graph:
     """Largest subgraph whose every edge lies in at least ``threshold``
-    copies; it is unique, as counts only fall when edges go."""
-    if threshold <= 0:
-        return g
-    per = count_with_edges(h, g).per_edge
+    copies; it is unique, as counts only fall when edges go. ``per`` holds
+    the host's per-edge counts and is left holding the survivors'."""
     masks = list(g.adjacency_masks)
     work = [e for e in g.edges if per[e] < threshold]
-    removed: set[Edge] = set()
     while work:
         e = x, y = work.pop()
         # only copies through e die; an edge is queued once, as it drops
@@ -203,16 +195,30 @@ def _peel(g: Graph, h: PatternGraph, threshold: float) -> Graph:
             per[f] -= k
         masks[x] ^= 1 << y
         masks[y] ^= 1 << x
-        removed.add(e)
-    return g.without_edges(removed)
+        del per[e]
+    return g.without_edges(g.edge_set().difference(per))
+
+
+def peel(g: Graph, params: CoreParams, rung: str) -> tuple[Graph, PredicateWitness]:
+    """Peel g to the rung's per-edge floor and judge the survivors on that
+    rung, all from one count of g. Each labelled copy lies on e(H) edges,
+    so the survivors' per-edge counts sum to e(H) times their total."""
+    floor_name = _RUNGS[rung][2]
+    if floor_name is None:
+        raise ValueError(f"rung {rung!r} has no per-edge floor to peel to")
+    h = params.pattern
+    per = count_with_edges(h, g).per_edge
+    peeled = _peel(g, h, getattr(params, floor_name), per)
+    report = CountReport(sum(per.values()) // h.e_h, per)
+    return peeled, _rung(peeled, params, rung, report)
 
 
 def peel_to_core(g: Graph, params: CoreParams) -> Graph:
-    return _peel(g, params.pattern, params.core_min_edge_threshold)
+    return peel(g, params, "core")[0]
 
 
 def peel_to_strong_core(g: Graph, params: CoreParams) -> Graph:
-    return _peel(g, params.pattern, params.strong_min_edge_threshold)
+    return peel(g, params, "strong-core")[0]
 
 
 def degree_product_floor(params: CoreParams) -> float:

@@ -64,3 +64,40 @@ def test_package_resolves_every_traced_module_in_a_fresh_process():
             "print(all(isinstance(getattr(regtail, m), types.ModuleType)"
             " for m in sys.argv[1:]))")
     assert run_fresh(code, *_load_tracing().MODULES).strip() == "True"
+
+
+def test_tracer_result_hooks_count_the_work_of_each_layer(tmp_path):
+    # the hooks read the traced calls' arguments and results, so a changed
+    # signature or result type must fail here, not only under --trace 1
+    tracing = _load_tracing()
+    host = tmp_path / "host.txt"  # K4 with a pendant edge: not one clique
+    host.write_text("5 7\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n3 4\n")
+    k3 = ("--pattern", "k3")
+    steps = (
+        ("peel", *k3, "--graph", str(host), "--n", "100", "--p", "0.05",
+         "--delta", "1", "--eps", "0.5"),
+        ("count", *k3, "--graph", str(host), "--per-edge"),
+        ("cond-exp", *k3, "--graph", str(host), "--n", "5", "--p", "0.1"),
+        ("varbound", *k3, "--delta", "1", "--n", "1000", "--p", "0.01",
+         "--clique-range", "8:16"),
+        ("simulate", *k3, "--n", "10", "--p", "0.3", "--trials", "5"),
+        ("verify", "--lemma", "strong"),
+    )
+    tracer = tracing.Tracer()
+    tracer.install(regtail)
+    try:
+        for argv in steps:
+            rc, _, err, _ = tracing.run_inprocess(regtail.cli.main, argv)
+            assert rc == 0, (argv, err)
+    finally:
+        tracer.uninstall()
+    rows = tracing.aggregate(tracer.spans)
+    for layer, counter in (
+        ("structures.peel", "edges_removed"),
+        ("counting.count_with_edges", "copies"),
+        ("ratefn.exact_conditional_expectation", "subsets"),
+        ("ratefn.variational_upper_bound", "candidates"),
+        ("sim.mc", "trials"),
+        ("verify.strong-core-degree-product", "instances"),
+    ):
+        assert rows[layer].get(counter, 0) > 0, (layer, counter, dict(rows[layer]))

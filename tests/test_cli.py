@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import traceback
 import tracemalloc
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import regtail
 from regtail.cli import main
 from regtail import __version__
 from regtail.graphs import (
@@ -296,12 +300,21 @@ def test_simulate_tail_accepts_p_one(capsys):
       "--clique-range", "5"], "--clique-range takes LO:HI integers, got '5'"),
     (["varbound", "--pattern", "k3", "--delta", "1", "--n", "1e4", "--p", "5e-3",
       "--hub-range", "1:x"], "--hub-range takes LO:HI integers, got '1:x'"),
+    (["simulate", "--pattern", "k3", "--n", "10", "--p", "0.3", "--trials", "2",
+      "--tail-delta", "1", "--planted", "{missing}"],
+     "--planted cannot be combined with --tail-delta"),
+    (["color", "--graph", "{graph}", "--pattern", "petersen"],
+     "--graph cannot be combined with --pattern or --pattern-file"),
+    (["color", "--graph", "{graph}", "--pattern-file", "{graph}"],
+     "--graph cannot be combined with --pattern or --pattern-file"),
 ], ids=["count-hom-per-edge", "peel-negative-c-bar", "plant-bad-size", "color-no-graph",
-        "varbound-bad-clique-range", "varbound-bad-hub-range"])
+        "varbound-bad-clique-range", "varbound-bad-hub-range",
+        "simulate-tail-planted", "color-graph-pattern", "color-graph-pattern-file"])
 def test_refusals_are_one_line_errors(capsys, tmp_path, argv, message):
     path = tmp_path / "k3.txt"
     path.write_text("3 3\n0 1\n1 2\n0 2\n")
-    argv = [str(path) if a == "{graph}" else a for a in argv]
+    files = {"{graph}": str(path), "{missing}": str(tmp_path / "missing.txt")}
+    argv = [files.get(a, a) for a in argv]
     assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
@@ -724,6 +737,49 @@ def test_peel_verb(capsys, tmp_path):
     )
     assert record["result"]["edges_after"] == 3
     assert record["result"]["edges_before"] == 4
+
+
+@pytest.mark.parametrize("strong", [False, True])
+def test_peel_counts_the_host_once(capsys, monkeypatch, tmp_path, strong):
+    # the peel's surviving per-edge counts judge the peeled host: no recount
+    from regtail import counting, structures
+
+    calls = []
+    real = counting.count_with_edges
+
+    def counted(h, g):
+        calls.append(g.edge_count)
+        return real(h, g)
+
+    monkeypatch.setattr(counting, "count_with_edges", counted)
+    monkeypatch.setattr(structures, "count_with_edges", counted)
+    path = tmp_path / "host.txt"
+    path.write_text("5 7\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n3 4\n")
+    record = run_json(capsys, "peel", "--pattern", "k3", "--graph", str(path),
+                      "--n", "100", "--p", "0.05", "--delta", "1", "--eps", "0.5",
+                      *(["--strong"] if strong else []))
+    assert record["result"]["removed"] == 1
+    assert calls == [7]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--seed", "0", "--jsonl"],
+    ["plant", "--kind", "clique:300", "--n", "400", "--p", "0.1", "--emit-edges"],
+    ["theta", "--pattern", "k3", "--delta", "1"],
+], ids=["verify-jsonl", "plant-emit-edges", "theta"])
+def test_closed_stdout_ends_without_a_traceback(argv):
+    # as under `| head -1`: the reader is gone before the first write
+    read, write = os.pipe()
+    os.close(read)
+    src = Path(regtail.__file__).resolve().parents[1]
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "regtail.cli", *argv], stdout=write,
+            stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, "")
 
 
 def test_peel_rejects_the_removed_copy_budget(capsys, tmp_path):

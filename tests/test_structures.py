@@ -23,6 +23,7 @@ from regtail.structures import (
     is_core,
     is_seed,
     is_strong_core,
+    peel,
     peel_to_core,
     peel_to_strong_core,
 )
@@ -314,6 +315,59 @@ def test_peels_match_oracle(rng):
                     assert kept == oracle_peel(pattern, g, threshold)
                     partial += 0 < len(kept) < g.edge_count
     assert partial >= 25
+
+
+def _witness(w):
+    return (w.satisfied, w.violated_clause, w.attained, w.required)
+
+
+def test_peel_judges_the_survivors_as_a_recount_does(rng):
+    rungs = (("core", peel_to_core, is_core),
+             ("strong-core", peel_to_strong_core, is_strong_core))
+    seen = set()
+    for pattern in (complete(3), cycle(4), complete(4)):
+        # the last context's small edge budget leaves survivors over budget
+        for delta, eps, p, c_bar in ((0.5, 0.5, 0.8, 0.0), (2.0, 0.1, 0.8, 0.0),
+                                     (4.5, 0.5, 0.8, 0.0), (0.5, 0.5, 0.5, 0.5)):
+            params = make_params(
+                delta=delta, eps=eps, ctx=SparsityContext(10, p),
+                pattern=validate_pattern(pattern), c_bar=c_bar,
+            )
+            for _ in range(4):
+                g = random_graph(rng, rng.randint(5, 9), rng.uniform(0.3, 0.9))
+                for rung, peel_to, judge in rungs:
+                    peeled, witness = peel(g, params, rung)
+                    assert peeled == peel_to(g, params)
+                    assert _witness(witness) == _witness(judge(peeled, params))
+                    seen.add(witness.violated_clause)
+    # every survivor clears the floor, so only the first two clauses can fail
+    assert seen == {None, "copies", "edges"}
+    # p^3 underflows, so the core floor is 0.0 and no edge is thin
+    params = make_params(ctx=SparsityContext(10, 1e-120))
+    assert params.core_min_edge_threshold == 0.0
+    g = random_graph(rng, 8, 0.5)
+    peeled, witness = peel(g, params, "core")
+    assert peeled == g
+    assert _witness(witness) == _witness(is_core(g, params))
+
+
+def test_peel_leaves_the_survivors_counts(rng):
+    partial = 0
+    for pattern in (complete(3), cycle(4), complete(4)):
+        h = validate_pattern(pattern)
+        for _ in range(10):
+            g = random_graph(rng, rng.randint(5, 9), rng.uniform(0.3, 0.9))
+            per = count_with_edges(h, g).per_edge
+            threshold = rng.choice([1, 2, 4, 6, 12]) * h.e_h
+            peeled = structures._peel(g, h, threshold, per)
+            assert per == count_with_edges(h, peeled).per_edge
+            partial += 0 < peeled.edge_count < g.edge_count
+    assert partial >= 5
+
+
+def test_peel_refuses_a_rung_without_a_floor():
+    with pytest.raises(ValueError, match="'seed' has no per-edge floor"):
+        peel(complete(4), make_params(), "seed")
 
 
 def test_peel_memory_is_linear_in_host_edges(monkeypatch):
