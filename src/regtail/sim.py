@@ -4,24 +4,59 @@ Counter-based RNG: trial i draws from the Philox4x64 stream of the base key
 with counter [0, 0, i mod 2^64, i >> 64], which is the base stream jumped i
 times, so estimates do not depend on evaluation order and rerunning any
 single trial reproduces it bit for bit. A run sets one generator's counter
-before each trial and feeds the kept pairs to the kernel as adjacency masks.
-Count reduction is exact integer summation, converted to float once. Only
-the CLI's ``simulate`` verb imports this module, and with it numpy.
+before each trial.
+
+Cycles of order at most 7 on at most 64 vertices are counted from their
+homomorphism basis, inj(H, G) = sum over set partitions pi of V(H) of
+mu(0, pi) hom(H/pi, G): a block of trials is scattered into a float64
+(block, n, n) adjacency stack and each quotient is contracted by einsum.
+Every other pattern and n feeds the kept pairs to the backtracking kernel
+as adjacency masks. Both give the same integer per trial. Count reduction
+is exact integer summation, converted to float once. Only the CLI's
+``simulate`` verb imports this module, and with it numpy.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from math import sqrt
+from functools import lru_cache
+from itertools import islice
+from math import factorial, prod, sqrt
 
 import numpy as np
 
 from .counting import _compile, _search
-from .graphs import Graph, PatternGraph, SparsityContext, from_edge_list
+from .graphs import Graph, PatternGraph, SparsityContext, _canon, from_edge_list
 
 # Largest n the sampler draws on. Its pair table holds n(n-1)/2 rows, so an
 # untrusted n is capped here before that table is built.
 MAX_SAMPLE_VERTICES = 2000
+
+# Cycles up to this order are counted from their homomorphism basis. C8
+# already has a K4 quotient, whose contraction costs n^4 per trial.
+BASIS_MAX_ORDER = 7
+# The basis serves samples of at most this many vertices. Milliseconds per
+# trial, kernel / basis, best of 3 runs of 64 or more trials after a warm-up
+# call (numpy 2.4, OpenBLAS 0.3.31, 2-vCPU Xeon VM):
+#
+#   pattern  n=8,p=.3     n=16,p=.3    n=30,p=.2    n=64,p=.1    n=100,p=.05
+#   K3       0.020/0.008  0.071/0.014  0.144/0.039  0.401/0.140  0.541/0.259
+#   C4       0.030/0.011  0.096/0.016  0.257/0.052  0.835/0.273  1.135/0.429
+#   C5       0.028/0.017  0.327/0.053  0.914/0.122  3.495/0.606  2.992/1.015
+#   C6       0.024/0.039  0.642/0.148  4.296/0.601  18.74/2.328  13.80/4.039
+#   C7       0.024/0.172  1.671/0.393  13.32/2.384  71.96/10.06  51.57/18.02
+#
+# The basis wins from n = 16 on. Above n = 64 a matrix product exceeds
+# OpenBLAS's 64^3 single-thread GEMM limit, and threaded GEMM was seen to
+# stall at 24 ms a call for about a second, so the basis stops there.
+BASIS_MAX_VERTICES = 64
+# Every einsum intermediate counts partial maps, at most n^v(H) of them, so
+# float64 holds each one exactly.
+assert BASIS_MAX_VERTICES**BASIS_MAX_ORDER < 2**53
+# Adjacency entries in one block of trials; the block never grows with the
+# trial count.
+BLOCK_ENTRIES = 2**12
 
 
 @dataclass(frozen=True)
@@ -51,7 +86,11 @@ def _streams(spec: RngSpec, indices):
 
 
 def _spec(rng: RngSpec | int) -> RngSpec:
-    return rng if isinstance(rng, RngSpec) else RngSpec(int(rng))
+    """The RngSpec of ``rng``; a Philox key outside [0, 2**128) is refused."""
+    spec = rng if isinstance(rng, RngSpec) else RngSpec(int(rng))
+    if not 0 <= spec.seed < 2**128:
+        raise ValueError(f"seed must lie in [0, 2**128), got {spec.seed}")
+    return spec
 
 
 @dataclass(frozen=True)
@@ -94,12 +133,123 @@ def sample_gnp(n: int, p: float, rng: RngSpec | int, index: int = 0) -> Graph:
     return from_edge_list(n, _kept_pairs(_spec(rng).stream(index), _pairs(n), p))
 
 
+def _takes_basis(h: Graph, n: int) -> bool:
+    """Whether trials of h on n vertices are counted from the homomorphism
+    basis: cycles of order at most BASIS_MAX_ORDER, on at most
+    BASIS_MAX_VERTICES vertices. Reads the pattern's size and degree only,
+    so no partition is enumerated for a pattern that the kernel serves."""
+    return (
+        h.max_degree() == 2
+        and h.vertex_count <= BASIS_MAX_ORDER
+        and n <= BASIS_MAX_VERTICES
+    )
+
+
+def _set_partitions(k: int):
+    """Every set partition of range(k), as the block label of each element;
+    blocks are numbered in the order of their least elements."""
+    labels = [0] * k
+
+    def rec(i: int, blocks: int):
+        if i == k:
+            yield tuple(labels)
+            return
+        for b in range(blocks + 1):
+            labels[i] = b
+            yield from rec(i + 1, max(blocks, b + 1))
+
+    yield from rec(0, 0)
+
+
+def _hom_basis(h: Graph) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
+    """inj(h, G) = sum of weight * hom(quotient, G) over these terms.
+
+    Each set partition pi of V(h) with no edge inside a block contributes its
+    quotient h/pi with the Moebius weight mu(0, pi) = prod over blocks B of
+    (-1)^(|B|-1) (|B|-1)! (Alon, Yuster & Zwick 1997; Curticapean, Dell &
+    Marx 2017). A quotient is its edge tuple on the block labels, parallel
+    edges collapsed, and identical quotients share one summed weight. The
+    identity partition gives h itself with weight 1.
+    """
+    terms: dict[tuple[tuple[int, int], ...], int] = {}
+    for labels in _set_partitions(h.vertex_count):
+        if any(labels[u] == labels[v] for u, v in h.edges):
+            continue
+        weight = prod(
+            (-1) ** (size - 1) * factorial(size - 1)
+            for size in Counter(labels).values()
+        )
+        quotient = tuple(sorted({_canon(labels[u], labels[v]) for u, v in h.edges}))
+        terms[quotient] = terms.get(quotient, 0) + weight
+    return tuple((q, w) for q, w in terms.items() if w)
+
+
+def _block_size(n: int) -> int:
+    """Trials per block: at most BLOCK_ENTRIES adjacency entries, at least one trial."""
+    return max(1, BLOCK_ENTRIES // max(1, n * n))
+
+
+_LABELS = "abcdefg"  # one einsum index per quotient vertex; "t" is the trial
+
+
+@lru_cache(maxsize=16)
+def _basis_plan(h: Graph) -> tuple[tuple[int, str, int, list], ...]:
+    """(weight, einsum subscripts, operand count, contraction path) of each
+    basis term. A path is chosen once, for one trial at the largest n the
+    basis serves; choosing it at n <= 1 sent the optimal search through
+    every order of the C7 quotients (14 s)."""
+    shaped = np.broadcast_to(0.0, (1, BASIS_MAX_VERTICES, BASIS_MAX_VERTICES))
+    plan = []
+    for quotient, weight in _hom_basis(h):
+        subscripts = ",".join("t" + _LABELS[a] + _LABELS[b] for a, b in quotient) + "->t"
+        operands = (shaped,) * len(quotient)
+        path = np.einsum_path(subscripts, *operands, optimize="optimal")[0]
+        plan.append((weight, subscripts, len(quotient), path))
+    return tuple(plan)
+
+
+def _basis_counts(
+    h: Graph, n: int, p: float, trials: int, spec: RngSpec, planted: Graph | None
+) -> list[int]:
+    """Copy counts of h from its homomorphism basis, each block of trials a
+    float64 (block, n, n) adjacency stack; every hom value is an integer
+    below n^v(h) <= 2^53, so the floats are exact."""
+    plan, block = _basis_plan(h), _block_size(n)
+    pairs = _pairs(n)
+    upper = pairs[:, 0] * n + pairs[:, 1]
+    lower = pairs[:, 1] * n + pairs[:, 0]
+    base = np.zeros((n, n))
+    for u, v in planted.edges if planted is not None else ():
+        base[u, v] = base[v, u] = 1.0
+    keep = np.empty((block, len(pairs)), dtype=bool)
+    stack = np.zeros((block, n * n))
+    streams = _streams(spec, range(trials))
+    counts: list[int] = []
+    for start in range(0, trials, block):
+        size = min(block, trials - start)
+        for row, gen in zip(keep, islice(streams, size)):
+            np.less(gen.random(len(pairs)), p, out=row)
+        stack[:size, upper] = keep[:size]
+        stack[:size, lower] = keep[:size]
+        adj = stack[:size].reshape(size, n, n)
+        np.maximum(adj, base, out=adj)
+        totals = [0] * size
+        for weight, subscripts, arity, path in plan:
+            homs = np.einsum(subscripts, *(adj,) * arity, optimize=path)
+            for t, hom in enumerate(homs.tolist()):
+                totals[t] += weight * int(hom)
+        counts.extend(totals)
+    return counts
+
+
 def _trial_counts(
     h: PatternGraph, n: int, p: float, trials: int, rng: RngSpec | int,
     planted: Graph | None = None,
 ) -> list[int]:
     """Copy counts of h in trials 0 .. trials-1, each sample unioned with
-    ``planted`` when one is given."""
+    ``planted`` when one is given. Cycles on small samples are counted from
+    the homomorphism basis, every other case by the kernel on adjacency
+    masks; both give the same integers."""
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials}")
     if planted is not None and planted.vertex_count != n:
@@ -107,10 +257,13 @@ def _trial_counts(
             f"planted graph has {planted.vertex_count} vertices, context has {n}"
         )
     _check_gnp(n, p)
+    spec = _spec(rng)
+    if _takes_basis(h, n):
+        return _basis_counts(h, n, p, trials, spec, planted)
     base = planted.adjacency_masks if planted is not None else (0,) * n
     plan, pairs = _compile(h), _pairs(n)
     counts = []
-    for gen in _streams(_spec(rng), range(trials)):
+    for gen in _streams(spec, range(trials)):
         masks = list(base)
         for u, v in _kept_pairs(gen, pairs, p):
             masks[u] |= 1 << v

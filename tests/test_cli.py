@@ -233,8 +233,10 @@ def test_non_finite_result_is_an_error_not_json(capsys, monkeypatch):
         assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("extra", [[], ["--tail-delta", "1"]])
-def test_simulate_refuses_huge_n_before_pair_table(capsys, monkeypatch, extra):
+@pytest.mark.parametrize("pattern, extra", [
+    ("k3", []), ("k3", ["--tail-delta", "1"]), ("c4", []),
+], ids=["extra0", "extra1", "c4-basis"])
+def test_simulate_refuses_huge_n_before_pair_table(capsys, monkeypatch, pattern, extra):
     import regtail.sim as sim
 
     def no_pairs(n):
@@ -242,7 +244,7 @@ def test_simulate_refuses_huge_n_before_pair_table(capsys, monkeypatch, extra):
 
     monkeypatch.setattr(sim, "_pairs", no_pairs)
     code, out, err = run_cli(
-        capsys, "simulate", "--pattern", "k3", "--n", "1e6", "--p", "0.1",
+        capsys, "simulate", "--pattern", pattern, "--n", "1e6", "--p", "0.1",
         "--trials", "2", *extra,
     )
     assert code == 1
@@ -303,13 +305,18 @@ def test_simulate_tail_accepts_p_one(capsys):
     (["simulate", "--pattern", "k3", "--n", "10", "--p", "0.3", "--trials", "2",
       "--tail-delta", "1", "--planted", "{missing}"],
      "--planted cannot be combined with --tail-delta"),
+    (["simulate", "--pattern", "k3", "--n", "10", "--p", "0.3", "--trials", "2",
+      "--seed", "-1"], "seed must lie in [0, 2**128), got -1"),
+    (["simulate", "--pattern", "c4", "--n", "10", "--p", "0.3", "--trials", "2",
+      "--seed", str(2**128)], f"seed must lie in [0, 2**128), got {2**128}"),
     (["color", "--graph", "{graph}", "--pattern", "petersen"],
      "--graph cannot be combined with --pattern or --pattern-file"),
     (["color", "--graph", "{graph}", "--pattern-file", "{graph}"],
      "--graph cannot be combined with --pattern or --pattern-file"),
 ], ids=["count-hom-per-edge", "peel-negative-c-bar", "plant-bad-size", "color-no-graph",
         "varbound-bad-clique-range", "varbound-bad-hub-range",
-        "simulate-tail-planted", "color-graph-pattern", "color-graph-pattern-file"])
+        "simulate-tail-planted", "simulate-negative-seed", "simulate-seed-too-large",
+        "color-graph-pattern", "color-graph-pattern-file"])
 def test_refusals_are_one_line_errors(capsys, tmp_path, argv, message):
     path = tmp_path / "k3.txt"
     path.write_text("3 3\n0 1\n1 2\n0 2\n")

@@ -1,15 +1,20 @@
 import json
+from math import perm
 
+import numpy as np
 import pytest
 
 from regtail import sim
 from regtail.graphs import (
     SparsityContext,
     complete,
+    complete_bipartite,
+    cycle,
     from_edge_list,
+    petersen,
     validate_pattern,
 )
-from regtail.counting import count_labelled
+from regtail.counting import count_hom, count_labelled
 from regtail.ratefn import exact_conditional_expectation, plant
 from regtail.sim import (
     McEstimate,
@@ -42,18 +47,138 @@ def test_streams_equal_jumped_oracle(seed):
         gen.integers(0, 7, size=3)
 
 
-@pytest.mark.parametrize("planted_edges", [None, [(0, 1), (1, 2), (0, 2), (5, 9)]])
-def test_trial_counts_match_count_labelled_of_samples(planted_edges):
+# name -> (pattern, counted from the homomorphism basis at small n)
+TRIAL_PATTERNS = {
+    "k3": (K3, True),
+    **{f"c{k}": (validate_pattern(cycle(k)), True) for k in range(4, 8)},
+    "k4": (validate_pattern(complete(4)), False),
+    "k33": (validate_pattern(complete_bipartite(3, 3)), False),
+}
+PLANTED = [(0, 1), (1, 2), (0, 2), (5, 9), (3, 7), (7, 8)]
+
+
+def _with_planted(n, planted_edges):
+    return None if planted_edges is None else from_edge_list(n, planted_edges)
+
+
+@pytest.mark.parametrize("planted_edges", [None, PLANTED], ids=["gnp", "planted"])
+@pytest.mark.parametrize("name", sorted(TRIAL_PATTERNS))
+def test_trial_counts_match_count_labelled_of_samples(name, planted_edges):
+    h, takes_basis = TRIAL_PATTERNS[name]
     n, p, seed, trials = 12, 0.35, 11, 30
-    planted = None if planted_edges is None else from_edge_list(n, planted_edges)
-    counts = sim._trial_counts(K3, n, p, trials, seed, planted)
+    assert sim._takes_basis(h, n) is takes_basis
+    planted = _with_planted(n, planted_edges)
+    counts = sim._trial_counts(h, n, p, trials, seed, planted)
     want = []
     for t in range(trials):
         sample = sample_gnp(n, p, seed, index=t)
         extra = list(planted.edges) if planted is not None else []
-        want.append(count_labelled(K3, from_edge_list(n, [*sample.edges, *extra])))
+        want.append(count_labelled(h, from_edge_list(n, [*sample.edges, *extra])))
     assert counts == want
+    assert all(type(c) is int for c in counts)
     assert len(set(counts)) > 1
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+@pytest.mark.parametrize("planted_edges", [None, PLANTED], ids=["gnp", "planted"])
+@pytest.mark.parametrize("name", sorted(TRIAL_PATTERNS))
+def test_trial_counts_at_p_zero_and_one(name, planted_edges, p):
+    h, _ = TRIAL_PATTERNS[name]
+    n = 10
+    planted = _with_planted(n, planted_edges)
+    counts = sim._trial_counts(h, n, p, 3, 4, planted)
+    if p == 1.0:
+        want = perm(n, h.vertex_count)
+    else:
+        want = 0 if planted is None else count_labelled(h, planted)
+    assert counts == [want] * 3
+    assert all(type(c) is int for c in counts)
+
+
+@pytest.mark.parametrize("name", sorted(TRIAL_PATTERNS))
+def test_trial_counts_vanish_below_pattern_order(name):
+    h, _ = TRIAL_PATTERNS[name]
+    for n in range(h.vertex_count):
+        counts = sim._trial_counts(h, n, 1.0, 2, 3)
+        assert counts == [0, 0]
+        assert all(type(c) is int for c in counts)
+
+
+def _basis_value(h, g) -> int:
+    """sum of weight * hom(quotient, g) over the basis of h, by the kernel."""
+    return sum(
+        weight * count_hom(from_edge_list(max(map(max, q)) + 1, q), g)
+        for q, weight in sim._hom_basis(h)
+    )
+
+
+@pytest.mark.parametrize("name", ["k3", "c4", "c5", "c6", "c7"])
+def test_hom_basis_counts_injective_maps(name):
+    h, _ = TRIAL_PATTERNS[name]
+    v = h.vertex_count
+    # on K_m every injective vertex map is a copy
+    for m in (v - 1, v, v + 1):
+        assert _basis_value(h, complete(m)) == perm(m, v)
+    # on h itself the copies are the automorphisms: 2k for C_k
+    assert _basis_value(h, h) == 2 * v
+
+
+def test_hom_basis_term_counts_and_c4_terms():
+    sizes = {name: len(sim._hom_basis(TRIAL_PATTERNS[name][0]))
+             for name in ("k3", "c4", "c5", "c6", "c7")}
+    assert sizes == {"k3": 1, "c4": 4, "c5": 7, "c6": 25, "c7": 69}
+    # tr A^4 - 2 sum d^2 + 2m: C4 itself, the two labelled paths P3 (one per
+    # pair of opposite vertices merged), and K2 from merging both pairs
+    c4 = dict(sim._hom_basis(TRIAL_PATTERNS["c4"][0]))
+    assert c4 == {
+        ((0, 1), (0, 3), (1, 2), (2, 3)): 1,
+        ((0, 1), (0, 2)): -1,
+        ((0, 1), (1, 2)): -1,
+        ((0, 1),): 1,
+    }
+    g = sample_gnp(15, 0.4, 2)
+    a = np.zeros((15, 15), dtype=np.int64)
+    for u, v in g.edges:
+        a[u, v] = a[v, u] = 1
+    d = a.sum(axis=1)
+    want = int(np.trace(np.linalg.matrix_power(a, 4))) - 2 * int(d @ d) + 2 * g.edge_count
+    assert count_labelled(TRIAL_PATTERNS["c4"][0], g) == want
+    assert sim._trial_counts(TRIAL_PATTERNS["c4"][0], 15, 0.4, 2, 2)[0] == want
+
+
+def test_kernel_serves_non_cycles_long_cycles_and_large_n(monkeypatch):
+    def no_partitions(k):
+        raise AssertionError(f"partitions of {k} elements enumerated")
+
+    monkeypatch.setattr(sim, "_set_partitions", no_partitions)
+    for g in (petersen(), complete(4), complete_bipartite(3, 3), cycle(8)):
+        h = validate_pattern(g)
+        assert not sim._takes_basis(h, 12)
+    c4 = TRIAL_PATTERNS["c4"][0]
+    assert sim._takes_basis(c4, sim.BASIS_MAX_VERTICES)
+    assert not sim._takes_basis(c4, sim.BASIS_MAX_VERTICES + 1)
+    # deciding (and running) Petersen walks none of its Bell(10) partitions
+    counts = sim._trial_counts(validate_pattern(petersen()), 12, 0.5, 2, 1)
+    assert all(type(c) is int for c in counts)
+
+
+def test_basis_block_shape_depends_on_n_only(monkeypatch):
+    shapes = []
+    einsum = np.einsum
+
+    def spy(subscripts, *operands, **kwargs):
+        shapes.append(operands[0].shape)
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(sim.np, "einsum", spy)
+    for n in (5, 20, 64):
+        block = sim._block_size(n)
+        assert block * n * n <= sim.BLOCK_ENTRIES
+        for trials in (2, 25, 700):
+            shapes.clear()
+            sim._trial_counts(K3, n, 0.3, trials, 1)
+            assert max(shapes) == (min(block, trials), n, n)
+    assert sim._block_size(64) == 1
 
 
 def test_sample_gnp_reproducible():
