@@ -15,8 +15,11 @@ orbit of its vertex under the automorphisms that fix the earlier vertices,
 and the search keeps only maps sending that vertex below every other
 vertex of the orbit. Exactly one map of each image set survives, and it
 stands for ``weight`` = |Aut(h)| maps, the product of the orbit sizes.
-The orbits are decided by pinned searches of h in itself, so Aut(h) is
-never listed. The search runs in these modes:
+The orbits are decided by pinned searches of h in itself, each stopping at
+an automorphism that the plan keeps in ``gens``. These generate Aut(h) (a
+strong generating set, Sims 1970), and the orbits of oriented pattern edges
+are closed under them, so Aut(h) is never listed. The search runs in these
+modes:
 
 - counting: injective maps, with the last search level counted by popcount
   (``count_labelled``, and ``count_N11`` on two subgraphs of the host);
@@ -30,8 +33,9 @@ never listed. The search runs in these modes:
   at a pattern edge (a, b) starts a, b and breaks only the symmetry that
   fixes a and b, so pinning it to a host edge finds the copies that map
   (a, b) onto that edge (``count_through``, once per Aut(h)-orbit of
-  oriented pattern edges); stopped at its first leaf, it decides whether a
-  map exists (the orbits above, and isomorphism in ``verify``);
+  oriented pattern edges); stopped at its first leaf, it returns the map
+  found there, or None if there is none (the automorphisms above, and
+  isomorphism in ``verify``);
 - non-injective: every edge-preserving map, counted without symmetry
   breaking (``count_hom``).
 
@@ -74,6 +78,7 @@ class _Compiled(NamedTuple):
     inner: tuple[Edge, ...]
     lows: tuple[tuple[int, ...], ...]  # vertices whose image is below this one's
     weight: int  # maps each leaf stands for: the product of the orbit sizes
+    gens: tuple[tuple[int, ...], ...] = ()  # automorphisms found, generating Aut(h)
 
 
 def _unbroken(c: _Compiled) -> _Compiled:
@@ -140,31 +145,47 @@ def _refine(classes, keys) -> list[int]:
     return [ids.setdefault(ck, len(ids)) for ck in zip(classes, keys)]
 
 
+def _orbit(x: tuple[int, ...], gens) -> set[tuple[int, ...]]:
+    """The orbit of the vertex tuple x under the group the automorphisms
+    ``gens`` generate (``g[v]`` is the image of v), acting entrywise."""
+    seen, todo = {x}, [x]
+    for y in todo:
+        new = {tuple(g[v] for v in y) for g in gens} - seen
+        seen |= new
+        todo += new
+    return seen
+
+
 def _break_symmetry(c: _Compiled, hm, start: int) -> _Compiled:
     """Add the stabilizer chain of the pattern with masks ``hm`` along c's
     order, from position ``start`` (the first positions stay pinned).
 
     The orbit of ``order[i]`` under the automorphisms fixing ``order[:i]``
     holds the later vertices w with such an automorphism sending order[i]
-    to w: a pinned search of the pattern in itself, stopped at its first
-    leaf. Those automorphisms keep distances to ``order[:i]``, so only
-    vertices with the same distances, and the same sorted distance row,
-    are searched. A condition implied by a chain of others is dropped.
+    to w: a pinned search of the pattern in itself, which stops at one.
+    Vertices that the ones found at position i already reach are not
+    searched (McKay & Piperno, *Practical graph isomorphism, II*, 2014),
+    nor those whose distances to ``order[:i]``, or sorted distance row,
+    differ from order[i]'s. A condition implied by others is dropped.
     """
     order, k = c.order, len(c.order)
     dist = [_distances(hm, v) for v in range(k)]
     classes = _refine([0] * k, [tuple(sorted(row)) for row in dist])
     below: list[set[int]] = [set() for _ in range(k)]
-    weight = 1
+    weight, gens = 1, []
     for i, u in enumerate(order):
         if i >= start:
-            orbit = [
-                w for w in order[i + 1:]
-                if classes[w] == classes[u] and _exists(c, hm, order[:i] + (w,))
-            ]
-            weight *= len(orbit) + 1
-            for w in orbit:
+            found, orbit = [], {(u,)}
+            for w in order[i + 1:]:
+                if classes[w] == classes[u] and (w,) not in orbit:
+                    g = _exists(c, hm, order[:i] + (w,))
+                    if g is not None:
+                        found.append(g)
+                        orbit = _orbit((u,), found)
+            weight *= len(orbit)
+            for (w,) in orbit - {(u,)}:
                 below[w].add(u)
+            gens += found
         classes = _refine(classes, dist[u])
     under: list[set[int]] = [set() for _ in range(k)]
     lows = []
@@ -172,7 +193,7 @@ def _break_symmetry(c: _Compiled, hm, start: int) -> _Compiled:
         implied = set().union(*(under[u] for u in below[w]))
         lows.append(tuple(sorted(below[w] - implied)))
         under[w] = implied | below[w]
-    return c._replace(lows=tuple(lows), weight=weight)
+    return c._replace(lows=tuple(lows), weight=weight, gens=tuple(gens))
 
 
 # Dedup, Monte Carlo and peels (one rooted plan per orbit of oriented pattern
@@ -238,20 +259,22 @@ def _search(c: _Compiled, gmask, visit=None, injective=True, pin=()) -> int:
 
 
 class _Leaf(Exception):
-    """Stops a search at its first leaf."""
+    """Stops a search at its first leaf; carries the map found there."""
 
 
-def _stop(assign: list[int], m: int) -> None:
-    raise _Leaf
+def _exists(c: _Compiled, gmask, pin=()) -> tuple[int, ...] | None:
+    """The map at the first leaf of the injective search of c (index u holds
+    the host image of pattern vertex u), or None if there is no leaf."""
 
+    def stop(assign: list[int], m: int) -> None:
+        assign[c.order[-1]] = (m & -m).bit_length() - 1
+        raise _Leaf(tuple(assign))
 
-def _exists(c: _Compiled, gmask, pin=()) -> bool:
-    """Whether the injective search of c has a leaf; it stops at the first."""
     try:
         # only the empty pattern's one map is counted without a leaf
-        return _search(c, gmask, _stop, pin=pin) > 0
-    except _Leaf:
-        return True
+        return () if _search(c, gmask, stop, pin=pin) else None
+    except _Leaf as leaf:
+        return leaf.args[0]
 
 
 def count_labelled(h: Graph, g: Graph) -> int:
@@ -289,23 +312,15 @@ def count_with_edges(h: Graph, g: Graph) -> CountReport:
 @lru_cache(maxsize=256)
 def _arc_orbits(h: Graph) -> tuple[tuple[Edge, int], ...]:
     """(first arc, orbit size) for each Aut(h)-orbit of the oriented pattern
-    edges, taken in edge order. An arc joins the orbit of a root (a, b)
-    when the plan rooted there, pinned to it, has a leaf; that plan breaks
-    symmetry only after a and b, so it keeps a map for every pin that has
-    one. An automorphism keeps each endpoint's sorted distance row, so only
-    arcs that match there are searched."""
-    hm = h.adjacency_masks
-    rows = [tuple(sorted(_distances(hm, v))) for v in range(h.vertex_count)]
-    left = [arc for a, b in h.edges for arc in ((a, b), (b, a))]
-    out = []
-    while left:
-        root, rest = left[0], left[1:]
-        c = _compile(h, root)
-        key = (rows[root[0]], rows[root[1]])
-        left = [
-            s for s in rest if (rows[s[0]], rows[s[1]]) != key or not _exists(c, hm, s)
-        ]
-        out.append((root, len(rest) - len(left) + 1))
+    edges, taken in edge order: the arcs closed under the automorphisms
+    that h's plan found."""
+    gens, seen, out = _compile(h).gens, set(), []
+    for a, b in h.edges:
+        for arc in (a, b), (b, a):
+            if arc not in seen:
+                orbit = _orbit(arc, gens)
+                seen |= orbit
+                out.append((arc, len(orbit)))
     return tuple(out)
 
 

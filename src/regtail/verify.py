@@ -171,7 +171,8 @@ def _isomorphic(a: Graph, b: Graph) -> bool:
         return False
     if sorted(a.degrees()) != sorted(b.degrees()):
         return False
-    return _exists(_compile(a.relabelled_span()), b.relabelled_span().adjacency_masks)
+    found = _exists(_compile(a.relabelled_span()), b.relabelled_span().adjacency_masks)
+    return found is not None
 
 
 def _first_of_each_class(candidates: Iterable[Graph]) -> list[Graph]:

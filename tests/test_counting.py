@@ -23,6 +23,7 @@ from regtail.counting import (
     expected_count,
 )
 from regtail.graphs import (
+    Graph,
     SparsityContext,
     complete,
     complete_bipartite,
@@ -42,6 +43,7 @@ from conftest import (
     oracle_count_hom,
     oracle_count_injective,
     oracle_count_N11,
+    oracle_injective_maps,
     oracle_per_edge,
     oracle_simple_paths,
     random_graph,
@@ -375,6 +377,87 @@ def test_leaf_masks_are_nonempty_and_cover_every_copy(rng):
             assert total == oracle_count_injective(h, g)
 
 
+def test_exists_returns_a_map_honouring_the_pins(rng):
+    k4_minus_edge = from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    patterns = _small_patterns(rng) + [path(3), k4_minus_edge]
+    found = missed = 0
+    for g in _small_hosts(rng):
+        gmask = g.adjacency_masks
+        for h in patterns:
+            maps = set(oracle_injective_maps(h, g))
+            c = counting._compile(h)
+            # a broken plan keeps one map per image edge set, so one exists
+            # iff any does; an unbroken one honours any pins, and a rooted
+            # one pins to its root arc
+            runs = [(c, ())]
+            for _ in range(4):
+                size = rng.randint(1, min(3, h.vertex_count))
+                pin = tuple(rng.randrange(g.vertex_count) for _ in range(size))
+                runs.append((counting._unbroken(c), pin))
+                root = rng.choice(h.edges)
+                runs.append((counting._compile(h, root), pin[:2]))
+            for plan, pin in runs:
+                pinned = list(zip(plan.order, pin))
+                honour = {m for m in maps if all(m[u] == x for u, x in pinned)}
+                got = counting._exists(plan, gmask, pin)
+                assert (got is None) == (not honour)
+                assert got is None or got in honour
+                found += got is not None
+                missed += got is None
+    assert found > 100 and missed > 100
+    nothing = counting._compile(empty(0))
+    assert counting._exists(nothing, complete(3).adjacency_masks) == ()
+
+
+def _group(gens, k: int) -> set[tuple[int, ...]]:
+    """Every product of the permutations ``gens`` of range(k)."""
+    todo = [tuple(range(k))]
+    group = set(todo)
+    for s in todo:
+        for g in gens:
+            t = tuple(g[x] for x in s)
+            if t not in group:
+                group.add(t)
+                todo.append(t)
+    return group
+
+
+def _circulant(n: int, steps) -> Graph:
+    """Vertex i joined to i + s and i - s mod n for every step s."""
+    pairs = {tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps}
+    return from_edge_list(n, pairs)
+
+
+def test_found_automorphisms_are_a_strong_generating_set(rng):
+    k4_minus_edge = from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    patterns = [complete(3), cycle(4), complete(4), cycle(5), cycle(6),
+                complete_bipartite(3, 3), path(3), k4_minus_edge]
+    patterns += [h for h in _small_patterns(rng) if not h.is_connected()]
+    for h in list(patterns):
+        perm = list(range(h.vertex_count))
+        rng.shuffle(perm)
+        pairs = [(perm[u], perm[v]) for u, v in h.edges]
+        patterns.append(from_edge_list(h.vertex_count, pairs))
+    assert any(not h.is_connected() for h in patterns)
+    for h in patterns:
+        c, k = counting._plan(h), h.vertex_count
+        aut = set(oracle_injective_maps(h, h))
+        # a generator found at position i fixes order[:i] and moves order[i]
+        moved = [min(i for i, u in enumerate(c.order) if g[u] != u) for g in c.gens]
+        assert moved == sorted(moved)
+        assert all(g in aut for g in c.gens)
+        for i in range(k):
+            fixing = {s for s in aut if all(s[u] == u for u in c.order[:i])}
+            assert _group([g for g, j in zip(c.gens, moved) if j >= i], k) == fixing
+        assert len(aut) == c.weight
+        # the first arc of each orbit of the group, in edge order
+        firsts: dict = {}
+        for a, b in h.edges:
+            for x, y in (a, b), (b, a):
+                firsts.setdefault(frozenset((s[x], s[y]) for s in aut), (x, y))
+        assert counting._arc_orbits(h) == tuple((arc, len(o)) for o, arc in firsts.items())
+
+
 FROZEN = Path(__file__).parent / "data" / "regular_graphs_frozen.json"
 
 
@@ -383,17 +466,38 @@ def test_plan_weight_is_the_automorphism_count():
     named = [complete(3), cycle(4), complete(4), cycle(5), cycle(6),
              complete_bipartite(3, 3), petersen()]
     for h in named:
-        # every built-in pattern is arc-transitive: one rooted search
+        # every built-in pattern is arc-transitive: one arc orbit
         assert counting._arc_orbits(h) == ((h.edges[0], 2 * h.edge_count),)
         for _, span, _ in _orbit_table(validate_pattern(h)):
             if span.edge_count:
                 assert counting._compile(span).weight == len(copy_edge_lists(span, span))
     frozen = json.loads(FROZEN.read_text())
+    graphs = [_circulant(10, (1, 2)), _circulant(12, (1, 2, 3)),
+              complete_bipartite(4, 4), petersen()]
     for key, family in frozen.items():
         n = int(key.split(",")[0])
-        for edges in family:
-            g = from_edge_list(n, [tuple(e) for e in edges])
-            assert counting._compile(g).weight == len(copy_edge_lists(g, g))
+        graphs += [from_edge_list(n, [tuple(e) for e in edges]) for edges in family]
+    assert len(graphs) == 4 + 94
+    for g in graphs:
+        c, autos = counting._compile(g), len(copy_edge_lists(g, g))
+        assert c.weight == autos == len(_group(c.gens, g.vertex_count))
+
+
+def test_plan_searches_once_per_orbit_not_per_vertex(monkeypatch):
+    # the automorphisms found at a position place the vertices they reach
+    # without a search; the arc orbits need no search past the plan's
+    calls = []
+    exists = counting._exists
+    monkeypatch.setattr(counting, "_exists", lambda *a: calls.append(a) or exists(*a))
+    for h, bound in ((petersen(), 7), (_circulant(10, (1, 2)), 6), (cycle(800), 3)):
+        calls.clear()
+        counting._plan(h)
+        assert len(calls) <= bound
+    for h in (petersen(), _circulant(10, (1, 2))):
+        counting._compile(h)
+        calls.clear()
+        assert counting._arc_orbits.__wrapped__(h)
+        assert calls == []
 
 
 def test_plan_never_lists_the_automorphism_group():
