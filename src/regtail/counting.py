@@ -6,7 +6,12 @@ into a host g, and one backtracking search, ``_search``, finds them all
 ``expected_count`` is a closed form). The search walks a connected search
 order of the pattern; each candidate set is a host-degree floor mask minus
 the used vertices, intersected with the host neighborhoods of the placed
-pattern neighbors, all on integer bitmasks.
+pattern neighbors, all on integer bitmasks. The last search level is read
+inside the penultimate one: each penultimate node bounds the last vertex's
+images once by everything but the penultimate vertex x, and each image of
+x then narrows that mask to a leaf, by x's host neighbourhood, by the bits
+above x's image or by that image's own bit, so the last level enters no
+frame of its own.
 
 Injective searches break the pattern's symmetry (Grochow & Kellis, RECOMB
 2007). The copies of h with one image edge set are the |Aut(h)| maps
@@ -21,8 +26,9 @@ strong generating set, Sims 1970), and the orbits of oriented pattern edges
 are closed under them, so Aut(h) is never listed. The search runs in these
 modes:
 
-- counting: injective maps, with the last search level counted by popcount
-  (``count_labelled``, and ``count_N11`` on two subgraphs of the host);
+- counting: injective maps, with each leaf mask of the last search level
+  counted by popcount (``count_labelled``, and ``count_N11`` on two
+  subgraphs of the host);
 - visiting: injective maps; ``visit(assign, m)`` gets each placement of all
   pattern vertices but the last (``assign[u]`` is the host image of u) with
   the bitmask m of the last vertex's images, so a visitor tallies a whole
@@ -86,9 +92,9 @@ def _unbroken(c: _Compiled) -> _Compiled:
     return c._replace(lows=((),) * len(c.order), weight=1)
 
 
-# The search recurses once per pattern vertex, and Python's default stack
-# holds about 1000 frames, less those of its caller (a CLI verb, a test
-# runner), so a larger pattern is refused before any search.
+# The search recurses once per pattern vertex but the last, and Python's
+# default stack holds about 1000 frames, less those of its caller (a CLI
+# verb, a test runner), so a larger pattern is refused before any search.
 MAX_PATTERN_VERTICES = 800
 
 
@@ -209,9 +215,12 @@ def _compile(h: Graph, root: Edge | None = None) -> _Compiled:
 def _search(c: _Compiled, gmask, visit=None, injective=True, pin=()) -> int:
     """Count the edge-preserving maps of pattern c into the host with
     adjacency masks ``gmask``, injective by default; ``visit(assign, m)`` is
-    called for every nonempty last-level mask m, whose maps stand for
-    ``c.weight`` maps each. ``pin`` fixes the host images of the first
-    search positions."""
+    called for every nonempty leaf mask m of the last vertex's images,
+    whose maps stand for ``c.weight`` maps each. ``pin`` fixes the host
+    images of the first search positions.
+
+    The recursion enters one frame per node of positions 0 .. k-2; a
+    penultimate frame forms the leaf masks of its candidates itself."""
     k = len(c.order)
     if k == 0:
         return 1
@@ -235,7 +244,14 @@ def _search(c: _Compiled, gmask, visit=None, injective=True, pin=()) -> int:
         allowed = [floors[d] for d in need]
     order, backs, lows = c.order, c.backs, c.lows
     assign = [0] * k
-    last = k - 1
+    # no pattern vertex is isolated, so k >= 2. Position pen places x, which
+    # bounds the last vertex's images when near (a pattern neighbour) or low
+    # (its image below); yb and yl are the last vertex's other backs and lows
+    pen = k - 2
+    x = order[pen]
+    near, low = x in backs[-1], x in lows[-1]
+    yb = [w for w in backs[-1] if w != x]
+    yl = [w for w in lows[-1] if w != x]
 
     def rec(i: int, used: int) -> int:
         m = allowed[i] & ~used
@@ -243,16 +259,41 @@ def _search(c: _Compiled, gmask, visit=None, injective=True, pin=()) -> int:
             m &= gmask[assign[w]]
         for w in lows[i]:
             m &= -(2 << assign[w])
-        if i == last:
-            if visit is not None and m:
-                visit(assign, m)
-            return m.bit_count()
         u, cnt = order[i], 0
+        if i < pen:
+            while m:
+                b = m & -m
+                m ^= b
+                assign[u] = b.bit_length() - 1
+                cnt += rec(i + 1, used | b if injective else 0)
+            return cnt
+        # the last level, read inside this one: t bounds the last vertex's
+        # images by all but x, and each image of x narrows t to a leaf mask
+        t = allowed[-1] & ~used
+        for w in yb:
+            t &= gmask[assign[w]]
+        for w in yl:
+            t &= -(2 << assign[w])
+        if not t:
+            return 0
         while m:
             b = m & -m
             m ^= b
-            assign[u] = b.bit_length() - 1
-            cnt += rec(i + 1, used | b if injective else 0)
+            v = b.bit_length() - 1
+            # a host neighbourhood never holds v
+            if near:
+                leaf = t & gmask[v]
+            elif injective:
+                leaf = t & ~b
+            else:
+                leaf = t
+            if low:
+                leaf &= -(b << 1)
+            if leaf:
+                cnt += leaf.bit_count()
+                if visit is not None:
+                    assign[u] = v
+                    visit(assign, leaf)
         return cnt
 
     return rec(0, 0) * c.weight

@@ -6,8 +6,8 @@ times, so estimates do not depend on evaluation order and rerunning any
 single trial reproduces it bit for bit. A run sets one generator's counter
 before each trial.
 
-Cycles of order at most 7 on at most 64 vertices are counted from their
-homomorphism basis, inj(H, G) = sum over set partitions pi of V(H) of
+Cycles of order v at most 7 on 2(v - 1) to 64 vertices are counted from
+their homomorphism basis, inj(H, G) = sum over set partitions pi of V(H) of
 mu(0, pi) hom(H/pi, G): a block of trials is scattered into a float64
 (block, n, n) adjacency stack and each quotient is contracted by einsum.
 Every other pattern and n feeds the kept pairs to the backtracking kernel
@@ -36,20 +36,33 @@ MAX_SAMPLE_VERTICES = 2000
 # Cycles up to this order are counted from their homomorphism basis. C8
 # already has a K4 quotient, whose contraction costs n^4 per trial.
 BASIS_MAX_ORDER = 7
-# The basis serves samples of at most this many vertices. Milliseconds per
-# trial, kernel / basis, best of 3 runs of 64 or more trials after a warm-up
-# call (numpy 2.4, OpenBLAS 0.3.31, 2-vCPU Xeon VM):
+# The basis serves samples of at most this many vertices, and of at least
+# 2(v(H) - 1). Milliseconds per trial, kernel / basis, best of 3 runs of 64
+# or more trials after a warm-up call (numpy 2.4, OpenBLAS 0.3.31, 2-vCPU
+# Xeon VM; the kernel reads its last level inside the one before it):
 #
 #   pattern  n=8,p=.3     n=16,p=.3    n=30,p=.2    n=64,p=.1    n=100,p=.05
-#   K3       0.020/0.008  0.071/0.014  0.144/0.039  0.401/0.140  0.541/0.259
-#   C4       0.030/0.011  0.096/0.016  0.257/0.052  0.835/0.273  1.135/0.429
-#   C5       0.028/0.017  0.327/0.053  0.914/0.122  3.495/0.606  2.992/1.015
-#   C6       0.024/0.039  0.642/0.148  4.296/0.601  18.74/2.328  13.80/4.039
-#   C7       0.024/0.172  1.671/0.393  13.32/2.384  71.96/10.06  51.57/18.02
+#   K3       0.026/0.009  0.059/0.013  0.114/0.039  0.225/0.110  0.313/0.233
+#   C4       0.031/0.011  0.107/0.022  0.249/0.061  0.526/0.280  0.763/0.353
+#   C5       0.034/0.020  0.249/0.040  0.539/0.172  2.300/0.658  1.842/1.103
+#   C6       0.028/0.062  0.531/0.131  1.977/0.485  10.00/3.893  10.39/5.269
+#   C7       0.038/0.222  2.021/0.679  13.35/2.941  64.19/14.01  30.97/22.17
 #
-# The basis wins from n = 16 on. Above n = 64 a matrix product exceeds
-# OpenBLAS's 64^3 single-thread GEMM limit, and threaded GEMM was seen to
-# stall at 24 ms a call for about a second, so the basis stops there.
+# and at p = .3 near the lower bound:
+#
+#   pattern  n=9          n=10         n=11         n=12         n=13
+#   C5       0.058/0.032  0.081/0.035  0.099/0.041  0.128/0.046  0.160/0.041
+#   C6       0.073/0.105  0.120/0.117  0.166/0.128  0.225/0.149  0.332/0.166
+#   C7       0.078/0.331  0.154/0.444  0.271/0.435  0.400/0.519  0.646/0.564
+#
+# The basis wins every row from n = 16 on. Below 2(v(H) - 1) vertices the
+# kernel wins (C6 at n = 8 and 9, C7 up to n = 11), and C7 crosses at
+# n = 12: the kernel leads at p = .3, the basis at p = .35 (0.370 ms
+# against 0.411). A sparser sample favours the kernel longer, but the rule
+# reads only v(H) and n, so it takes the crossing of dense samples. Above
+# n = 64 a matrix product exceeds OpenBLAS's 64^3 single-thread GEMM limit,
+# and threaded GEMM was seen to stall at 24 ms a call for about a second,
+# so the basis stops there.
 BASIS_MAX_VERTICES = 64
 # Every einsum intermediate counts partial maps, at most n^v(H) of them, so
 # float64 holds each one exactly.
@@ -135,13 +148,14 @@ def sample_gnp(n: int, p: float, rng: RngSpec | int, index: int = 0) -> Graph:
 
 def _takes_basis(h: Graph, n: int) -> bool:
     """Whether trials of h on n vertices are counted from the homomorphism
-    basis: cycles of order at most BASIS_MAX_ORDER, on at most
-    BASIS_MAX_VERTICES vertices. Reads the pattern's size and degree only,
-    so no partition is enumerated for a pattern that the kernel serves."""
+    basis: cycles of order v at most BASIS_MAX_ORDER, on at least 2(v - 1)
+    and at most BASIS_MAX_VERTICES vertices. Reads the pattern's size and
+    degree only, so no partition is enumerated for a pattern that the
+    kernel serves."""
     return (
         h.max_degree() == 2
         and h.vertex_count <= BASIS_MAX_ORDER
-        and n <= BASIS_MAX_VERTICES
+        and 2 * (h.vertex_count - 1) <= n <= BASIS_MAX_VERTICES
     )
 
 

@@ -57,6 +57,17 @@ def oracle_per_edge(h: Graph, g: Graph) -> dict:
     return per
 
 
+def oracle_count_through(h: Graph, g: Graph) -> dict:
+    """For every host edge e, the per-edge counts of the copies through e;
+    edges in no such copy are absent."""
+    through: dict = {e: Counter() for e in g.edges}
+    for image in oracle_injective_maps(h, g):
+        edges = set(_image_edges(h, image))
+        for e in edges:
+            through[e].update(edges)
+    return through
+
+
 def oracle_peel(h: Graph, g: Graph, threshold: float) -> frozenset:
     """Edges left after dropping every edge in fewer than ``threshold``
     copies, round after round, until no edge drops."""

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from itertools import product
@@ -43,6 +44,7 @@ from conftest import (
     oracle_count_hom,
     oracle_count_injective,
     oracle_count_N11,
+    oracle_count_through,
     oracle_injective_maps,
     oracle_per_edge,
     oracle_simple_paths,
@@ -407,6 +409,81 @@ def test_exists_returns_a_map_honouring_the_pins(rng):
     assert found > 100 and missed > 100
     nothing = counting._compile(empty(0))
     assert counting._exists(nothing, complete(3).adjacency_masks) == ()
+
+
+def _leaf_shape(c) -> tuple[bool, bool]:
+    """Whether the penultimate search vertex of plan c is a pattern
+    neighbour of the last one, and whether it is one of its lows."""
+    x = c.order[-2]
+    return x in c.backs[-1], x in c.lows[-1]
+
+
+def test_fused_last_level_matches_oracles_in_every_shape(rng):
+    # the penultimate vertex bounds the last one's images by adjacency, by
+    # order, by both or by injectivity alone: K3 and K2 (yes, yes), C4 and
+    # C5 (yes, no), P3 (no, yes), P4 (no, no); 2K2 spans two components
+    patterns = [complete(2), complete(3), cycle(4), cycle(5), path(2), path(3),
+                disjoint_union(complete(2), complete(2))]
+    shapes = [_leaf_shape(counting._compile(h)) for h in patterns]
+    assert set(shapes) == set(product((True, False), repeat=2))
+    assert shapes[2:6] == [(True, False), (True, False), (False, True), (False, False)]
+    rooted = set()
+    for g in _small_hosts(rng):
+        gmask = g.adjacency_masks
+        for h in patterns:
+            maps = set(oracle_injective_maps(h, g))
+            assert count_labelled(h, g) == len(maps)
+            assert count_hom(h, g) == oracle_count_hom(h, g)
+            report = count_with_edges(h, g)
+            assert report.total == len(maps)
+            assert report.per_edge == oracle_per_edge(h, g)
+            assert Counter(copy_edge_lists(h, g)) == oracle_copy_edge_lists(h, g)
+            through = oracle_count_through(h, g)
+            for e in g.edges:
+                assert count_through(h, gmask, e) == through[e]
+            c = counting._compile(h)
+            runs = [(c, ()), (counting._unbroken(c), ())]
+            for a, b in h.edges:
+                for root in (a, b), (b, a):
+                    r = counting._compile(h, root)
+                    rooted.add(_leaf_shape(r))
+                    runs += [(r, e) for e in g.edges[:2]]
+                    runs += [(r, e[::-1]) for e in g.edges[:2]]
+            # every position pinned, the last two included
+            everywhere = tuple(reversed(range(g.vertex_count)))[:h.vertex_count]
+            runs.append((counting._unbroken(c), everywhere))
+            for plan, pin in runs:
+                pinned = list(zip(plan.order, pin))
+                honour = {m for m in maps if all(m[u] == x for u, x in pinned)}
+                got = counting._exists(plan, gmask, pin)
+                assert (got is None) == (not honour)
+                assert got is None or got in honour
+    # rooted at an arc, P3 ends its order beside or away from the root
+    assert {(True, False), (False, False)} <= rooted
+
+
+def test_kernel_enters_no_frame_per_last_level_candidate():
+    # the last level is read inside the penultimate one: the recursion
+    # enters no frame for a last-level candidate, in any mode
+    h, g = cycle(5), random_graph(random.Random(7), 40, 0.2)
+    code = counting._search.__code__
+    levels: Counter = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "rec" \
+                and frame.f_code.co_filename == code.co_filename:
+            levels[frame.f_locals["i"]] += 1
+
+    sys.setprofile(profile)
+    try:
+        total = count_labelled(h, g)
+        report = count_with_edges(h, g)
+        hom = count_hom(h, g)
+    finally:
+        sys.setprofile(None)
+    assert total == report.total > 0 and hom > total
+    assert sorted(levels) == [0, 1, 2, 3]
+    assert levels[0] == 3
 
 
 def _group(gens, k: int) -> set[tuple[int, ...]]:

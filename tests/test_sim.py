@@ -162,6 +162,25 @@ def test_kernel_serves_non_cycles_long_cycles_and_large_n(monkeypatch):
     assert all(type(c) is int for c in counts)
 
 
+def test_basis_starts_at_twice_the_cycle_order_less_two(monkeypatch):
+    # below 2(v - 1) vertices the kernel is cheaper: C6 and C7 at n = 8
+    for name in ("k3", "c4", "c5", "c6", "c7"):
+        h = TRIAL_PATTERNS[name][0]
+        low = 2 * (h.vertex_count - 1)
+        assert not sim._takes_basis(h, low - 1)
+        assert sim._takes_basis(h, low)
+    c7 = TRIAL_PATTERNS["c7"][0]
+    assert [n for n in range(8, 13) if sim._takes_basis(c7, n)] == [12]
+    # the Monte Carlo steps of the benchmark stay on the basis
+    assert sim._takes_basis(K3, 20) and sim._takes_basis(K3, 30)
+    assert sim._takes_basis(TRIAL_PATTERNS["c4"][0], 16)
+    # and a sample that the kernel now takes keeps its counts
+    kernel = sim._trial_counts(TRIAL_PATTERNS["c6"][0], 8, 0.5, 20, 3)
+    assert len(set(kernel)) > 1
+    monkeypatch.setattr(sim, "_takes_basis", lambda h, n: True)
+    assert sim._trial_counts(TRIAL_PATTERNS["c6"][0], 8, 0.5, 20, 3) == kernel
+
+
 def test_basis_block_shape_depends_on_n_only(monkeypatch):
     shapes = []
     einsum = np.einsum
