@@ -23,8 +23,9 @@ stands for ``weight`` = |Aut(h)| maps, the product of the orbit sizes.
 The orbits are decided by pinned searches of h in itself, each stopping at
 an automorphism that the plan keeps in ``gens``. These generate Aut(h) (a
 strong generating set, Sims 1970), and the orbits of oriented pattern edges
-are closed under them, so Aut(h) is never listed. The search runs in these
-modes:
+are closed under them, so neither the planner nor the peel lists Aut(h)
+(``ratefn._orbit_table`` does, once per call, through
+``copy_edge_lists(h, h)``). The search runs in these modes:
 
 - counting: injective maps, with each leaf mask of the last search level
   counted by popcount (``count_labelled``, and ``count_N11`` on two
@@ -53,7 +54,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import perm
 from typing import NamedTuple
 
@@ -136,21 +137,6 @@ def _plan(h: Graph, root: Edge | None = None) -> _Compiled:
     return _break_symmetry(base, hm, 0 if root is None else 2)
 
 
-def _distances(hm, v: int) -> list[int]:
-    """Breadth-first distance from v to every vertex; len(hm) if unreachable."""
-    dist = [len(hm)] * len(hm)
-    for d, layer in enumerate(layers(hm, 1 << v)):
-        for x in bits(layer):
-            dist[x] = d
-    return dist
-
-
-def _refine(classes, keys) -> list[int]:
-    """Split each vertex class by one more key per vertex."""
-    ids: dict = {}
-    return [ids.setdefault(ck, len(ids)) for ck in zip(classes, keys)]
-
-
 def _orbit(x: tuple[int, ...], gens) -> set[tuple[int, ...]]:
     """The orbit of the vertex tuple x under the group the automorphisms
     ``gens`` generate (``g[v]`` is the image of v), acting entrywise."""
@@ -166,24 +152,34 @@ def _break_symmetry(c: _Compiled, hm, start: int) -> _Compiled:
     """Add the stabilizer chain of the pattern with masks ``hm`` along c's
     order, from position ``start`` (the first positions stay pinned).
 
-    The orbit of ``order[i]`` under the automorphisms fixing ``order[:i]``
-    holds the later vertices w with such an automorphism sending order[i]
-    to w: a pinned search of the pattern in itself, which stops at one.
-    Vertices that the ones found at position i already reach are not
-    searched (McKay & Piperno, *Practical graph isomorphism, II*, 2014),
-    nor those whose distances to ``order[:i]``, or sorted distance row,
-    differ from order[i]'s. A condition implied by others is dropped.
+    The orbit of u = ``order[i]`` under the automorphisms fixing
+    ``order[:i]`` holds the later vertices w with such an automorphism
+    sending u to w: a pinned search of the pattern in itself, which stops
+    at one. A later w is searched only if it passes three tests, in order:
+    the automorphisms found at position i do not reach it yet (if they do,
+    they compose to one sending u to w; McKay & Piperno, *Practical graph
+    isomorphism, II*, 2014); it has u's neighbours among ``order[:i]``,
+    which such an automorphism fixes; and it has u's breadth-first layer
+    sizes, which any automorphism keeps. So every orbit member is found,
+    and layer sizes are computed only for candidates that get that far.
     """
     order, k = c.order, len(c.order)
-    dist = [_distances(hm, v) for v in range(k)]
-    classes = _refine([0] * k, [tuple(sorted(row)) for row in dist])
+
+    @cache
+    def shells(v: int) -> tuple[int, ...]:
+        return tuple(layer.bit_count() for layer in layers(hm, 1 << v))
+
     below: list[set[int]] = [set() for _ in range(k)]
-    weight, gens = 1, []
+    weight, gens, fixed = 1, [], 0
     for i, u in enumerate(order):
         if i >= start:
-            found, orbit = [], {(u,)}
+            found, orbit, nbrs = [], {(u,)}, hm[u] & fixed
             for w in order[i + 1:]:
-                if classes[w] == classes[u] and (w,) not in orbit:
+                if (
+                    (w,) not in orbit
+                    and hm[w] & fixed == nbrs
+                    and shells(w) == shells(u)
+                ):
                     g = _exists(c, hm, order[:i] + (w,))
                     if g is not None:
                         found.append(g)
@@ -192,7 +188,7 @@ def _break_symmetry(c: _Compiled, hm, start: int) -> _Compiled:
             for (w,) in orbit - {(u,)}:
                 below[w].add(u)
             gens += found
-        classes = _refine(classes, dist[u])
+        fixed |= 1 << u
     under: list[set[int]] = [set() for _ in range(k)]
     lows = []
     for w in order:

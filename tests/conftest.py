@@ -273,6 +273,20 @@ def random_connected_graph(rng: random.Random, nv: int, p: float) -> Graph:
     return from_edge_list(nv, sorted(edges))
 
 
+def random_regular_graph(rng: random.Random, nv: int, d: int) -> Graph:
+    """Connected d-regular graph on nv vertices by the configuration model:
+    pair nv * d shuffled stubs, and draw again on a loop, a repeated pair
+    or a disconnected result."""
+    while True:
+        stubs = [v for v in range(nv) for _ in range(d)]
+        rng.shuffle(stubs)
+        pairs = {tuple(sorted(p)) for p in zip(stubs[::2], stubs[1::2])}
+        if len(pairs) == nv * d // 2 and all(a != b for a, b in pairs):
+            g = from_edge_list(nv, sorted(pairs))
+            if g.is_connected():
+                return g
+
+
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     shift = g1.vertex_count
     edges = list(g1.edges) + [(u + shift, v + shift) for u, v in g2.edges]

@@ -313,10 +313,13 @@ def test_simulate_tail_accepts_p_one(capsys):
      "--graph cannot be combined with --pattern or --pattern-file"),
     (["color", "--graph", "{graph}", "--pattern-file", "{graph}"],
      "--graph cannot be combined with --pattern or --pattern-file"),
+    (["decompose", "--pattern", "k4", "--mode", "ordered"],
+     "mode 'ordered' needs --cherry A B C"),
 ], ids=["count-hom-per-edge", "peel-negative-c-bar", "plant-bad-size", "color-no-graph",
         "varbound-bad-clique-range", "varbound-bad-hub-range",
         "simulate-tail-planted", "simulate-negative-seed", "simulate-seed-too-large",
-        "color-graph-pattern", "color-graph-pattern-file"])
+        "color-graph-pattern", "color-graph-pattern-file",
+        "decompose-ordered-no-cherry"])
 def test_refusals_are_one_line_errors(capsys, tmp_path, argv, message):
     path = tmp_path / "k3.txt"
     path.write_text("3 3\n0 1\n1 2\n0 2\n")

@@ -31,6 +31,7 @@ from regtail.graphs import (
     cycle,
     empty,
     from_edge_list,
+    layers,
     path,
     petersen,
     validate_pattern,
@@ -49,6 +50,7 @@ from conftest import (
     oracle_per_edge,
     oracle_simple_paths,
     random_graph,
+    random_regular_graph,
 )
 
 
@@ -171,9 +173,9 @@ def test_count_N11_refuses_threshold_below_one():
         count_N11(complete(3), complete(4), 0)
 
 
-def test_distances_match_edge_relaxation(rng):
+def test_layers_match_edge_relaxation(rng):
     # the oracle relaxes every edge until nothing changes; an unreachable
-    # vertex keeps the vertex count
+    # vertex keeps the vertex count, and is in no layer
     disconnected = 0
     for _ in range(60):
         nv = rng.randint(1, 9)
@@ -181,17 +183,20 @@ def test_distances_match_edge_relaxation(rng):
         if rng.random() < 0.3:
             g = disjoint_union(g, cycle(rng.randint(3, 5)))
         disconnected += not g.is_connected()
-        for v in range(g.vertex_count):
-            want = [g.vertex_count] * g.vertex_count
-            want[v] = 0
+        n = g.vertex_count
+        for v in range(n):
+            dist = [n] * n
+            dist[v] = 0
             changed = True
             while changed:
                 changed = False
                 for a, b in g.edges:
                     for x, y in ((a, b), (b, a)):
-                        if want[x] + 1 < want[y]:
-                            want[y], changed = want[x] + 1, True
-            assert counting._distances(g.adjacency_masks, v) == want
+                        if dist[x] + 1 < dist[y]:
+                            dist[y], changed = dist[x] + 1, True
+            depth = max(d for d in dist if d < n)
+            want = [sum(1 << x for x in range(n) if dist[x] == d) for d in range(depth + 1)]
+            assert list(layers(g.adjacency_masks, 1 << v)) == want
     assert disconnected > 10
 
 
@@ -555,6 +560,14 @@ def test_plan_weight_is_the_automorphism_count():
         n = int(key.split(",")[0])
         graphs += [from_edge_list(n, [tuple(e) for e in edges]) for edges in family]
     assert len(graphs) == 4 + 94
+    # component sizes, the two rims of the prism C7 x K2 and rigid cubic
+    # graphs make the fixed neighbours and the layer sizes turn candidates away
+    rims = disjoint_union(cycle(7), cycle(7))
+    prism = from_edge_list(14, list(rims.edges) + [(i, 7 + i) for i in range(7)])
+    rng = random.Random(23)
+    graphs += [disjoint_union(disjoint_union(cycle(5), cycle(5)), cycle(6)),
+               disjoint_union(cycle(7), cycle(8)), prism]
+    graphs += [random_regular_graph(rng, nv, 3) for nv in (20, 30, 40)]
     for g in graphs:
         c, autos = counting._compile(g), len(copy_edge_lists(g, g))
         assert c.weight == autos == len(_group(c.gens, g.vertex_count))
@@ -562,14 +575,19 @@ def test_plan_weight_is_the_automorphism_count():
 
 def test_plan_searches_once_per_orbit_not_per_vertex(monkeypatch):
     # the automorphisms found at a position place the vertices they reach
-    # without a search; the arc orbits need no search past the plan's
-    calls = []
-    exists = counting._exists
+    # without a search, and only the candidates left need their layer
+    # sizes; the arc orbits need no search past the plan's
+    calls, bfs = [], []
+    exists, walk = counting._exists, counting.layers
     monkeypatch.setattr(counting, "_exists", lambda *a: calls.append(a) or exists(*a))
-    for h, bound in ((petersen(), 7), (_circulant(10, (1, 2)), 6), (cycle(800), 3)):
+    monkeypatch.setattr(counting, "layers", lambda *a: bfs.append(a) or walk(*a))
+    for h, bound, bfs_bound in ((petersen(), 7, 8), (_circulant(10, (1, 2)), 6, 5),
+                                (cycle(800), 3, 4)):
         calls.clear()
+        bfs.clear()
         counting._plan(h)
         assert len(calls) <= bound
+        assert len(bfs) <= bfs_bound
     for h in (petersen(), _circulant(10, (1, 2))):
         counting._compile(h)
         calls.clear()

@@ -7,6 +7,7 @@ import pytest
 from regtail.decompose import (
     CoverComponent,
     CycleEdgeCover,
+    EdgeColoring,
     NotBipartiteError,
     OrderedCover,
     cycle_edge_cover_avoiding,
@@ -65,6 +66,9 @@ def test_konig_uses_exactly_max_degree_colors(rng):
         assert col.num_colors == g.max_degree()
         assert col.is_proper(g)
         assert set(col.color) == g.edge_set()
+    # a colour repeated at a vertex is improper
+    star = complete_bipartite(1, 2)
+    assert not EdgeColoring({e: 0 for e in star.edges}, 1).is_proper(star)
 
 
 def test_konig_rejects_odd_cycle():
