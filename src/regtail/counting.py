@@ -2,7 +2,9 @@
 
 Every pattern count here is a number of edge-preserving maps of a pattern h
 into a host g, and one backtracking search, ``_search``, finds them all
-(``count_paths_signed`` walks host paths by its own recursion, and
+(``count_paths_signed`` walks the host paths of one signature and endpoint
+pair by its own pruned recursion, ``signed_path_counts`` tallies every
+signature and endpoint of one start vertex in a single walk, and
 ``expected_count`` is a closed form). The search walks a connected search
 order of the pattern; each candidate set is a host-degree floor mask minus
 the used vertices, intersected with the host neighborhoods of the placed
@@ -413,20 +415,26 @@ def count_hom(h: Graph, g: Graph) -> int:
     return core * g.vertex_count ** isolated
 
 
-def count_N11(h: Graph, g: Graph, D: int) -> tuple[int, int, int]:
+def count_N11(
+    h: Graph, g: Graph, D: int, total: int | None = None
+) -> tuple[int, int, int]:
     """Copy counts split by usage of edges whose endpoints both have degree <= D.
 
     Returns (copies using at least one such edge, copies using only such
-    edges, their difference).
+    edges, their difference). ``total``, if given, is ``count_labelled(h,
+    g)``, which does not depend on D, so a caller looping over thresholds
+    searches the whole host once.
     """
     if D < 1:
         raise ValueError(f"D must be >= 1, got {D}")
     # a copy uses only low-low edges iff it lies in the low-low subgraph, and
     # no low-low edge iff it lies in the host minus the low-low edges
     c, gmask = _compile(h), g.adjacency_masks
+    if total is None:
+        total = _search(c, gmask)
     low = low_degree_mask(gmask, D)
     low_low = [m & low if low >> v & 1 else 0 for v, m in enumerate(gmask)]
-    n11 = _search(c, gmask) - _search(c, [m ^ ll for m, ll in zip(gmask, low_low)])
+    n11 = total - _search(c, [m ^ ll for m, ll in zip(gmask, low_low)])
     tilde = _search(c, low_low)
     return n11, tilde, n11 - tilde
 
@@ -439,8 +447,10 @@ def count_paths_signed(
     Bit 0 marks an edge with both endpoints of degree <= D, bit 1 any other
     edge. Path length equals len(s); vertices are pairwise distinct.
     """
-    sig = tuple(int(b) for b in s)
-    if len(sig) < 1 or any(b not in (0, 1) for b in sig):
+    sig = tuple(s)
+    # entries are checked as given: a fraction such as 0.5 is refused, not
+    # truncated to a class
+    if not sig or any(b not in (0, 1) for b in sig):
         raise ValueError(f"signature must be a nonempty 0/1 sequence, got {s!r}")
     for v in (v1, v2):
         if not (0 <= v < g.vertex_count):
@@ -463,6 +473,40 @@ def count_paths_signed(
 
     # v2 counts as used until the last step
     return rec(v1, 0, 1 << v1 | 1 << v2)
+
+
+def signed_path_counts(
+    gmask, low: int, v1: int, maxlen: int
+) -> list[list[list[int]]]:
+    """Every signed path count from v1 of 1 .. maxlen edges, in one walk.
+
+    In the host with adjacency masks ``gmask`` and ``low`` =
+    ``low_degree_mask(gmask, D)``, ``table[l - 1][c][v2]`` is
+    ``count_paths_signed(g, s, v1, v2, D)`` for the signature s of length l
+    whose binary digits, first edge highest, spell c: index c runs over the
+    signatures of length l in ``product((0, 1), repeat=l)`` order. An entry
+    with v2 = v1 is 0. Each simple path from v1 of at most maxlen >= 1
+    edges is visited once, so paths sharing a prefix share its walk.
+    """
+    table = [[[0] * len(gmask) for _ in range(2 << i)] for i in range(maxlen)]
+    last = maxlen - 1
+
+    def rec(u: int, i: int, code: int, used: int) -> None:
+        m = gmask[u] & ~used
+        # the edge uw is class 0 iff u and w are both low
+        zero = m & low if low >> u & 1 else 0
+        rows, code = table[i], code << 1
+        while m:
+            b = m & -m
+            m ^= b
+            w = b.bit_length() - 1
+            c = code if zero & b else code | 1
+            rows[c][w] += 1
+            if i < last:
+                rec(w, i + 1, c, used | b)
+
+    rec(v1, 0, 0, 1 << v1)
+    return table
 
 
 def expected_count(h: PatternGraph, ctx: SparsityContext) -> float:

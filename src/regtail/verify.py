@@ -21,8 +21,8 @@ from .counting import (
     _exists,
     count_labelled,
     count_N11,
-    count_paths_signed,
     count_with_edges,
+    signed_path_counts,
 )
 from .graphs import (
     Graph,
@@ -32,6 +32,7 @@ from .graphs import (
     components,
     cycle,
     from_edge_list,
+    low_degree_mask,
     validate_pattern,
 )
 from .independence import fractional_independence
@@ -305,12 +306,18 @@ def check_path_lemma(seed: int = 202, graphs: int = 25) -> CheckResult:
                     (rng.randrange(nv), rng.randrange(nv))
                     for _ in range(_ENDPOINT_PAIRS)
                 ]
+                # one walk per start vertex tallies all its signed paths
+                low = low_degree_mask(g.adjacency_masks, D)
+                tables = {
+                    v1: signed_path_counts(g.adjacency_masks, low, v1, 5)
+                    for v1, v2 in pairs if v1 != v2
+                }
                 for ell in range(1, 6):
-                    for s in product((0, 1), repeat=ell):
+                    for code, s in enumerate(product((0, 1), repeat=ell)):
                         for v1, v2 in pairs:
                             if v1 == v2:
                                 continue
-                            got = count_paths_signed(g, s, v1, v2, D)
+                            got = tables[v1][ell - 1][code][v2]
                             bound = _path_bound(s, D, ebar)
                             yield None if got <= bound else (
                                 f"graph#{i} D={D} s={''.join(map(str, s))}"
@@ -329,10 +336,12 @@ def check_cycle_barN11(seed: int = 303, graphs: int = 18) -> CheckResult:
         for i in range(graphs):
             nv = rng.randint(5, 12)
             g = _random_graph(rng, nv, rng.choice([0.25, 0.4, 0.55]))
+            # the cycle copies of the whole host do not depend on D
+            totals = {ell: count_labelled(cycle(ell), g) for ell in range(3, 7)}
             for D in (2, 3):
                 ebar = _mixed_edges(g, D)
                 for ell in range(3, 7):
-                    _, _, mixed = count_N11(cycle(ell), g, D)
+                    _, _, mixed = count_N11(cycle(ell), g, D, totals[ell])
                     bound = (
                         ell * 2 ** (ell + 1) * D**ell * (2 * ebar) ** ((ell - 1) // 2)
                     )

@@ -1,4 +1,5 @@
-"""Golden records of the JSON verbs, the help text and each verb's imports.
+"""Golden records of the JSON verbs, the help text and each verb's imports,
+and the stdout digests of two ``verify`` runs.
 
 Each case runs the CLI in process on fixed argv over small edge-list files
 and compares the whole stdout (command, parameters, result, version and
@@ -8,6 +9,7 @@ written as ``{tmp}`` there. ``tests/data/cli_help.json`` holds the text of
 """
 
 import json
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
@@ -89,6 +91,23 @@ def test_golden_record(run, name):
 
 def test_golden_csv(run):
     assert run(CASES["peel"] + ["--csv"]) == GOLDEN["csv"]
+
+
+# sha256 of the whole stdout of verify, summary table and JSON lines: every
+# instance count, violation and observation of these runs is pinned, so a
+# faster checker must reproduce the recorded bytes
+VERIFY_DIGESTS = {
+    "--seed 0 --jsonl":
+        "8c5bc86f289110f0affa53c6572b343a411734fa43676539b3dd3a7e91edc983",
+    "--seed 5 --trials 3 --jsonl":
+        "c35d52a4a54d738c5f27e0e36ecad9cc3fea5b65c2d21747bfe1162120f92a0e",
+}
+
+
+@pytest.mark.parametrize("args", sorted(VERIFY_DIGESTS))
+def test_verify_output_digest(run, args):
+    out = run(["verify", *args.split()])
+    assert sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[args]
 
 
 def test_help_covers_every_verb():

@@ -22,6 +22,7 @@ from regtail.counting import (
     count_through,
     count_with_edges,
     expected_count,
+    signed_path_counts,
 )
 from regtail.graphs import (
     Graph,
@@ -32,6 +33,7 @@ from regtail.graphs import (
     empty,
     from_edge_list,
     layers,
+    low_degree_mask,
     path,
     petersen,
     validate_pattern,
@@ -246,6 +248,53 @@ def test_paths_signed_matches_oracle_per_signature(rng):
     assert cases > 150_000
 
 
+def test_signed_path_counts_match_oracle_and_single_query(rng):
+    # one walk per start vertex tallies what count_paths_signed answers one
+    # signature and endpoint at a time. The oracle's classified paths pin
+    # every table; the single query, slower, pins one threshold per start
+    for _ in range(40):
+        nv = rng.randint(1, 9)
+        g = random_graph(rng, nv, rng.uniform(0.25, 0.55))
+        degree = Counter(x for e in g.edges for x in e)
+        for v1 in range(nv):
+            paths = [
+                p for v2 in range(nv) for ell in range(1, 6)
+                for p in oracle_simple_paths(g, v1, v2, ell)
+            ]
+            for D in (1, 2, 3):
+                low = {v for v in range(nv) if degree[v] <= D}
+                want = Counter(
+                    (tuple(int(not {a, b} <= low) for a, b in zip(p, p[1:])), p[-1])
+                    for p in paths
+                )
+                table = signed_path_counts(
+                    g.adjacency_masks, low_degree_mask(g.adjacency_masks, D), v1, 5
+                )
+                assert len(table) == 5
+                for ell in range(1, 6):
+                    rows = table[ell - 1]
+                    assert len(rows) == 2**ell
+                    for code, s in enumerate(product((0, 1), repeat=ell)):
+                        assert rows[code][v1] == 0
+                        for v2 in range(nv):
+                            assert rows[code][v2] == want[s, v2]
+                            if D == 1 + v1 % 3:
+                                assert rows[code][v2] == count_paths_signed(
+                                    g, s, v1, v2, D
+                                )
+
+
+def test_count_N11_takes_the_host_total(rng):
+    # a caller looping over thresholds passes the D-independent total
+    for _ in range(10):
+        g = random_graph(rng, 8, 0.5)
+        for ell in (3, 4, 5):
+            h = cycle(ell)
+            total = count_labelled(h, g)
+            for D in (1, 2, 3):
+                assert count_N11(h, g, D, total) == count_N11(h, g, D)
+
+
 def test_paths_signed_classification():
     # path 0-1-2 with all degrees <= 2: only the all-zero signature counts
     g = path(2)
@@ -263,6 +312,10 @@ def test_paths_signed_validation():
         count_paths_signed(g, (), 0, 1, 2)
     with pytest.raises(ValueError):
         count_paths_signed(g, (2,), 0, 1, 2)
+    # a fractional entry is refused, not truncated to a class
+    for s in ((0.5,), (1.0000001,)):
+        with pytest.raises(ValueError, match="0/1 sequence"):
+            count_paths_signed(g, s, 0, 1, 2)
     for v1, v2 in ((0, 4), (-1, 1)):
         with pytest.raises(ValueError, match="out of range"):
             count_paths_signed(g, (0,), v1, v2, 2)

@@ -228,8 +228,13 @@ def test_violation_descriptor_replays_the_host(monkeypatch):
     # every instance fails: the counts dwarf every bound at these sizes
     huge = 10**30
     monkeypatch.setattr(verify, "count_labelled", lambda h, g: huge)
-    monkeypatch.setattr(verify, "count_N11", lambda h, g, D: (huge, huge, huge))
-    monkeypatch.setattr(verify, "count_paths_signed", lambda g, s, v1, v2, D: huge)
+    monkeypatch.setattr(verify, "count_N11", lambda h, g, D, total: (huge,) * 3)
+    monkeypatch.setattr(
+        verify, "signed_path_counts",
+        lambda gmask, low, v1, maxlen: [
+            [[huge] * len(gmask)] * (2 << i) for i in range(maxlen)
+        ],
+    )
     for checker, seed, size, tag, first_host in SEEDED_CASES:
         result = checker(seed=seed, **{size: 2})
         assert result.instances > 0, result.check_id
@@ -280,6 +285,34 @@ def test_checkers_compute_shared_quantities_once(monkeypatch):
     calls.clear()
     check_alpha_count_bound(seed=101, graphs=5)
     assert calls == ["fractional_independence"] * len(connected_graphs_up_to(5))
+
+
+def test_path_and_cycle_checkers_share_host_work(monkeypatch):
+    from regtail import counting
+
+    def refuse(*args):
+        raise AssertionError("count_paths_signed was called")
+
+    # the path checker reads every instance off one walk per start vertex
+    for module in (verify, counting):
+        monkeypatch.setattr(module, "count_paths_signed", refuse, raising=False)
+    assert verify.check_path_lemma(seed=202, graphs=3).instances > 0
+
+    # the cycle checker searches each whole host once per cycle length,
+    # not once per threshold as well; a searched host is its own mask list
+    hosts, searched = [], []
+    draw, search = verify._random_graph, counting._search
+    monkeypatch.setattr(
+        verify, "_random_graph", lambda *a: hosts.append(draw(*a)) or hosts[-1]
+    )
+    monkeypatch.setattr(
+        counting, "_search",
+        lambda c, gmask, *a, **k: searched.append(gmask) or search(c, gmask, *a, **k),
+    )
+    verify.check_cycle_barN11(seed=303, graphs=3)
+    assert len(hosts) == 3
+    for g in hosts:
+        assert sum(m is g.adjacency_masks for m in searched) == 4  # ell = 3..6
 
 
 def test_exploratory_checker_records_observations():
