@@ -2,18 +2,18 @@
 
 Every pattern count here is a number of edge-preserving maps of a pattern h
 into a host g, and one backtracking search, ``_search``, finds them all
-(``count_paths_signed`` walks the host paths of one signature and endpoint
-pair by its own pruned recursion, ``signed_path_counts`` tallies every
-signature and endpoint of one start vertex in a single walk, and
-``expected_count`` is a closed form). The search walks a connected search
-order of the pattern; each candidate set is a host-degree floor mask minus
-the used vertices, intersected with the host neighborhoods of the placed
-pattern neighbors, all on integer bitmasks. The last search level is read
-inside the penultimate one: each penultimate node bounds the last vertex's
-images once by everything but the penultimate vertex x, and each image of
-x then narrows that mask to a leaf, by x's host neighbourhood, by the bits
-above x's image or by that image's own bit, so the last level enters no
-frame of its own.
+(``signed_path_counts`` tallies every signed host path of one start vertex
+in a single walk, ``count_paths_signed`` reads one signature and endpoint
+off that walk pruned to the signature, and ``expected_count`` is a closed
+form). The search walks a connected search order of the pattern; each
+candidate set is a host-degree floor mask minus the used vertices,
+intersected with the host neighborhoods of the placed pattern neighbors,
+all on integer bitmasks. The last search level is read inside the
+penultimate one: each penultimate node bounds the last vertex's images once
+by everything but the penultimate vertex x, and each image of x then
+narrows that mask to a leaf, by x's host neighbourhood, by the bits above
+x's image or by that image's own bit, so the last level enters no frame of
+its own.
 
 Injective searches break the pattern's symmetry (Grochow & Kellis, RECOMB
 2007). The copies of h with one image edge set are the |Aut(h)| maps
@@ -54,6 +54,7 @@ Counts are arbitrary-precision integers throughout.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, lru_cache
@@ -447,9 +448,12 @@ def count_paths_signed(
     Bit 0 marks an edge with both endpoints of degree <= D, bit 1 any other
     edge. Path length equals len(s); vertices are pairwise distinct.
     """
-    sig = tuple(s)
-    # entries are checked as given: a fraction such as 0.5 is refused, not
-    # truncated to a class
+    # each entry must be the integer 0 or 1: a float such as 0.5 or 1.0 is
+    # refused, not truncated to a class
+    try:
+        sig = tuple(map(operator.index, s))
+    except TypeError:
+        sig = ()
     if not sig or any(b not in (0, 1) for b in sig):
         raise ValueError(f"signature must be a nonempty 0/1 sequence, got {s!r}")
     for v in (v1, v2):
@@ -457,56 +461,49 @@ def count_paths_signed(
             raise ValueError(f"vertex {v} out of range")
     if v1 == v2:
         return 0
-    gmask, last = g.adjacency_masks, len(sig) - 1
-    low = low_degree_mask(gmask, D)
-
-    def rec(u: int, i: int, used: int) -> int:
-        # the next vertex w: edge uw is class 0 iff u and w are both low
-        m = gmask[u]
-        if low >> u & 1:
-            m &= ~low if sig[i] else low
-        elif not sig[i]:
-            return 0
-        if i == last:
-            return m >> v2 & 1
-        return sum(rec(w, i + 1, used | 1 << w) for w in bits(m & ~used))
-
-    # v2 counts as used until the last step
-    return rec(v1, 0, 1 << v1 | 1 << v2)
+    gmask, code = g.adjacency_masks, 1
+    for b in sig:
+        code = code << 1 | b
+    tally = signed_path_counts(gmask, low_degree_mask(gmask, D), v1, len(sig), sig)
+    return tally[code * len(gmask) + v2]
 
 
 def signed_path_counts(
-    gmask, low: int, v1: int, maxlen: int
-) -> list[list[list[int]]]:
+    gmask, low: int, v1: int, maxlen: int, sig=None
+) -> list[int]:
     """Every signed path count from v1 of 1 .. maxlen edges, in one walk.
 
     In the host with adjacency masks ``gmask`` and ``low`` =
-    ``low_degree_mask(gmask, D)``, ``table[l - 1][c][v2]`` is
-    ``count_paths_signed(g, s, v1, v2, D)`` for the signature s of length l
-    whose binary digits, first edge highest, spell c: index c runs over the
-    signatures of length l in ``product((0, 1), repeat=l)`` order. An entry
-    with v2 = v1 is 0. Each simple path from v1 of at most maxlen >= 1
-    edges is visited once, so paths sharing a prefix share its walk.
+    ``low_degree_mask(gmask, D)``, ``tally[c * len(gmask) + v2]`` is
+    ``count_paths_signed(g, s, v1, v2, D)`` for the signature s whose
+    binary digits, first edge highest, follow a leading 1 in c, so c =
+    2**len(s) + i for the i-th signature of its length in ``product((0, 1),
+    repeat=len(s))`` order. An entry with v2 = v1 is 0. Each simple path
+    from v1 of at most maxlen >= 1 edges is visited once, so paths sharing
+    a prefix share its walk. Given a signature ``sig`` of length maxlen,
+    the walk follows only the paths whose classes start like it.
     """
-    table = [[[0] * len(gmask) for _ in range(2 << i)] for i in range(maxlen)]
-    last = maxlen - 1
+    n, last = len(gmask), maxlen - 1
+    tally = [0] * (n << maxlen + 1)
 
     def rec(u: int, i: int, code: int, used: int) -> None:
         m = gmask[u] & ~used
         # the edge uw is class 0 iff u and w are both low
         zero = m & low if low >> u & 1 else 0
-        rows, code = table[i], code << 1
+        if sig is not None:
+            m = m ^ zero if sig[i] else zero
+        code <<= 1
         while m:
             b = m & -m
             m ^= b
             w = b.bit_length() - 1
             c = code if zero & b else code | 1
-            rows[c][w] += 1
+            tally[c * n + w] += 1
             if i < last:
                 rec(w, i + 1, c, used | b)
 
-    rec(v1, 0, 0, 1 << v1)
-    return table
+    rec(v1, 0, 1, 1 << v1)
+    return tally
 
 
 def expected_count(h: PatternGraph, ctx: SparsityContext) -> float:

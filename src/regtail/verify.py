@@ -307,17 +307,20 @@ def check_path_lemma(seed: int = 202, graphs: int = 25) -> CheckResult:
                     for _ in range(_ENDPOINT_PAIRS)
                 ]
                 # one walk per start vertex tallies all its signed paths
-                low = low_degree_mask(g.adjacency_masks, D)
-                tables = {
-                    v1: signed_path_counts(g.adjacency_masks, low, v1, 5)
+                gmask = g.adjacency_masks
+                low = low_degree_mask(gmask, D)
+                tallies = {
+                    v1: signed_path_counts(gmask, low, v1, 5)
                     for v1, v2 in pairs if v1 != v2
                 }
                 for ell in range(1, 6):
-                    for code, s in enumerate(product((0, 1), repeat=ell)):
+                    # a signature's code is its bits after a leading 1
+                    signatures = product((0, 1), repeat=ell)
+                    for code, s in enumerate(signatures, 1 << ell):
                         for v1, v2 in pairs:
                             if v1 == v2:
                                 continue
-                            got = tables[v1][ell - 1][code][v2]
+                            got = tallies[v1][code * len(gmask) + v2]
                             bound = _path_bound(s, D, ebar)
                             yield None if got <= bound else (
                                 f"graph#{i} D={D} s={''.join(map(str, s))}"

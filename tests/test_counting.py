@@ -249,9 +249,10 @@ def test_paths_signed_matches_oracle_per_signature(rng):
 
 
 def test_signed_path_counts_match_oracle_and_single_query(rng):
-    # one walk per start vertex tallies what count_paths_signed answers one
-    # signature and endpoint at a time. The oracle's classified paths pin
-    # every table; the single query, slower, pins one threshold per start
+    # one walk per start vertex tallies every signature and endpoint; the
+    # oracle's classified paths pin every entry, and the single query,
+    # which walks only one signature's paths, agrees on one threshold and
+    # one endpoint per start and signature, rotating
     for _ in range(40):
         nv = rng.randint(1, 9)
         g = random_graph(rng, nv, rng.uniform(0.25, 0.55))
@@ -267,21 +268,20 @@ def test_signed_path_counts_match_oracle_and_single_query(rng):
                     (tuple(int(not {a, b} <= low) for a, b in zip(p, p[1:])), p[-1])
                     for p in paths
                 )
-                table = signed_path_counts(
+                tally = signed_path_counts(
                     g.adjacency_masks, low_degree_mask(g.adjacency_masks, D), v1, 5
                 )
-                assert len(table) == 5
+                # codes 0 and 1 hold no signature
+                assert len(tally) == 64 * nv and not any(tally[: 2 * nv])
                 for ell in range(1, 6):
-                    rows = table[ell - 1]
-                    assert len(rows) == 2**ell
-                    for code, s in enumerate(product((0, 1), repeat=ell)):
-                        assert rows[code][v1] == 0
-                        for v2 in range(nv):
-                            assert rows[code][v2] == want[s, v2]
-                            if D == 1 + v1 % 3:
-                                assert rows[code][v2] == count_paths_signed(
-                                    g, s, v1, v2, D
-                                )
+                    signatures = product((0, 1), repeat=ell)
+                    for code, s in enumerate(signatures, 1 << ell):
+                        row = tally[code * nv : (code + 1) * nv]
+                        assert row[v1] == 0
+                        assert row == [want[s, v2] for v2 in range(nv)]
+                        if D == 1 + v1 % 3:
+                            v2 = (v1 + code) % nv
+                            assert row[v2] == count_paths_signed(g, s, v1, v2, D)
 
 
 def test_count_N11_takes_the_host_total(rng):
@@ -312,10 +312,12 @@ def test_paths_signed_validation():
         count_paths_signed(g, (), 0, 1, 2)
     with pytest.raises(ValueError):
         count_paths_signed(g, (2,), 0, 1, 2)
-    # a fractional entry is refused, not truncated to a class
-    for s in ((0.5,), (1.0000001,)):
+    # each entry must be the integer 0 or 1: a float is refused, not
+    # truncated to a class, even when it equals 0 or 1
+    for s in ((0.5,), (1.0000001,), (1.0,), (0, 0.0)):
         with pytest.raises(ValueError, match="0/1 sequence"):
             count_paths_signed(g, s, 0, 1, 2)
+    assert count_paths_signed(g, (True,), 0, 1, 1) == 1  # bool is an int
     for v1, v2 in ((0, 4), (-1, 1)):
         with pytest.raises(ValueError, match="out of range"):
             count_paths_signed(g, (0,), v1, v2, 2)

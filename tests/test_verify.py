@@ -231,9 +231,7 @@ def test_violation_descriptor_replays_the_host(monkeypatch):
     monkeypatch.setattr(verify, "count_N11", lambda h, g, D, total: (huge,) * 3)
     monkeypatch.setattr(
         verify, "signed_path_counts",
-        lambda gmask, low, v1, maxlen: [
-            [[huge] * len(gmask)] * (2 << i) for i in range(maxlen)
-        ],
+        lambda gmask, low, v1, maxlen: [huge] * (len(gmask) << maxlen + 1),
     )
     for checker, seed, size, tag, first_host in SEEDED_CASES:
         result = checker(seed=seed, **{size: 2})
