@@ -55,7 +55,7 @@ Counts are arbitrary-precision integers throughout.
 from __future__ import annotations
 
 import operator
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from math import perm
@@ -465,26 +465,27 @@ def count_paths_signed(
     for b in sig:
         code = code << 1 | b
     tally = signed_path_counts(gmask, low_degree_mask(gmask, D), v1, len(sig), sig)
-    return tally[code * len(gmask) + v2]
+    return tally[code][v2]
 
 
 def signed_path_counts(
     gmask, low: int, v1: int, maxlen: int, sig=None
-) -> list[int]:
+) -> defaultdict[int, list[int]]:
     """Every signed path count from v1 of 1 .. maxlen edges, in one walk.
 
     In the host with adjacency masks ``gmask`` and ``low`` =
-    ``low_degree_mask(gmask, D)``, ``tally[c * len(gmask) + v2]`` is
+    ``low_degree_mask(gmask, D)``, ``tally[c][v2]`` is
     ``count_paths_signed(g, s, v1, v2, D)`` for the signature s whose
     binary digits, first edge highest, follow a leading 1 in c, so c =
     2**len(s) + i for the i-th signature of its length in ``product((0, 1),
     repeat=len(s))`` order. An entry with v2 = v1 is 0. Each simple path
     from v1 of at most maxlen >= 1 edges is visited once, so paths sharing
     a prefix share its walk. Given a signature ``sig`` of length maxlen,
-    the walk follows only the paths whose classes start like it.
+    the walk follows only the paths whose classes start like it. A code's
+    row is made when the walk first reaches it; others read as zeros.
     """
     n, last = len(gmask), maxlen - 1
-    tally = [0] * (n << maxlen + 1)
+    tally = defaultdict(lambda: [0] * n)
 
     def rec(u: int, i: int, code: int, used: int) -> None:
         m = gmask[u] & ~used
@@ -498,7 +499,7 @@ def signed_path_counts(
             m ^= b
             w = b.bit_length() - 1
             c = code if zero & b else code | 1
-            tally[c * n + w] += 1
+            tally[c][w] += 1
             if i < last:
                 rec(w, i + 1, c, used | b)
 

@@ -24,12 +24,12 @@ structures. For a graph F without isolated vertices,
     N(F, hub(u, n)) = sum_k i_k(F) * (n - u)_k * (u)_(v_F - k)
 
 since the vertices F sends outside a hub form an independent set of F;
-i_k(F) counts the independent k-sets. A host given as a graph is counted
-by the first form when its edges form one clique plus isolated vertices,
-and by the backtracking kernel otherwise. ``variational_upper_bound``
-counts a clique or hub candidate from its descriptor and realizes only
-the winner. The counts are the same integers either way, so every sum is
-bit-identical; the kernel stays the general path.
+i_k(F) counts the independent k-sets. ``_closed_form`` picks the form
+from a host's twin classes (see ``_layout``). A host given as a graph is
+one clique class when its edges form one clique plus isolated vertices;
+``variational_upper_bound`` reads each candidate's classes off its
+descriptor and realizes only the winner and the candidates with no form.
+The counts are the kernel's integers, so every sum is bit-identical.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import chain, combinations, product
 from math import log, perm
 
 from .counting import copy_edge_lists, count_labelled
@@ -147,10 +148,6 @@ def _terms(table, count):
         yield span.edge_count, span.vertex_count, count(span), orbit_size
 
 
-def _clique_count(m: int):
-    return lambda span: perm(m, span.vertex_count)
-
-
 def _hub_count(u: int, n: int, counts=independent_set_counts):
     """N(span, hub(u, n)); ``counts`` gives i_k(span), so that candidates
     scored against one table can share one computation per span."""
@@ -165,17 +162,26 @@ def _hub_count(u: int, n: int, counts=independent_set_counts):
     return count
 
 
-def _host_count(g: Graph):
-    """N(span, g) as a function of the span: the falling factorial when g's
-    edges form one clique plus isolated vertices, the kernel otherwise.
+def _closed_form(classes: list[tuple], n: int, counts=independent_set_counts):
+    """N(span, g) for the host g on n vertices that ``classes`` describe:
+    the falling factorial for one clique class, ``_hub_count`` for a clique
+    class joined to the rest of the canvas, None for any other shape."""
+    match classes:
+        case [(_, m, True, ())]:
+            return lambda span: perm(m, span.vertex_count)
+        case [(0, u, True, (1,)), (_, rest, False, (0,))] if u + rest == n:
+            return _hub_count(u, n, counts)
+    return None
 
-    g is such a host iff every non-isolated vertex has the same closed
-    neighbourhood, which is then the support; the test stops at the first
-    vertex that differs."""
+
+def _host_count(g: Graph):
+    """N(span, g) as a function of the span: one clique class's closed form
+    when every non-isolated vertex of g has the same closed neighbourhood
+    (then g is a clique plus isolated vertices), the kernel otherwise."""
     masks, support = g.adjacency_masks, g.support()
     clique = next((masks[v] | 1 << v for v in support), 0)
     if all(masks[v] | 1 << v == clique for v in support):
-        return _clique_count(len(support))
+        return _closed_form([(0, len(support), True, ())], g.vertex_count)
     return lambda span: count_labelled(span, g)
 
 
@@ -263,42 +269,43 @@ class PlantedStructure:
 MAX_PLANTED_EDGES = 100_000
 
 
-def _mask_bytes(vertices: int, top: int) -> int:
-    """Bytes of the masks of ``vertices`` vertices whose neighbours reach
-    label ``top``, counted as ``parse_edge_list`` counts them."""
-    return vertices * (top // 8 + 1)
-
-
-def _layout(kind: tuple, n: int) -> tuple[list[tuple[tuple, int]], int]:
-    """Each part of a planted kind with its first vertex, and the realized
-    edge count, in closed form: nothing is built. The adjacency mask bytes
-    are bounded in closed form too, taking every vertex of a block to be as
-    wide as its largest possible neighbour label."""
+def _layout(kind: tuple, n: int) -> tuple[list[tuple], int]:
+    """The twin classes of a planted kind on the n-vertex canvas, and its
+    edge count; nothing is built. A class is (first vertex, size, clique?,
+    indices of the classes joined to it): consecutive labels, pairwise
+    adjacent iff a clique, adjacent to all of each joined class. A hub is a
+    clique class joined to the rest of the canvas, a bipartite part two
+    joined independent classes. A vertex's mask is as wide as the last
+    label of its own clique class or of a class joined to it."""
     if kind[0] == "hub":
         (_, u) = kind
         if not 1 <= u <= n:
             raise ValueError(f"hub size {u} does not fit in n={n}")
-        layout, count = [(kind, 0)], u * (n - u) + u * (u - 1) // 2
-        mask_bytes = _mask_bytes(u, n - 1) + _mask_bytes(n - u, u - 1)
+        classes = [(0, u, True, (1,)), (u, n - u, False, (0,))]
     else:
-        layout, start, count, mask_bytes = [], 0, 0, 0
+        classes, start = [], 0
         for part in list(kind[1]) if kind[0] == "union" else [kind]:
+            i = len(classes)
             match part := tuple(part):
                 case ("clique", int(m)) if m >= 1:
-                    width, closed = m, m * (m - 1) // 2
-                    masks = _mask_bytes(m, start + m - 1) if m > 1 else 0
+                    classes.append((start, m, True, ()))
                 case ("bipartite", int(a), int(b)) if a >= 1 and b >= 1:
-                    width, closed = a + b, a * b
-                    masks = (_mask_bytes(a, start + a + b - 1)
-                             + _mask_bytes(b, start + a - 1))
+                    classes += [(start, a, False, (i + 1,)),
+                                (start + a, b, False, (i,))]
                 case _:
                     raise ValueError(f"unsupported planted part {part!r}")
-            layout.append((part, start))
-            start += width
-            count += closed
-            mask_bytes += masks
+            start = classes[-1][0] + classes[-1][1]
         if start > n:
             raise ValueError(f"planted structure needs {start} vertices, n={n}")
+    count = mask_bytes = 0
+    for i, (_, size, clique, joined) in enumerate(classes):
+        near = [classes[j] for j in joined]
+        if clique and size > 1:
+            count += size * (size - 1) // 2
+            near.append(classes[i])
+        count += sum(size * classes[j][1] for j in joined if j > i)
+        if near:
+            mask_bytes += size * (max(f + s - 1 for f, s, _, _ in near) // 8 + 1)
     # the canvas holds one adjacency mask per vertex, built for every size
     if n > MAX_VERTICES:
         raise ValueError(
@@ -314,17 +321,7 @@ def _layout(kind: tuple, n: int) -> tuple[list[tuple[tuple, int]], int]:
             f"adjacency masks would take {mask_bytes} bytes, above the limit "
             f"of {MAX_MASK_BYTES}"
         )
-    return layout, count
-
-
-def _block_edges(kind: tuple, start: int, n: int) -> list[tuple[int, int]]:
-    match kind:
-        case ("hub", u):
-            return [(i, j) for i in range(u) for j in range(i + 1, n)]
-        case ("clique", m):
-            return [(start + i, start + j) for i in range(m) for j in range(i + 1, m)]
-        case ("bipartite", a, b):
-            return [(start + i, start + a + j) for i in range(a) for j in range(b)]
+    return classes, count
 
 
 def plant(kind, ctx: SparsityContext) -> PlantedStructure:
@@ -338,9 +335,13 @@ def plant(kind, ctx: SparsityContext) -> PlantedStructure:
     at most MAX_MASK_BYTES.
     """
     kind = tuple(kind)
-    layout, count = _layout(kind, ctx.n)
-    edges = [e for part, start in layout for e in _block_edges(part, start, ctx.n)]
-    g = from_edge_list(ctx.n, edges)
+    classes, count = _layout(kind, ctx.n)
+    blocks = [range(first, first + size) for first, size, _, _ in classes]
+    # each clique class's pairs, then every pair across two joined classes
+    edges = [combinations(blocks[i], 2) for i, c in enumerate(classes) if c[2]]
+    edges += [product(blocks[i], blocks[j])
+              for i, c in enumerate(classes) for j in c[3] if j > i]
+    g = from_edge_list(ctx.n, chain.from_iterable(edges))
     assert g.edge_count == count
     return PlantedStructure(kind, g)
 
@@ -363,7 +364,7 @@ def variational_upper_bound(
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     # refuse a misfit or oversized candidate before any work
-    edge_counts = [_layout(desc, ctx.n)[1] for desc in descriptors]
+    layouts = [_layout(desc, ctx.n) for desc in descriptors]
     _check_canvas(ctx.n, h, ctx)
     threshold = (1 + delta) * ctx.copies_scale(h)
     scale = ctx.edge_scale(h)
@@ -371,14 +372,9 @@ def variational_upper_bound(
     # i_k of each row's span, computed at the first hub candidate
     counts = cache(independent_set_counts)
     best: tuple[float, tuple] | None = None
-    for desc, edge_count in zip(descriptors, edge_counts):
-        match desc:
-            case ("clique", m):
-                count = _clique_count(m)
-            case ("hub", u):
-                count = _hub_count(u, ctx.n, counts)
-            case _:
-                count = _host_count(plant(desc, ctx).realized)
+    for desc, (classes, edge_count) in zip(descriptors, layouts):
+        count = (_closed_form(classes, ctx.n, counts)
+                 or _host_count(plant(desc, ctx).realized))
         if _expectation_sum(_terms(table, count), h, ctx, False) < threshold:
             continue
         cost = edge_count / scale

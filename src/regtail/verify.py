@@ -320,7 +320,7 @@ def check_path_lemma(seed: int = 202, graphs: int = 25) -> CheckResult:
                         for v1, v2 in pairs:
                             if v1 == v2:
                                 continue
-                            got = tallies[v1][code * len(gmask) + v2]
+                            got = tallies[v1][code][v2]
                             bound = _path_bound(s, D, ebar)
                             yield None if got <= bound else (
                                 f"graph#{i} D={D} s={''.join(map(str, s))}"

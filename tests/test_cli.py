@@ -489,7 +489,7 @@ def test_plant_refuses_huge_structure_before_building(capsys, monkeypatch, argv)
     def no_edges(*args):
         raise AssertionError(f"edge list of {args} requested")
 
-    monkeypatch.setattr(ratefn, "_block_edges", no_edges)
+    monkeypatch.setattr(ratefn, "from_edge_list", no_edges)
     code, out, err = run_cli(capsys, *argv, "--n", "100000", "--p", "0.1")
     assert code == 1
     assert out == ""
@@ -509,7 +509,7 @@ def test_plant_refuses_huge_canvas_before_building(capsys, monkeypatch, argv):
     def no_edges(*args):
         raise AssertionError(f"edge list of {args} requested")
 
-    monkeypatch.setattr(ratefn, "_block_edges", no_edges)
+    monkeypatch.setattr(ratefn, "from_edge_list", no_edges)
     code, out, err = run_cli(capsys, *argv, "--n", "1e9", "--p", "0.1")
     assert code == 1
     assert out == ""

@@ -271,12 +271,14 @@ def test_signed_path_counts_match_oracle_and_single_query(rng):
                 tally = signed_path_counts(
                     g.adjacency_masks, low_degree_mask(g.adjacency_masks, D), v1, 5
                 )
-                # codes 0 and 1 hold no signature
-                assert len(tally) == 64 * nv and not any(tally[: 2 * nv])
+                # codes 0 and 1 hold no signature, and a row is made only
+                # where the walk counted a path
+                assert set(tally) <= set(range(2, 64))
+                assert all(any(row) for row in tally.values())
                 for ell in range(1, 6):
                     signatures = product((0, 1), repeat=ell)
                     for code, s in enumerate(signatures, 1 << ell):
-                        row = tally[code * nv : (code + 1) * nv]
+                        row = tally[code]
                         assert row[v1] == 0
                         assert row == [want[s, v2] for v2 in range(nv)]
                         if D == 1 + v1 % 3:
@@ -304,6 +306,14 @@ def test_paths_signed_classification():
     # raise threshold pressure: with D=1 the middle vertex is high
     assert count_paths_signed(g, (1, 1), 0, 2, 1) == 1
     assert count_paths_signed(g, (0, 0), 0, 2, 1) == 0
+
+
+def test_paths_signed_long_signature():
+    # the tally holds rows only for the codes the walk reaches, so a
+    # 70-edge signature costs 70 rows rather than 2**71 codes
+    g = path(70)
+    assert count_paths_signed(g, (0,) * 70, 0, 70, 2) == 1
+    assert count_paths_signed(g, (1,) * 70, 0, 70, 2) == 0
 
 
 def test_paths_signed_validation():

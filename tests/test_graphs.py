@@ -163,6 +163,22 @@ def test_validate_pattern_rejections():
         validate_pattern(empty(3))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: validate_pattern(empty(0)),
+    lambda: complete(0),
+    lambda: complete_bipartite(0, 2),
+    lambda: cycle(2),
+    lambda: path(-1),
+    lambda: star(0),
+    lambda: SparsityContext(0, 0.5),
+], ids=["empty-pattern", "complete-0", "bipartite-0-2", "cycle-2", "path-minus-1",
+        "star-0", "context-n-0"])
+def test_degenerate_sizes_are_refused_in_one_line(build):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) and "\n" not in str(info.value)
+
+
 def test_sparsity_context_bounds_and_scales():
     with pytest.raises(ValueError):
         SparsityContext(100, 0.0)

@@ -288,10 +288,10 @@ def test_closed_forms_match_the_kernel(name):
     for u in (1, 2, 3, 4):
         for n in range(u, 15):
             hub = plant(("hub", u), SparsityContext(n, 0.5)).realized
-            count = ratefn._hub_count(u, n)
+            count = ratefn._closed_form(ratefn._layout(("hub", u), n)[0], n)
             assert [count(f) for f in spans] == [count_labelled(f, hub) for f in spans]
         m = u + 3
-        clique = ratefn._clique_count(m)
+        clique = ratefn._closed_form(ratefn._layout(("clique", m), m)[0], m)
         assert [clique(f) for f in spans] == [count_labelled(f, complete(m)) for f in spans]
         # the same clique on scattered labels among isolated vertices
         g = from_edge_list(30, combinations(range(u, 30, 4)[:m], 2))
@@ -317,8 +317,7 @@ def test_planted_cliques_and_hubs_are_counted_without_the_kernel(monkeypatch):
     forbid_kernel(monkeypatch)
     assert exact_conditional_expectation(g, h, ctx, exact=True) == expect
     for desc, value in kernel.items():
-        count = {"clique": ratefn._clique_count,
-                 "hub": lambda u: ratefn._hub_count(u, n)}[desc[0]](desc[1])
+        count = ratefn._closed_form(ratefn._layout(desc, n)[0], n)
         terms = ratefn._terms(ratefn._orbit_table(h), count)
         assert ratefn._expectation_sum(terms, h, ctx, exact=False) == value
         if desc[0] == "clique":  # a realized clique is a clique host too
@@ -368,21 +367,64 @@ def test_other_hosts_stay_on_the_kernel(monkeypatch):
     assert got == oracle_conditional_expectation(g, h, n, p)
 
 
-def test_planted_mask_bytes_are_bounded_in_closed_form(monkeypatch):
-    # the bound counts each vertex of a part as wide as the part's top
-    # neighbour label, so it is at most one byte per part above the masks
-    ctx = SparsityContext(40, 0.1)
+def _planted_cases():
+    """Every kind with sizes up to 5 on canvases up to 12, four unions, and
+    a few structures whose masks run past one byte."""
+    kinds = [("hub", u) for u in range(1, 6)] + [("clique", m) for m in range(1, 6)]
+    kinds += [("bipartite", a, b) for a in range(1, 6) for b in range(1, 6)]
+    kinds += [("union", parts) for parts in (
+        (("clique", 3), ("bipartite", 2, 2)),
+        (("bipartite", 1, 4), ("clique", 1), ("clique", 5)),
+        (("clique", 2), ("clique", 2), ("clique", 2)),
+        (("bipartite", 3, 1), ("bipartite", 1, 3)),
+    )]
+    for kind in kinds:
+        for n in range(1, 13):
+            try:
+                ratefn._layout(kind, n)
+            except ValueError:
+                continue
+            yield kind, n
     for kind in (("hub", 3), ("hub", 40), ("clique", 17), ("bipartite", 30, 1),
                  ("union", (("clique", 9), ("bipartite", 12, 2), ("clique", 1)))):
+        yield kind, 40
+
+
+def test_planted_mask_bytes_are_bounded_in_closed_form(monkeypatch):
+    # the bound counts each vertex of a class as wide as the last label of
+    # a class holding one of its neighbours: exact for an independent
+    # class, at most one byte over for a clique class (its last vertex)
+    spans = _orbit_spans(cycle(4))
+    cases = list(_planted_cases())
+    assert len(cases) > 250
+    for kind, n in cases:
         monkeypatch.undo()
+        ctx = SparsityContext(n, 0.1)
         g = plant(kind, ctx).realized
         masks = sum((m.bit_length() - 1) // 8 + 1 for m in g.adjacency_masks if m)
-        parts = len(kind[1]) if kind[0] == "union" else 1
-        monkeypatch.setattr(ratefn, "MAX_MASK_BYTES", masks + parts)
+        classes, edge_count = ratefn._layout(kind, n)
+        assert edge_count == g.edge_count
+        cliques = sum(clique for _, _, clique, _ in classes)
+        monkeypatch.setattr(ratefn, "MAX_MASK_BYTES", masks + cliques)
         plant(kind, ctx)
         monkeypatch.setattr(ratefn, "MAX_MASK_BYTES", masks - 1)
         with pytest.raises(ValueError, match="adjacency masks would take"):
             plant(kind, ctx)
+        # each class is a set of twins, complete to each class joined to it
+        adj = g.adjacency_masks
+        block = [((1 << size) - 1) << first for first, size, _, _ in classes]
+        for i, (first, size, clique, joined) in enumerate(classes):
+            members = range(first, first + size)
+            hoods = {adj[v] | clique << v for v in members}
+            assert len(hoods) <= 1, (kind, n, i)
+            for j in joined:
+                assert all(adj[v] & block[j] == block[j] for v in members)
+        # the closed form, where the description has one, is the kernel's
+        form = ratefn._closed_form(classes, n)
+        if form is not None:
+            assert [form(f) for f in spans] == [count_labelled(f, g) for f in spans]
+    # a clique class joined to less than the rest of the canvas is no hub
+    assert ratefn._closed_form([(0, 2, True, (1,)), (2, 3, False, (0,))], 8) is None
 
 
 def test_gain_single_edge_closed_form():
@@ -454,7 +496,7 @@ def test_plant_cap_is_checked_before_any_edge_is_built(monkeypatch):
     def no_edges(*args):
         raise AssertionError(f"edge list of {args} requested")
 
-    monkeypatch.setattr(ratefn, "_block_edges", no_edges)
+    monkeypatch.setattr(ratefn, "from_edge_list", no_edges)
     for kind in (("clique", 6), ("hub", 2), ("bipartite", 3, 4),
                  ("union", (("clique", 4), ("bipartite", 2, 3)))):
         with pytest.raises(ValueError, match="above the limit of 10"):

@@ -2,6 +2,7 @@ import json
 import random
 import re
 from ast import literal_eval
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -231,7 +232,7 @@ def test_violation_descriptor_replays_the_host(monkeypatch):
     monkeypatch.setattr(verify, "count_N11", lambda h, g, D, total: (huge,) * 3)
     monkeypatch.setattr(
         verify, "signed_path_counts",
-        lambda gmask, low, v1, maxlen: [huge] * (len(gmask) << maxlen + 1),
+        lambda gmask, low, v1, maxlen: defaultdict(lambda: [huge] * len(gmask)),
     )
     for checker, seed, size, tag, first_host in SEEDED_CASES:
         result = checker(seed=seed, **{size: 2})
