@@ -30,8 +30,8 @@ are closed under them, so neither the planner nor the peel lists Aut(h)
 ``copy_edge_lists(h, h)``). The search runs in these modes:
 
 - counting: injective maps, with each leaf mask of the last search level
-  counted by popcount (``count_labelled``, and ``count_N11`` on two
-  subgraphs of the host);
+  counted by popcount (``count_labelled``, and ``count_N11`` on the
+  low-low subgraph of the host);
 - visiting: injective maps; ``visit(assign, m)`` gets each placement of all
   pattern vertices but the last (``assign[u]`` is the host image of u) with
   the bitmask m of the last vertex's images, so a visitor tallies a whole
@@ -41,10 +41,10 @@ are closed under them, so neither the planner nor the peel lists Aut(h)
 - pinned: the first search positions have fixed host images. A plan rooted
   at a pattern edge (a, b) starts a, b and breaks only the symmetry that
   fixes a and b, so pinning it to a host edge finds the copies that map
-  (a, b) onto that edge (``count_through``, once per Aut(h)-orbit of
-  oriented pattern edges); stopped at its first leaf, it returns the map
-  found there, or None if there is none (the automorphisms above, and
-  isomorphism in ``verify``);
+  (a, b) onto that edge (``count_through`` and ``count_N11``, once per
+  Aut(h)-orbit of oriented pattern edges); stopped at its first leaf, it
+  returns the map found there, or None if there is none (the automorphisms
+  above, and isomorphism in ``verify``);
 - non-injective: every edge-preserving map, counted without symmetry
   breaking (``count_hom``).
 
@@ -416,26 +416,28 @@ def count_hom(h: Graph, g: Graph) -> int:
     return core * g.vertex_count ** isolated
 
 
-def count_N11(
-    h: Graph, g: Graph, D: int, total: int | None = None
-) -> tuple[int, int, int]:
+def count_N11(h: Graph, g: Graph, D: int) -> tuple[int, int, int]:
     """Copy counts split by usage of edges whose endpoints both have degree <= D.
 
     Returns (copies using at least one such edge, copies using only such
-    edges, their difference). ``total``, if given, is ``count_labelled(h,
-    g)``, which does not depend on D, so a caller looping over thresholds
-    searches the whole host once.
+    edges, their difference). A copy using a low-low edge is counted once,
+    at the first one in ``g.edges`` order: each low-low edge e is searched
+    through as ``count_through`` roots it, counting only, and then removed
+    from the host, so no search covers the whole host.
     """
     if D < 1:
         raise ValueError(f"D must be >= 1, got {D}")
-    # a copy uses only low-low edges iff it lies in the low-low subgraph, and
-    # no low-low edge iff it lies in the host minus the low-low edges
     c, gmask = _compile(h), g.adjacency_masks
-    if total is None:
-        total = _search(c, gmask)
     low = low_degree_mask(gmask, D)
     low_low = [m & low if low >> v & 1 else 0 for v, m in enumerate(gmask)]
-    n11 = total - _search(c, [m ^ ll for m, ll in zip(gmask, low_low)])
+    masks, n11 = list(gmask), 0
+    for a, b in g.edges:
+        if low_low[a] >> b & 1:
+            for root, size in _arc_orbits(h):
+                n11 += _search(_compile(h, root), masks, pin=(a, b)) * size
+            masks[a] ^= 1 << b
+            masks[b] ^= 1 << a
+    # a copy uses only low-low edges iff it lies in the low-low subgraph
     tilde = _search(c, low_low)
     return n11, tilde, n11 - tilde
 

@@ -97,6 +97,18 @@ def oracle_count_N11(h: Graph, g: Graph, D: int) -> tuple[int, int, int]:
     return some, only, some - only
 
 
+def oracle_low_low_masks(g: Graph, D: int) -> list[int]:
+    """Adjacency masks of the host's edges whose endpoints both have degree
+    at most D, degrees counted from the edge list."""
+    degree = Counter(x for e in g.edges for x in e)
+    masks = [0] * g.vertex_count
+    for u, v in g.edges:
+        if degree[u] <= D and degree[v] <= D:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+    return masks
+
+
 def oracle_philox_stream(seed: int, index: int):
     """Stream ``index`` of a base key as first defined: the base Philox4x64
     generator jumped ``index`` times."""

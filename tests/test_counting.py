@@ -49,6 +49,7 @@ from conftest import (
     oracle_count_N11,
     oracle_count_through,
     oracle_injective_maps,
+    oracle_low_low_masks,
     oracle_per_edge,
     oracle_simple_paths,
     random_graph,
@@ -286,15 +287,81 @@ def test_signed_path_counts_match_oracle_and_single_query(rng):
                             assert row[v2] == count_paths_signed(g, s, v1, v2, D)
 
 
-def test_count_N11_takes_the_host_total(rng):
-    # a caller looping over thresholds passes the D-independent total
-    for _ in range(10):
-        g = random_graph(rng, 8, 0.5)
-        for ell in (3, 4, 5):
-            h = cycle(ell)
-            total = count_labelled(h, g)
-            for D in (1, 2, 3):
-                assert count_N11(h, g, D, total) == count_N11(h, g, D)
+def test_count_N11_searches_only_low_low_edges(rng, monkeypatch):
+    # every search is pinned to one low-low edge per arc orbit, or runs on
+    # the low-low subgraph once; none covers the whole host
+    patterns = [cycle(3), cycle(4), cycle(5), path(2), from_edge_list(4, [(0, 1), (2, 3)])]
+    hosts = [random_graph(rng, 8, 0.5) for _ in range(8)]
+    for h in patterns:
+        for root, _ in counting._arc_orbits(h):
+            counting._compile(h, root)  # plans search h in itself; warm them
+    searched = []
+    search = counting._search
+    monkeypatch.setattr(
+        counting, "_search",
+        lambda c, gmask, *a, pin=(), **k: searched.append((list(gmask), pin))
+        or search(c, gmask, *a, pin=pin, **k),
+    )
+    pinned_any = 0
+    for g in hosts:
+        for h in patterns:
+            for D in (1, 2, 3, 4):
+                searched.clear()
+                low_low = oracle_low_low_masks(g, D)
+                got = count_N11(h, g, D)
+                pins = [pin for _, pin in searched if pin]
+                assert [m for m, pin in searched if not pin] == [low_low]
+                assert all(len(pin) == 2 and low_low[pin[0]] >> pin[1] & 1 for pin in pins)
+                assert len(pins) == len(counting._arc_orbits(h)) * sum(
+                    low_low[a] >> b & 1 for a, b in g.edges
+                )
+                pinned_any += bool(pins)
+                assert got == oracle_count_N11(h, g, D)
+    assert pinned_any
+
+
+@pytest.mark.parametrize(
+    "h, g, D",
+    [
+        # no low-low edge: the low part of K2,4 is independent
+        (cycle(4), complete_bipartite(2, 4), 2),
+        (path(2), complete_bipartite(2, 4), 2),
+        # every edge low-low
+        (cycle(4), cycle(6), 2),
+        (path(2), cycle(6), 2),
+        (complete(3), complete(4), 3),
+        (from_edge_list(4, [(0, 1), (2, 3)]), complete(4), 3),
+        # isolated host vertices
+        (complete(3), disjoint_union(complete(3), empty(3)), 2),
+        (path(2), disjoint_union(path(3), empty(2)), 1),
+        # the empty host, with and without vertices
+        (complete(3), empty(0), 2),
+        (path(1), empty(4), 1),
+        # a pattern larger than its host
+        (cycle(6), complete(4), 3),
+        (complete(4), path(2), 2),
+    ],
+)
+def test_count_N11_edge_cases_match_oracle(h, g, D):
+    assert count_N11(h, g, D) == oracle_count_N11(h, g, D)
+
+
+@pytest.mark.parametrize("ell", [4, 6])
+def test_count_N11_matches_the_host_difference_on_hub_rings(ell):
+    # copies with some low-low edge are the host's copies less those of the
+    # host without its low-low edges
+    from regtail.verify import _hub_ring_graph
+
+    h = cycle(ell)
+    for k in range(5, 12):
+        g = _hub_ring_graph(k)
+        low_low = oracle_low_low_masks(g, 3)
+        ll = [(a, b) for a, b in g.edges if low_low[a] >> b & 1]
+        kept = [e for e in g.edges if e not in ll]
+        n11 = count_labelled(h, g) - count_labelled(h, from_edge_list(g.vertex_count, kept))
+        tilde = count_labelled(h, from_edge_list(g.vertex_count, ll))
+        assert count_N11(h, g, 3) == (n11, tilde, n11 - tilde)
+        assert n11 > 0
 
 
 def test_paths_signed_classification():
@@ -691,15 +758,23 @@ def test_plan_built_once_per_distinct_pattern(monkeypatch):
     planned = []
     plan = counting._plan
     monkeypatch.setattr(
-        counting, "_plan", lambda h, root=None: planned.append(h) or plan(h, root)
+        counting, "_plan",
+        lambda h, root=None: planned.append((h, root)) or plan(h, root),
     )
-    g = complete(6)
+    # K6 has no low-low edge at D = 3; the 6-cycle with a chord has some
+    hosts = (complete(6), from_edge_list(6, [*cycle(6).edges, (0, 3)]))
     for _ in range(3):
         for h in (complete(3), cycle(4), validate_pattern(cycle(4))):
-            count_labelled(h, g)
-            count_with_edges(h, g)
-            count_N11(h, g, 3)
-    assert planned == [complete(3), cycle(4)]
+            for g in hosts:
+                count_labelled(h, g)
+                count_with_edges(h, g)
+                count_N11(h, g, 3)
+    # each (pattern, root) plan is built once: the plain plan, then one per
+    # orbit of oriented pattern edges, on the first host with low-low edges
+    expect = []
+    for h in (complete(3), cycle(4)):
+        expect += [(h, None)] + [(h, root) for root, _ in counting._arc_orbits(h)]
+    assert planned == expect
     # the catalogue dedup compares candidates against a bucket's first
     # member, which is the kernel's pattern and is planned once
     planned.clear()
@@ -707,7 +782,7 @@ def test_plan_built_once_per_distinct_pattern(monkeypatch):
     cubic = connected_regular_graphs(8, 3)
     assert len(cubic) == 5
     assert planned and len(planned) == len(set(planned))
-    assert set(planned) <= set(cubic)
+    assert set(planned) <= {(g, None) for g in cubic}
     assert counting._compile.cache_info().hits > hits
 
 

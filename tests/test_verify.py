@@ -38,6 +38,7 @@ from conftest import (
     oracle_canonical_form,
     oracle_connected_catalogue,
     oracle_isomorphic,
+    oracle_low_low_masks,
     random_graph,
 )
 
@@ -60,9 +61,17 @@ def test_connected_graph_catalogue():
 
 
 def test_connected_graph_catalogue_matches_oracle():
-    got = [(g.vertex_count, g.edges) for g in connected_graphs_up_to(5)]
-    expect = [(g.vertex_count, g.edges) for g in oracle_connected_catalogue(5)]
-    assert got == expect
+    for k in range(1, 6):
+        got = [(g.vertex_count, g.edges) for g in connected_graphs_up_to(k)]
+        expect = [(g.vertex_count, g.edges) for g in oracle_connected_catalogue(k)]
+        assert got == expect
+
+
+@pytest.mark.parametrize("k", [6, 7, 100])
+def test_connected_graph_catalogue_refuses_above_five_vertices(k):
+    with pytest.raises(ValueError) as err:
+        connected_graphs_up_to(k)
+    assert str(err.value) == f"the catalogue stops at 5 vertices, got {k}"
 
 
 def test_cube_graph_shape():
@@ -229,7 +238,7 @@ def test_violation_descriptor_replays_the_host(monkeypatch):
     # every instance fails: the counts dwarf every bound at these sizes
     huge = 10**30
     monkeypatch.setattr(verify, "count_labelled", lambda h, g: huge)
-    monkeypatch.setattr(verify, "count_N11", lambda h, g, D, total: (huge,) * 3)
+    monkeypatch.setattr(verify, "count_N11", lambda h, g, D: (huge,) * 3)
     monkeypatch.setattr(
         verify, "signed_path_counts",
         lambda gmask, low, v1, maxlen: defaultdict(lambda: [huge] * len(gmask)),
@@ -297,8 +306,8 @@ def test_path_and_cycle_checkers_share_host_work(monkeypatch):
         monkeypatch.setattr(module, "count_paths_signed", refuse, raising=False)
     assert verify.check_path_lemma(seed=202, graphs=3).instances > 0
 
-    # the cycle checker searches each whole host once per cycle length,
-    # not once per threshold as well; a searched host is its own mask list
+    # the cycle checker never searches a whole host: each search is pinned
+    # to an edge or runs on the host's low-low subgraph for one threshold
     hosts, searched = [], []
     draw, search = verify._random_graph, counting._search
     monkeypatch.setattr(
@@ -306,12 +315,16 @@ def test_path_and_cycle_checkers_share_host_work(monkeypatch):
     )
     monkeypatch.setattr(
         counting, "_search",
-        lambda c, gmask, *a, **k: searched.append(gmask) or search(c, gmask, *a, **k),
+        lambda c, gmask, *a, pin=(), **k: searched.append((list(gmask), pin))
+        or search(c, gmask, *a, pin=pin, **k),
     )
     verify.check_cycle_barN11(seed=303, graphs=3)
     assert len(hosts) == 3
-    for g in hosts:
-        assert sum(m is g.adjacency_masks for m in searched) == 4  # ell = 3..6
+    low_lows = [oracle_low_low_masks(g, D) for g in hosts for D in (2, 3)]
+    unpinned = [gmask for gmask, pin in searched if not pin]
+    assert len(unpinned) == 3 * 2 * 4  # hosts, thresholds, ell = 3..6
+    assert all(gmask in low_lows for gmask in unpinned)
+    assert any(pin for _, pin in searched)
 
 
 def test_exploratory_checker_records_observations():
