@@ -488,19 +488,97 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # parser assembly
 
+_FLAG = {"action": "store_true"}
+_GRAPH = ("--graph", {"required": True, "metavar": "FILE"})
+_DELTA = ("--delta", {"type": _positive_float, "required": True})
+_EDGES = ("--emit-edges", _FLAG)
 
-def _add_pattern_opts(sub: argparse.ArgumentParser, required: bool = True) -> None:
-    group = sub.add_mutually_exclusive_group(required=required)
-    group.add_argument("--pattern", choices=sorted(PATTERNS))
-    group.add_argument("--pattern-file", metavar="FILE")
+# verb -> (help, handler, options in --help order). An option is a flag with
+# its add_argument keywords, "pattern" for exactly one of --pattern and
+# --pattern-file, "pattern?" for at most one, or "scale" for --n and --p.
+# Every verb but verify also takes --csv.
+VERBS = {
+    "rate": ("tail rate per n^2 p^D log(1/p)", _cmd_rate,
+             ("pattern", _DELTA, "scale")),
+    "theta": ("tilted independence-polynomial root", _cmd_theta,
+              ("pattern", _DELTA)),
+    "count": ("exact labelled copy count", _cmd_count, (
+        "pattern", _GRAPH, ("--per-edge", _FLAG),
+        ("--hom", {**_FLAG, "help": "count homomorphisms instead of injective copies"}),
+    )),
+    "cond-exp": ("expected copies given planted edges", _cmd_cond_exp, (
+        "pattern", _GRAPH, "scale", ("--exact", _FLAG),
+        ("--gain", {**_FLAG, "help": "also emit the first-order surplus"}),
+    )),
+    "classify": ("sparsity regime for (n, p)", _cmd_classify, ("pattern", "scale")),
+    "peel": ("iterated removal of thin edges", _cmd_peel, (
+        "pattern", _GRAPH, "scale", _DELTA,
+        ("--eps", {"type": _positive_float, "required": True}),
+        ("--c-bar", {"type": _finite_float, "default": 0.0}),
+        ("--c-star", {"type": _finite_float, "default": 0.0}),
+        ("--strong", _FLAG), _EDGES,
+    )),
+    "partition": ("split edges by endpoint degrees", _cmd_partition, (
+        _GRAPH, ("--degree-threshold", {"type": int, "required": True}),
+    )),
+    "decompose": ("edge-avoiding covers of a pattern", _cmd_decompose, (
+        "pattern",
+        ("--mode", {"choices": ["cycles", "ordered"], "required": True}),
+        ("--edge", {"type": int, "nargs": 2, "metavar": ("U", "V")}),
+        ("--cherry", {"type": int, "nargs": 3, "metavar": ("A", "B", "C")}),
+    )),
+    "color": ("bipartite edge coloring / clean matching", _cmd_color, (
+        "pattern?", ("--graph", {"metavar": "FILE"}),
+        ("--avoid", {"type": int, "nargs": 2, "action": "append",
+                     "metavar": ("U", "V")}),
+    )),
+    "plant": ("realize a planted structure", _cmd_plant, (
+        ("--kind", {"required": True,
+                    "help": "hub:U | clique:M | bipartite:A,B | parts joined by +"}),
+        "scale", _EDGES,
+    )),
+    "varbound": ("cheapest feasible planted structure", _cmd_varbound, (
+        "pattern", _DELTA, "scale",
+        ("--candidate", {"action": "append", "metavar": "KIND"}),
+        ("--clique-range", {"metavar": "LO:HI"}),
+        ("--hub-range", {"metavar": "LO:HI"}),
+    )),
+    "verify": ("run the inequality checker suites", _cmd_verify, (
+        ("--seed", {"type": int, "default": 0}),
+        ("--trials", {"type": int, "default": 0,
+                      "help": "instance count per random suite (0 = default)"}),
+        ("--lemma", {"default": None, "help": "substring filter on checker keys"}),
+        ("--jsonl", {**_FLAG, "help": "append machine-readable JSON lines"}),
+    )),
+    "simulate": ("Monte Carlo copy-count statistics", _cmd_simulate, (
+        "pattern", "scale",
+        ("--trials", {"type": int, "required": True}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--tail-delta", {"type": _positive_float, "default": None}),
+        ("--planted", {"metavar": "FILE"}),
+    )),
+}
 
 
-def _add_scale_opts(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=_scale_int, required=True)
-    sub.add_argument("--p", type=_positive_float, required=True)
+def _add_options(sub: argparse.ArgumentParser, verb: str) -> None:
+    for option in VERBS[verb][2]:
+        if option in ("pattern", "pattern?"):
+            group = sub.add_mutually_exclusive_group(required=option == "pattern")
+            group.add_argument("--pattern", choices=sorted(PATTERNS))
+            group.add_argument("--pattern-file", metavar="FILE")
+        elif option == "scale":
+            sub.add_argument("--n", type=_scale_int, required=True)
+            sub.add_argument("--p", type=_positive_float, required=True)
+        else:
+            sub.add_argument(option[0], **option[1])
+    if verb != "verify":
+        sub.add_argument("--csv", **_FLAG)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The regtail parser. Every verb's subparser is made, with its help, so
+    the usage line and the choices are whole; the verb ``verb`` gets its
+    arguments, and with None every verb does."""
     parser = argparse.ArgumentParser(
         prog="regtail",
         description="Subgraph-count upper-tail toolkit: exact counting, "
@@ -508,117 +586,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="verb", required=True)
-
-    sub = subs.add_parser("rate", help="tail rate per n^2 p^D log(1/p)")
-    _add_pattern_opts(sub)
-    sub.add_argument("--delta", type=_positive_float, required=True)
-    _add_scale_opts(sub)
-    sub.set_defaults(func=_cmd_rate)
-
-    sub = subs.add_parser("theta", help="tilted independence-polynomial root")
-    _add_pattern_opts(sub)
-    sub.add_argument("--delta", type=_positive_float, required=True)
-    sub.set_defaults(func=_cmd_theta)
-
-    sub = subs.add_parser("count", help="exact labelled copy count")
-    _add_pattern_opts(sub)
-    sub.add_argument("--graph", required=True, metavar="FILE")
-    sub.add_argument("--per-edge", action="store_true")
-    sub.add_argument("--hom", action="store_true",
-                     help="count homomorphisms instead of injective copies")
-    sub.set_defaults(func=_cmd_count)
-
-    sub = subs.add_parser("cond-exp", help="expected copies given planted edges")
-    _add_pattern_opts(sub)
-    sub.add_argument("--graph", required=True, metavar="FILE")
-    _add_scale_opts(sub)
-    sub.add_argument("--exact", action="store_true")
-    sub.add_argument("--gain", action="store_true",
-                     help="also emit the first-order surplus")
-    sub.set_defaults(func=_cmd_cond_exp)
-
-    sub = subs.add_parser("classify", help="sparsity regime for (n, p)")
-    _add_pattern_opts(sub)
-    _add_scale_opts(sub)
-    sub.set_defaults(func=_cmd_classify)
-
-    sub = subs.add_parser("peel", help="iterated removal of thin edges")
-    _add_pattern_opts(sub)
-    sub.add_argument("--graph", required=True, metavar="FILE")
-    _add_scale_opts(sub)
-    sub.add_argument("--delta", type=_positive_float, required=True)
-    sub.add_argument("--eps", type=_positive_float, required=True)
-    sub.add_argument("--c-bar", type=_finite_float, default=0.0)
-    sub.add_argument("--c-star", type=_finite_float, default=0.0)
-    sub.add_argument("--strong", action="store_true")
-    sub.add_argument("--emit-edges", action="store_true")
-    sub.set_defaults(func=_cmd_peel)
-
-    sub = subs.add_parser("partition", help="split edges by endpoint degrees")
-    sub.add_argument("--graph", required=True, metavar="FILE")
-    sub.add_argument("--degree-threshold", type=int, required=True)
-    sub.set_defaults(func=_cmd_partition)
-
-    sub = subs.add_parser("decompose", help="edge-avoiding covers of a pattern")
-    _add_pattern_opts(sub)
-    sub.add_argument("--mode", choices=["cycles", "ordered"], required=True)
-    sub.add_argument("--edge", type=int, nargs=2, metavar=("U", "V"))
-    sub.add_argument("--cherry", type=int, nargs=3, metavar=("A", "B", "C"))
-    sub.set_defaults(func=_cmd_decompose)
-
-    sub = subs.add_parser("color", help="bipartite edge coloring / clean matching")
-    _add_pattern_opts(sub, required=False)
-    sub.add_argument("--graph", metavar="FILE")
-    sub.add_argument("--avoid", type=int, nargs=2, action="append",
-                     metavar=("U", "V"))
-    sub.set_defaults(func=_cmd_color)
-
-    sub = subs.add_parser("plant", help="realize a planted structure")
-    sub.add_argument("--kind", required=True,
-                     help="hub:U | clique:M | bipartite:A,B | parts joined by +")
-    _add_scale_opts(sub)
-    sub.add_argument("--emit-edges", action="store_true")
-    sub.set_defaults(func=_cmd_plant)
-
-    sub = subs.add_parser("varbound", help="cheapest feasible planted structure")
-    _add_pattern_opts(sub)
-    sub.add_argument("--delta", type=_positive_float, required=True)
-    _add_scale_opts(sub)
-    sub.add_argument("--candidate", action="append", metavar="KIND")
-    sub.add_argument("--clique-range", metavar="LO:HI")
-    sub.add_argument("--hub-range", metavar="LO:HI")
-    sub.set_defaults(func=_cmd_varbound)
-
-    sub = subs.add_parser("verify", help="run the inequality checker suites")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--trials", type=int, default=0,
-                     help="instance count per random suite (0 = default)")
-    sub.add_argument("--lemma", default=None,
-                     help="substring filter on checker keys")
-    sub.add_argument("--jsonl", action="store_true",
-                     help="append machine-readable JSON lines")
-    sub.set_defaults(func=_cmd_verify)
-
-    sub = subs.add_parser("simulate", help="Monte Carlo copy-count statistics")
-    _add_pattern_opts(sub)
-    _add_scale_opts(sub)
-    sub.add_argument("--trials", type=int, required=True)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--tail-delta", type=_positive_float, default=None)
-    sub.add_argument("--planted", metavar="FILE")
-    sub.set_defaults(func=_cmd_simulate)
-
-    for name, sub in subs.choices.items():
-        if name != "verify":
-            sub.add_argument("--csv", action="store_true")
+    for name, (help_text, _, _) in VERBS.items():
+        sub = subs.add_parser(name, help=help_text)
+        if verb is None or verb == name:
+            _add_options(sub, name)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # a verb in first place is the one argparse runs, so only it needs its
+    # arguments; anything else (--help, --version, no verb or an unknown
+    # one) gets them all
+    verb = argv[0] if argv and argv[0] in VERBS else None
+    args = build_parser(verb).parse_args(argv)
     try:
-        code = args.func(args)
+        code = VERBS[args.verb][1](args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code
     except (ValueError, ArithmeticError) as exc:

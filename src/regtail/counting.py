@@ -55,11 +55,9 @@ Counts are arbitrary-precision integers throughout.
 from __future__ import annotations
 
 import operator
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from collections import Counter, defaultdict, namedtuple
 from functools import cache, lru_cache
 from math import perm
-from typing import NamedTuple
 
 from .graphs import (
     Edge, Graph, PatternError, PatternGraph, SparsityContext, bits, layers,
@@ -71,24 +69,24 @@ class IsolatedPatternVertexError(ValueError):
     """Patterns must carry no isolated vertices; callers strip them first."""
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(namedtuple("CountReport", "total per_edge")):
     """Total labelled-copy count with the count through each host edge."""
 
-    total: int
-    per_edge: dict[Edge, int]
+    __slots__ = ()
 
 
-class _Compiled(NamedTuple):
-    """A pattern's search plan; ``inner``: edges avoiding the last vertex."""
+class _Compiled(namedtuple("_Compiled", (
+    "order",
+    "backs",  # pattern neighbours placed earlier
+    "need",  # pattern degree at each position
+    "inner",  # edges avoiding the last vertex
+    "lows",  # vertices whose image is below this one's
+    "weight",  # maps each leaf stands for: the product of the orbit sizes
+    "gens",  # automorphisms found, generating Aut(h)
+), defaults=((),))):
+    """A pattern's search plan."""
 
-    order: tuple[int, ...]
-    backs: tuple[tuple[int, ...], ...]  # pattern neighbours placed earlier
-    need: tuple[int, ...]  # pattern degree at each position
-    inner: tuple[Edge, ...]
-    lows: tuple[tuple[int, ...], ...]  # vertices whose image is below this one's
-    weight: int  # maps each leaf stands for: the product of the orbit sizes
-    gens: tuple[tuple[int, ...], ...] = ()  # automorphisms found, generating Aut(h)
+    __slots__ = ()
 
 
 def _unbroken(c: _Compiled) -> _Compiled:
@@ -458,6 +456,11 @@ def count_paths_signed(
         sig = ()
     if not sig or any(b not in (0, 1) for b in sig):
         raise ValueError(f"signature must be a nonempty 0/1 sequence, got {s!r}")
+    # the walk recurses once per signature edge: the stack limit of _plan
+    if len(sig) > MAX_PATTERN_VERTICES:
+        raise ValueError(
+            f"signature has {len(sig)} edges, above the limit of {MAX_PATTERN_VERTICES}"
+        )
     for v in (v1, v2):
         if not (0 <= v < g.vertex_count):
             raise ValueError(f"vertex {v} out of range")

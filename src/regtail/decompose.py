@@ -12,7 +12,7 @@ constructions; validators re-check every claimed invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .graphs import Edge, Graph, _canon, bits, double_cover
 
@@ -21,10 +21,10 @@ class NotBipartiteError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
-    color: dict[Edge, int]
-    num_colors: int
+class EdgeColoring(namedtuple("EdgeColoring", "color num_colors")):
+    """The color of each edge, from 0 to num_colors - 1."""
+
+    __slots__ = ()
 
     def classes(self) -> list[list[Edge]]:
         out: list[list[Edge]] = [[] for _ in range(self.num_colors)]
@@ -120,12 +120,11 @@ def matching_avoiding(h: Graph, avoid) -> frozenset[Edge]:
     raise AssertionError("pigeonhole guarantees an untouched color class")
 
 
-@dataclass(frozen=True)
-class CoverComponent:
-    """Either a single edge or a cycle given by the visiting order."""
+class CoverComponent(namedtuple("CoverComponent", "kind vertices")):
+    """Either a single edge or a cycle given by the visiting order: ``kind``
+    is "edge" or "cycle", ``vertices`` a tuple."""
 
-    kind: str  # "edge" or "cycle"
-    vertices: tuple[int, ...]
+    __slots__ = ()
 
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self.vertices)
@@ -138,9 +137,10 @@ class CoverComponent:
         )
 
 
-@dataclass(frozen=True)
-class CycleEdgeCover:
-    components: tuple[CoverComponent, ...]
+class CycleEdgeCover(namedtuple("CycleEdgeCover", "components")):
+    """A tuple of CoverComponents."""
+
+    __slots__ = ()
 
 
 def cycle_edge_cover_avoiding(h: Graph, e: Edge) -> CycleEdgeCover:
@@ -217,15 +217,14 @@ def validate_cycle_edge_cover(
     _check_cover(cover.components, h, h.edge_set(), forbidden)
 
 
-@dataclass(frozen=True)
-class OrderedCover:
+class OrderedCover(namedtuple("OrderedCover", "parts attachments")):
     """Cover relabelled so three anchor vertices land in the first three
     parts (which may coincide); parts beyond the third each attach to the
-    union of the earlier ones through a recorded pattern edge.
+    union of the earlier ones through a recorded pattern edge, and
+    ``attachments`` holds those edges aligned with ``parts[3:]``.
     """
 
-    parts: tuple[CoverComponent, ...]
-    attachments: tuple[tuple[int, int], ...]  # aligned with parts[3:]
+    __slots__ = ()
 
 
 def _cherry(q, edges: frozenset[Edge]) -> tuple[Edge, int, int, int]:

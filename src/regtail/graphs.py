@@ -9,7 +9,6 @@ once, as one int bitmask per vertex; ``bits`` iterates a mask and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import log
 
 
@@ -81,8 +80,36 @@ def low_degree_mask(masks, D: int) -> int:
     return sum(1 << v for v, m in enumerate(masks) if m.bit_count() <= D)
 
 
-@dataclass(frozen=True, eq=False)
-class Graph:
+class _Frozen:
+    """Fields set once, in ``__init__``, through the setters of their slots
+    (see ``_setters``): assigning or deleting one raises AttributeError.
+    ``_fields`` is the constructor order, ``_shown`` what ``repr`` prints."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _shown: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
+def _setters(cls: type) -> list:
+    """The setters of the slots ``cls`` adds; a frozen record's ``__init__``
+    calls them, which is faster than ``object.__setattr__``."""
+    return [getattr(cls, f).__set__ for f in cls.__slots__]
+
+
+class Graph(_Frozen):
     """Immutable simple graph.
 
     ``edges`` is the canonical sorted tuple of (min, max) pairs.
@@ -92,9 +119,15 @@ class Graph:
     a validated pattern equals, and hashes as, its plain graph.
     """
 
-    vertex_count: int
-    edges: tuple[Edge, ...]
-    adjacency_masks: tuple[int, ...] = field(repr=False)
+    __slots__ = _fields = ("vertex_count", "edges", "adjacency_masks")
+    _shown = ("vertex_count", "edges")
+
+    def __init__(
+        self, vertex_count: int, edges: tuple[Edge, ...], adjacency_masks: tuple[int, ...]
+    ) -> None:
+        _set_vertex_count(self, vertex_count)
+        _set_edges(self, edges)
+        _set_adjacency_masks(self, adjacency_masks)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -158,6 +191,9 @@ class Graph:
         return self if all(self.adjacency_masks) else span_of_edges(self.edges)
 
 
+_set_vertex_count, _set_edges, _set_adjacency_masks = _setters(Graph)
+
+
 def from_edge_list(n: int, pairs) -> Graph:
     """Build a Graph on n vertices; duplicate pairs collapse, order canonical."""
     if n < 0:
@@ -174,7 +210,7 @@ def from_edge_list(n: int, pairs) -> Graph:
     for u, v in edges:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
-    return Graph(vertex_count=n, edges=edges, adjacency_masks=tuple(masks))
+    return Graph(n, edges, tuple(masks))
 
 
 def double_cover(h: Graph) -> Graph:
@@ -199,12 +235,20 @@ def span_of_edges(pairs) -> Graph:
     return from_edge_list(len(verts), [(index[u], index[v]) for u, v in pairs])
 
 
-@dataclass(frozen=True, eq=False)
 class PatternGraph(Graph):
     """A connected regular graph with degree at least 2, used as a count
     pattern; only ``validate_pattern`` builds one."""
 
-    delta: int
+    __slots__ = ("delta",)
+    _fields = (*Graph._fields, "delta")
+    _shown = (*Graph._shown, "delta")
+
+    def __init__(
+        self, vertex_count: int, edges: tuple[Edge, ...],
+        adjacency_masks: tuple[int, ...], delta: int,
+    ) -> None:
+        Graph.__init__(self, vertex_count, edges, adjacency_masks)
+        _set_delta(self, delta)
 
     @property
     def v_h(self) -> int:
@@ -213,6 +257,9 @@ class PatternGraph(Graph):
     @property
     def e_h(self) -> int:
         return self.edge_count
+
+
+(_set_delta,) = _setters(PatternGraph)
 
 
 def validate_pattern(g: Graph) -> PatternGraph:
@@ -232,18 +279,26 @@ def validate_pattern(g: Graph) -> PatternGraph:
     return PatternGraph(g.vertex_count, g.edges, g.adjacency_masks, delta)
 
 
-@dataclass(frozen=True)
-class SparsityContext:
+class SparsityContext(_Frozen):
     """Ambient scale (n, p) with 0 < p < 1."""
 
-    n: int
-    p: float
+    __slots__ = _fields = _shown = ("n", "p")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
-        if not (0.0 < self.p < 1.0):
-            raise ValueError(f"p must lie strictly inside (0, 1), got {self.p}")
+    def __init__(self, n: int, p: float) -> None:
+        if n < 1:
+            raise ValueError(f"n must be positive, got {n}")
+        if not (0.0 < p < 1.0):
+            raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
+        _set_n(self, n)
+        _set_p(self, p)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.p) == (other.n, other.p)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.p))
 
     @property
     def log_inv_p(self) -> float:
@@ -260,6 +315,9 @@ class SparsityContext:
     def density_scale(self, h: PatternGraph) -> float:
         """n p^{degree/2}; its v-th power is the copies scale."""
         return float(self.n) * self.p ** (h.delta / 2.0)
+
+
+_set_n, _set_p = _setters(SparsityContext)
 
 
 # ---------------------------------------------------------------------------

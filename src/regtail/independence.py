@@ -12,7 +12,7 @@ bipartite double cover: alpha*(G) = alpha(G x K2) / 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .graphs import Graph, double_cover
@@ -117,19 +117,18 @@ def tilted_root(g: Graph, delta: float) -> float:
     return x
 
 
-@dataclass(frozen=True)
-class FractionalIndependence:
+class FractionalIndependence(namedtuple("FractionalIndependence", "value witness")):
     """Maximum of sum x_v over vertex weights in [0, 1] with x_u + x_v <= 1
     on every edge, with a half-integral optimal witness.
 
     The fractional vertex-packing polytope has half-integral extreme
     points (Nemhauser & Trotter 1974), and the half-integral packings of G
     are the images of the independent sets I of the double cover G x K2
-    under x_v = |I & {v, v'}| / 2. So alpha*(G) = alpha(G x K2) / 2.
+    under x_v = |I & {v, v'}| / 2. So alpha*(G) = alpha(G x K2) / 2. Both
+    ``value`` and the entries of ``witness`` are Fractions.
     """
 
-    value: Fraction
-    witness: tuple[Fraction, ...]
+    __slots__ = ()
 
 
 def fractional_independence(g: Graph) -> FractionalIndependence:

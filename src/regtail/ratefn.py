@@ -34,7 +34,7 @@ The counts are the kernel's integers, so every sum is bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, product
@@ -65,14 +65,12 @@ class InfeasibleFamilyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Regime:
-    """Sparsity classification with the scales that decided it echoed."""
+class Regime(namedtuple("Regime", "tag density_scale sqrt_n poisson_ceiling")):
+    """Sparsity classification with the scales that decided it echoed;
+    ``tag`` is dense-localized, sparse-localized, poisson or
+    clique-only-boundary."""
 
-    tag: str  # dense-localized | sparse-localized | poisson | clique-only-boundary
-    density_scale: float
-    sqrt_n: float
-    poisson_ceiling: float
+    __slots__ = ()
 
 
 def classify_regime(h: PatternGraph, ctx: SparsityContext) -> Regime:
@@ -258,10 +256,10 @@ def conditional_expectation_and_gain(
 # planted structures
 
 
-@dataclass(frozen=True)
-class PlantedStructure:
-    descriptor: tuple
-    realized: Graph
+class PlantedStructure(namedtuple("PlantedStructure", "descriptor realized")):
+    """A planted kind's descriptor tuple and the Graph realizing it."""
+
+    __slots__ = ()
 
 
 # Largest realized edge count ``plant`` builds. Sizes come from the command

@@ -18,8 +18,7 @@ is exact integer summation, converted to float once. Only the CLI's
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import islice
 from math import factorial, prod, sqrt
@@ -72,11 +71,10 @@ assert BASIS_MAX_VERTICES**BASIS_MAX_ORDER < 2**53
 BLOCK_ENTRIES = 2**12
 
 
-@dataclass(frozen=True)
-class RngSpec:
+class RngSpec(namedtuple("RngSpec", "seed")):
     """Base key of the Philox4x64 streams."""
 
-    seed: int
+    __slots__ = ()
 
     def stream(self, index: int) -> np.random.Generator:
         bits = np.random.Philox(key=self.seed, counter=_counter(index))
@@ -106,11 +104,11 @@ def _spec(rng: RngSpec | int) -> RngSpec:
     return spec
 
 
-@dataclass(frozen=True)
-class McEstimate:
-    mean: float
-    std_error: float
-    trials: int
+class McEstimate(namedtuple("McEstimate", "mean std_error trials")):
+    """Sample mean of a count over ``trials`` trials, with its standard
+    error."""
+
+    __slots__ = ()
 
 
 def _estimate(values: list[int]) -> McEstimate:

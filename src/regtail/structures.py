@@ -9,16 +9,16 @@ nothing here asserts a limit statement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import ceil
 
 from .counting import CountReport, count_labelled, count_through, count_with_edges
 from .graphs import Edge, Graph, PatternGraph, SparsityContext, bits, low_degree_mask
 
 
-@dataclass(frozen=True)
-class CoreParams:
-    """Shared knobs for the predicate ladder.
+class CoreParams(namedtuple("CoreParams", "delta eps context pattern c_bar c_star")):
+    """Shared knobs for the predicate ladder: floats delta and eps, the
+    SparsityContext ``context`` and the PatternGraph ``pattern``.
 
     c_bar budgets edges against n^2 p^Delta log(1/p); c_star against
     n^2 p^Delta alone and must stay >= 32 delta^(2/v) for the strong-core
@@ -26,29 +26,26 @@ class CoreParams:
     default; a negative c_bar would make the budget and the floor negative.
     """
 
-    delta: float
-    eps: float
-    context: SparsityContext
-    pattern: PatternGraph
-    c_bar: float = 0.0
-    c_star: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.delta <= 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if not 0 < self.eps < 1:
-            raise ValueError(f"eps must lie in (0,1), got {self.eps}")
-        if self.c_bar < 0:
-            raise ValueError(f"c_bar must be nonnegative, got {self.c_bar}")
-        floor = 32.0 * self.delta ** (2.0 / self.pattern.v_h)
-        if self.c_bar == 0.0:
-            object.__setattr__(self, "c_bar", 10.0 / (self.delta * self.eps))
-        if self.c_star == 0.0:
-            object.__setattr__(self, "c_star", floor)
-        elif self.c_star < floor * (1.0 - 1e-12):
-            raise ValueError(
-                f"c_star={self.c_star} below 32*delta^(2/v)={floor}"
-            )
+    def __new__(
+        cls, delta: float, eps: float, context: SparsityContext,
+        pattern: PatternGraph, c_bar: float = 0.0, c_star: float = 0.0,
+    ) -> CoreParams:
+        if delta <= 0:
+            raise ValueError(f"delta must be positive, got {delta}")
+        if not 0 < eps < 1:
+            raise ValueError(f"eps must lie in (0,1), got {eps}")
+        if c_bar < 0:
+            raise ValueError(f"c_bar must be nonnegative, got {c_bar}")
+        floor = 32.0 * delta ** (2.0 / pattern.v_h)
+        if c_bar == 0.0:
+            c_bar = 10.0 / (delta * eps)
+        if c_star == 0.0:
+            c_star = floor
+        elif c_star < floor * (1.0 - 1e-12):
+            raise ValueError(f"c_star={c_star} below 32*delta^(2/v)={floor}")
+        return tuple.__new__(cls, (delta, eps, context, pattern, c_bar, c_star))
 
     @property
     def degree_threshold(self) -> int:
@@ -83,18 +80,17 @@ class CoreParams:
         )
 
 
-@dataclass(frozen=True)
-class PredicateWitness:
-    """Outcome of a clause ladder; truthiness tracks satisfaction.
+class PredicateWitness(namedtuple(
+    "PredicateWitness", "satisfied violated_clause attained required",
+    defaults=(None, None, None),
+)):
+    """Outcome of a clause ladder; truthiness tracks ``satisfied``.
 
     On failure, names the first violated clause and reports the attained
     and required values; slack = attained - required is then negative.
     """
 
-    satisfied: bool
-    violated_clause: str | None = None
-    attained: float | None = None
-    required: float | None = None
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.satisfied
@@ -158,14 +154,11 @@ def is_strong_core(g: Graph, params: CoreParams) -> PredicateWitness:
     return _rung(g, params, "strong-core")
 
 
-@dataclass(frozen=True)
-class EdgePartition:
-    """Edges split by membership of endpoints in the low-degree set."""
+class EdgePartition(namedtuple("EdgePartition", "low_vertices e11 e12 e22")):
+    """Edges split by membership of endpoints in the low-degree set, each
+    field a frozenset."""
 
-    low_vertices: frozenset[int]
-    e11: frozenset[Edge]
-    e12: frozenset[Edge]
-    e22: frozenset[Edge]
+    __slots__ = ()
 
 
 def edge_partition(g: Graph, D: int) -> EdgePartition:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from itertools import combinations, product
 from math import log
@@ -44,12 +44,19 @@ from .structures import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    instances: int
-    violations: list[tuple[str, float, float]]
-    observations: list[str] = field(default_factory=list)
+class CheckResult(namedtuple("CheckResult", "check_id instances violations observations")):
+    """One checker's outcome: its instance count, each violation as
+    (instance, lhs, rhs) and its observation lines, a new list unless
+    given."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, check_id: str, instances: int, violations: list, observations=None
+    ) -> CheckResult:
+        if observations is None:
+            observations = []
+        return tuple.__new__(cls, (check_id, instances, violations, observations))
 
     @property
     def passed(self) -> bool:

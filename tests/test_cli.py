@@ -1,4 +1,6 @@
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import os
@@ -109,6 +111,41 @@ def test_package_surface_loads_on_demand():
     assert error == "module 'regtail' has no attribute 'no_such_name'"
     assert unbound == []
     assert same
+
+
+# each record's constructor parameters, in field order, with their defaults
+RECORDS = {
+    "graphs.Graph": "vertex_count edges adjacency_masks",
+    "graphs.PatternGraph": "vertex_count edges adjacency_masks delta",
+    "graphs.SparsityContext": "n p",
+    "counting.CountReport": "total per_edge",
+    "counting._Compiled": "order backs need inner lows weight gens=()",
+    "ratefn.Regime": "tag density_scale sqrt_n poisson_ceiling",
+    "ratefn.PlantedStructure": "descriptor realized",
+    "independence.FractionalIndependence": "value witness",
+    "structures.CoreParams": "delta eps context pattern c_bar=0.0 c_star=0.0",
+    "structures.PredicateWitness":
+        "satisfied violated_clause=None attained=None required=None",
+    "structures.EdgePartition": "low_vertices e11 e12 e22",
+    "verify.CheckResult": "check_id instances violations observations=None",
+    "sim.RngSpec": "seed",
+    "sim.McEstimate": "mean std_error trials",
+    "decompose.EdgeColoring": "color num_colors",
+    "decompose.CoverComponent": "kind vertices",
+    "decompose.CycleEdgeCover": "components",
+    "decompose.OrderedCover": "parts attachments",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_keep_their_fields(name):
+    module, _, cls_name = name.partition(".")
+    cls = getattr(importlib.import_module(f"regtail.{module}"), cls_name)
+    params = inspect.signature(cls).parameters.values()
+    assert " ".join(
+        p.name if p.default is p.empty else f"{p.name}={p.default!r}" for p in params
+    ) == RECORDS[name]
+    assert cls._fields == tuple(p.name for p in params)
 
 
 def test_theta_c4_example(capsys):

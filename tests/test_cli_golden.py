@@ -124,8 +124,52 @@ def test_help_text(argv, capsys, monkeypatch):
     assert capsys.readouterr().out == HELP[argv]
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_verb_parser_matches_the_full_parser(name):
+    argv = CASES[name]
+    assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
+
+
+def test_verb_parser_adds_only_its_own_arguments():
+    subs = build_parser("cond-exp")._subparsers._group_actions[0].choices
+    dests = {verb: [a.dest for a in sub._actions] for verb, sub in subs.items()}
+    assert dests.pop("cond-exp") == ["help", "pattern", "pattern_file", "graph", "n",
+                                     "p", "exact", "gain", "csv"]
+    assert all(d == ["help"] for d in dests.values())
+
+
+# stderr of two usage errors at 80 columns, recorded from the parser that
+# added every verb's arguments: a verb missing a required option, and an
+# unknown option before the verb
+USAGE_ERRORS = {
+    "cond-exp --pattern k3 --n 8 --p 0.25":
+        "usage: regtail cond-exp [-h]\n"
+        "                        (--pattern {c4,c5,c6,k3,k4,petersen} | --pattern-file FILE)\n"
+        "                        --graph FILE --n N --p P [--exact] [--gain] [--csv]\n"
+        "regtail cond-exp: error: the following arguments are required: --graph\n",
+    "--bogus cond-exp --pattern k3 --graph g.txt --n 8 --p 0.25":
+        "usage: regtail [-h] [--version]\n"
+        "               {rate,theta,count,cond-exp,classify,peel,partition,decompose,"
+        "color,plant,varbound,verify,simulate}\n"
+        "               ...\n"
+        "regtail: error: unrecognized arguments: --bogus\n",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(USAGE_ERRORS))
+def test_usage_error_text(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", USAGE_ERRORS[argv])
+
+
 # The regtail modules each verb loads beside the package and cli, one case
 # per verb, and whether numpy loads: a verb pays only for its own modules.
+# None loads dataclasses, inspect or typing, which cost about 10 ms a
+# process; numpy imports inspect itself.
 RATEFN = {"graphs", "counting", "independence", "ratefn"}
 LOADS = {
     "--version": ({"graphs"}, False),
@@ -147,13 +191,15 @@ ARGV = {**CASES, "--version": ["--version"],
         "verify": ["verify", "--seed", "0", "--trials", "1"]}
 LOAD_PROBE = """
 import json, sys
+heavy = {"dataclasses", "inspect", "typing"} - set(sys.modules)
 from regtail.cli import main
 try:
     code = main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
 loaded = sorted(m[8:] for m in sys.modules if m.startswith("regtail."))
-print(json.dumps([code, loaded, "numpy" in sys.modules]))
+heavy = sorted(heavy & set(sys.modules))
+print(json.dumps([code, loaded, "numpy" in sys.modules, heavy]))
 """
 
 
@@ -166,8 +212,10 @@ def test_verb_loads_only_its_modules(case, tmp_path):
     for name, text in FILES.items():
         (tmp_path / name).write_text(text)
     argv = [a.replace("{tmp}", str(tmp_path)) for a in ARGV[case]]
-    code, loaded, numpy = json.loads(run_fresh(LOAD_PROBE, *argv).splitlines()[-1])
+    code, loaded, numpy, heavy = json.loads(run_fresh(LOAD_PROBE, *argv).splitlines()[-1])
     modules, uses_numpy = LOADS[case]
     assert code == 0
     assert set(loaded) == modules | {"cli"}
     assert numpy == uses_numpy
+    if not uses_numpy:
+        assert heavy == []

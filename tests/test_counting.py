@@ -383,6 +383,16 @@ def test_paths_signed_long_signature():
     assert count_paths_signed(g, (1,) * 70, 0, 70, 2) == 0
 
 
+def test_paths_signed_refuses_a_signature_above_the_stack_limit():
+    # the walk recurses once per signature edge, so a signature is held to
+    # the pattern vertex limit before any walk
+    assert counting.MAX_PATTERN_VERTICES == 800
+    assert count_paths_signed(path(800), (0,) * 800, 0, 800, 2) == 1
+    with pytest.raises(ValueError) as info:
+        count_paths_signed(path(1100), (0,) * 1100, 0, 1100, 2)
+    assert str(info.value) == "signature has 1100 edges, above the limit of 800"
+
+
 def test_paths_signed_validation():
     g = path(3)
     with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from itertools import product
 
@@ -15,6 +17,7 @@ from regtail.graphs import (
     GraphInputError,
     PatternDegreeError,
     PatternError,
+    PatternGraph,
     PatternNotConnectedError,
     PatternNotRegularError,
     SparsityContext,
@@ -190,6 +193,68 @@ def test_sparsity_context_bounds_and_scales():
     assert ctx.edge_scale(k3) == pytest.approx(100**2 * 0.1**2)
     assert ctx.density_scale(k3) == pytest.approx(100 * 0.1)
     assert ctx.log_inv_p == pytest.approx(math.log(10))
+
+
+def test_graph_records_keep_their_repr():
+    # repr leaves adjacency_masks out
+    g = cycle(4)
+    edges = "((0, 1), (0, 3), (1, 2), (2, 3))"
+    assert repr(g) == f"Graph(vertex_count=4, edges={edges})"
+    assert repr(validate_pattern(g)) == (
+        f"PatternGraph(vertex_count=4, edges={edges}, delta=2)"
+    )
+    assert repr(empty(0)) == "Graph(vertex_count=0, edges=())"
+    assert repr(SparsityContext(10, 0.5)) == "SparsityContext(n=10, p=0.5)"
+
+
+def test_graph_records_take_keywords_and_copy():
+    g = cycle(4)
+    h = validate_pattern(g)
+    assert Graph(vertex_count=4, edges=g.edges, adjacency_masks=g.adjacency_masks) == g
+    made = PatternGraph(vertex_count=4, edges=g.edges,
+                        adjacency_masks=g.adjacency_masks, delta=2)
+    assert (made, made.delta) == (h, 2)
+    for record in (g, h, SparsityContext(10, 0.5)):
+        for twin in (copy.copy(record), pickle.loads(pickle.dumps(record))):
+            assert type(twin) is type(record)
+            assert repr(twin) == repr(record) and twin == record
+    assert pickle.loads(pickle.dumps(h)).adjacency_masks == h.adjacency_masks
+
+
+@pytest.mark.parametrize("record, field", [
+    (cycle(4), "edges"),
+    (cycle(4), "adjacency_masks"),
+    (validate_pattern(cycle(4)), "delta"),
+    (validate_pattern(cycle(4)), "vertex_count"),
+    (SparsityContext(10, 0.5), "p"),
+], ids=["graph-edges", "graph-masks", "pattern-delta", "pattern-order", "context-p"])
+def test_graph_records_are_immutable(record, field):
+    before = repr(record), getattr(record, field)
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(record, field, 0)
+    with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = 0
+    assert (repr(record), getattr(record, field)) == before
+
+
+def test_sparsity_context_equality_and_refusals():
+    ctx = SparsityContext(10, 0.5)
+    assert ctx == SparsityContext(n=10, p=0.5)
+    assert hash(ctx) == hash(SparsityContext(10, 0.5)) == hash((10, 0.5))
+    assert ctx != SparsityContext(10, 0.25) and ctx != SparsityContext(11, 0.5)
+    assert ctx != (10, 0.5)
+    assert len({ctx, SparsityContext(10, 0.5), SparsityContext(10, 0.25)}) == 2
+    for n, p, message in [
+        (0, 0.5, "n must be positive, got 0"),
+        (10, 0.0, "p must lie strictly inside (0, 1), got 0.0"),
+        (10, 1.0, "p must lie strictly inside (0, 1), got 1.0"),
+        (10, math.nan, "p must lie strictly inside (0, 1), got nan"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            SparsityContext(n, p)
+        assert str(info.value) == message
 
 
 def test_parse_format_round_trip():

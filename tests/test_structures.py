@@ -18,6 +18,7 @@ from regtail.graphs import (
 from regtail.structures import (
     CoreParams,
     EdgePartition,
+    PredicateWitness,
     degree_product_floor,
     edge_partition,
     is_core,
@@ -49,6 +50,34 @@ def test_core_params_defaults():
     assert p.c_bar == pytest.approx(10.0 / (2.0 * 0.25))
     assert p.c_star == pytest.approx(32.0 * 2.0 ** (2.0 / 3.0))
     assert p.degree_threshold == math.ceil(16 * 2 / 0.25)
+
+
+def test_core_params_record_contract():
+    params = CoreParams(2.0, 0.25, CTX, K3)
+    assert params == make_params(delta=2.0, eps=0.25)
+    assert (params.c_bar, params.c_star) == (20.0, 32.0 * 2.0 ** (2.0 / 3.0))
+    given = CoreParams(2.0, 0.25, CTX, K3, c_bar=3.0, c_star=100.0)
+    assert (given.c_bar, given.c_star) == (3.0, 100.0)
+    with pytest.raises(AttributeError):
+        params.c_bar = 1.0
+    for kw, message in [
+        ({"delta": 0.0}, "delta must be positive, got 0.0"),
+        ({"eps": 1.0}, "eps must lie in (0,1), got 1.0"),
+        ({"c_bar": -2.0}, "c_bar must be nonnegative, got -2.0"),
+        ({"delta": 1.0, "c_star": 1.0}, "c_star=1.0 below 32*delta^(2/v)=32.0"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            make_params(**kw)
+        assert str(info.value) == message
+
+
+def test_predicate_witness_truth_and_slack():
+    held = PredicateWitness(True)
+    assert held and (held.violated_clause, held.attained, held.required) == (None,) * 3
+    assert held.slack is None
+    failed = PredicateWitness(False, "edge budget", 1.0, 3.0)
+    assert not failed and failed.slack == -2.0
+    assert PredicateWitness(False, "edge budget", attained=1.0).slack is None
 
 
 def test_core_params_validation():

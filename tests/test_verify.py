@@ -405,3 +405,10 @@ def test_summary_table_marks_failures():
     assert "FAIL" in table
     good = CheckResult("made-up", 3, [], [])
     assert "FAIL" not in summary_table([good])
+
+
+def test_check_results_get_their_own_observations():
+    first, second = CheckResult("a", 1, []), CheckResult("b", 1, [])
+    first.observations.append("seen")
+    assert (first.observations, second.observations) == (["seen"], [])
+    assert first.passed and not CheckResult("c", 1, [("case", 1.0, 2.0)]).passed
