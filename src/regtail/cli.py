@@ -576,29 +576,30 @@ def _add_options(sub: argparse.ArgumentParser, verb: str) -> None:
 
 
 def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
-    """The regtail parser. Every verb's subparser is made, with its help, so
-    the usage line and the choices are whole; the verb ``verb`` gets its
-    arguments, and with None every verb does."""
+    """The regtail parser: with a verb, only that verb's subparser, and
+    with None every verb's. A one-verb parser's metavar names every verb,
+    so the usage line of an error is the full parser's; the full parser
+    keeps none, as its errors name the argument ``verb``."""
     parser = argparse.ArgumentParser(
         prog="regtail",
         description="Subgraph-count upper-tail toolkit: exact counting, "
         "rate formulas, structure extraction, and checker suites.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    subs = parser.add_subparsers(dest="verb", required=True)
+    metavar = None if verb is None else "{" + ",".join(VERBS) + "}"
+    subs = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
     for name, (help_text, _, _) in VERBS.items():
-        sub = subs.add_parser(name, help=help_text)
         if verb is None or verb == name:
-            _add_options(sub, name)
+            _add_options(subs.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # a verb in first place is the one argparse runs, so only it needs its
-    # arguments; anything else (--help, --version, no verb or an unknown
-    # one) gets them all
+    # a verb in first place is the one argparse runs, so only its subparser
+    # is made; anything else (--help, --version, no verb or an unknown one)
+    # gets them all
     verb = argv[0] if argv and argv[0] in VERBS else None
     args = build_parser(verb).parse_args(argv)
     try:

@@ -1,11 +1,32 @@
 """Exact counting kernels.
 
 Every pattern count here is a number of edge-preserving maps of a pattern h
-into a host g, and one backtracking search, ``_search``, finds them all
-(``signed_path_counts`` tallies every signed host path of one start vertex
-in a single walk, ``count_paths_signed`` reads one signature and endpoint
-off that walk pruned to the signature, and ``expected_count`` is a closed
-form). The search walks a connected search order of the pattern; each
+into a host g, and one backtracking search, ``_search``, finds them all,
+with these exceptions. ``signed_path_counts`` tallies every signed host
+path of one start vertex in a single walk, and ``count_paths_signed`` reads
+one signature and endpoint off that walk pruned to the signature.
+``expected_count`` is a closed form. A short cycle C_k, 3 <= k <= 5, is
+counted from closed walks by ``_cycle_walks``: the labelled count is
+tr A^k less the closed walks that revisit a vertex (Harary & Manvel, *On
+the number of cycles in a graph*, 1971; Alon, Yuster & Zwick, *Finding and
+counting given length cycles*, 1997). With d_v the degree of v and
+c(u, w) = |N(u) & N(w)| = (A^2)_uw for u != w:
+
+- C3: labelled = hom = tr A^3 = 2 sum_{uw in E} c(u, w); through an edge
+  uw, 6 c(u, w), and each common neighbour x adds 6 to ux and wx;
+- C4: hom = tr A^4 = sum_{u, w} (A^2)_uw^2; labelled = tr A^4 -
+  2 sum d_v^2 + sum d_v; through an edge uw, 8 ((A^3)_uw - d_u - d_w + 1);
+- C5: hom = tr A^5 = 2 sum_{uw in E} sum_v (A^2)_uv (A^2)_wv; labelled =
+  tr A^5 - 5 sum_v (d_v - 1) (A^3)_vv.
+
+``count_labelled`` and ``count_hom`` take this route for C3 to C5,
+``count_with_edges`` for C3 and C4 and ``count_through`` for C3; the
+route reads only the pattern's order and degrees. The rows of A^2 are
+kept as bit planes, so each sum over v is a few popcounts. Every other
+count, ``count_N11`` and the Monte Carlo trials run the kernel, which
+stays the independent oracle for these identities in the tests.
+
+The search walks a connected search order of the pattern; each
 candidate set is a host-degree floor mask minus the used vertices,
 intersected with the host neighborhoods of the placed pattern neighbors,
 all on integer bitmasks. The last search level is read inside the
@@ -315,8 +336,92 @@ def _exists(c: _Compiled, gmask, pin=()) -> tuple[int, ...] | None:
         return leaf.args[0]
 
 
+def _short_cycle(h: Graph) -> int:
+    """k if h is the cycle C_k with 3 <= k <= 5, else 0: on at most five
+    vertices, a pattern whose every degree is 2 is one cycle."""
+    hm = h.adjacency_masks
+    if 3 <= len(hm) <= 5 and all(m.bit_count() == 2 for m in hm):
+        return len(hm)
+    return 0
+
+
+def _square_rows(gmask) -> list[list[int]]:
+    """Row v of A^2 off its diagonal, for every host vertex v, as bit planes:
+    bit w of plane j is bit j of c(v, w), the number of walks v-x-w, w != v.
+    The neighbour masks of v are added with a ripple carry, all w at once."""
+    rows = []
+    for v, m in enumerate(gmask):
+        planes: list[int] = []
+        for x in bits(m):
+            carry = gmask[x]
+            for j, p in enumerate(planes):
+                planes[j], carry = p ^ carry, p & carry
+                if not carry:
+                    break
+            else:
+                planes.append(carry)
+        # v is in every added mask: drop it, and any plane that held only it
+        planes = [p & ~(1 << v) for p in planes]
+        while planes and not planes[-1]:
+            planes.pop()
+        rows.append(planes)
+    return rows
+
+
+def _dot(a: list[int], b: list[int]) -> int:
+    """sum_w a(w) b(w) for two vectors given as bit planes."""
+    return sum(
+        (p & q).bit_count() << (i + j) for i, p in enumerate(a) for j, q in enumerate(b)
+    )
+
+
+def _cycle_walks(k: int, gmask, edges, per=None) -> tuple[int, int]:
+    """(homomorphisms, labelled copies) of the cycle C_k, k = 3, 4 or 5, in
+    the host with adjacency masks ``gmask`` and edge list ``edges``, from
+    the closed-walk identities in the module docstring. With k <= 4, the
+    labelled count through each host edge is stored in the dict ``per``
+    when one is given."""
+    if k == 3:
+        # every closed 3-walk is a triangle: 6 maps, and c(u, w) through uw
+        tr = 0
+        for u, w in edges:
+            c = (gmask[u] & gmask[w]).bit_count()
+            tr += c
+            if per is not None:
+                per[u, w] = 6 * c
+        return 2 * tr, 2 * tr
+    deg = [m.bit_count() for m in gmask]
+    rows = _square_rows(gmask)
+    if k == 4:
+        # (A^2)_vv = d_v; the closed 4-walks v-a-v-b-v and v-a-x-a-v
+        # (x != v) revisit a vertex
+        tr = sum(d * d + _dot(r, r) for d, r in zip(deg, rows))
+        if per is not None:
+            for u, w in edges:
+                # the 3-paths u-x-y-w number (A^3)_uw - d_u - d_w + 1, and
+                # (A^3)_uw is d_w (x = w) plus c(w, x) over the other x in
+                # N(u), which the planes of w hold
+                mu, paths = gmask[u], 1 - deg[u]
+                for j, p in enumerate(rows[w]):
+                    paths += (mu & p).bit_count() << j
+                per[u, w] = 8 * paths
+        return tr, tr - sum(d * (2 * d - 1) for d in deg)
+    # v = u and v = w add (d_u + d_w) c(u, w), which the planes leave out
+    tr = 0
+    for u, w in edges:
+        c = (gmask[u] & gmask[w]).bit_count()
+        tr += _dot(rows[u], rows[w]) + (deg[u] + deg[w]) * c
+    # a closed 5-walk that is no 5-cycle runs round a triangle at v with
+    # one step out and back; (A^3)_vv = sum over x in N(v) of c(v, x)
+    bad = sum((d - 1) * _dot([m], r) for d, m, r in zip(deg, gmask, rows))
+    return 2 * tr, 2 * tr - 5 * bad
+
+
 def count_labelled(h: Graph, g: Graph) -> int:
     """Number of injective maps V(h) -> V(g) preserving all edges of h."""
+    k = _short_cycle(h)
+    if k:
+        return _cycle_walks(k, g.adjacency_masks, g.edges)[1]
     return _search(_compile(h), g.adjacency_masks)
 
 
@@ -342,8 +447,12 @@ def count_with_edges(h: Graph, g: Graph) -> CountReport:
 
     All per-edge counters are filled in one pass, a last level at a time.
     """
+    k = _short_cycle(h)
+    if k in (3, 4):
+        per: dict[Edge, int] = {}
+        return CountReport(_cycle_walks(k, g.adjacency_masks, g.edges, per)[1], per)
     c = _compile(h)
-    per: dict[Edge, int] = {e: 0 for e in g.edges}
+    per = {e: 0 for e in g.edges}
     return CountReport(_search(c, g.adjacency_masks, _tally(c, per, c.weight)), per)
 
 
@@ -372,6 +481,14 @@ def count_through(h: Graph, gmask, e: Edge) -> Counter:
     per orbit, weighted by the orbit size, finds them all.
     """
     per: Counter = Counter()
+    if _short_cycle(h) == 3:
+        a, b = e
+        common = gmask[a] & gmask[b]
+        if common:
+            per[(a, b) if a < b else (b, a)] = 6 * common.bit_count()
+        for x in bits(common):
+            per[(a, x) if a < x else (x, a)] = per[(b, x) if b < x else (x, b)] = 6
+        return per
     for root, size in _arc_orbits(h):
         c = _compile(h, root)
         _search(c, gmask, _tally(c, per, c.weight * size), pin=e)
@@ -406,9 +523,12 @@ def copy_edge_lists(h: Graph, g: Graph) -> list[tuple[Edge, ...]]:
 def count_hom(h: Graph, g: Graph) -> int:
     """Count all edge-preserving maps, injective or not.
 
-    Isolated pattern vertices map anywhere. For even cycles this equals the
-    trace of the matching adjacency power, which the test suite cross-checks.
+    Isolated pattern vertices map anywhere. For the cycle C_k this is the
+    trace of A^k, read off closed walks when k <= 5.
     """
+    k = _short_cycle(h)
+    if k:
+        return _cycle_walks(k, g.adjacency_masks, g.edges)[0]
     isolated = h.adjacency_masks.count(0)
     core = _search(_compile(h.relabelled_span()), g.adjacency_masks, injective=False)
     return core * g.vertex_count ** isolated

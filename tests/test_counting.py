@@ -611,8 +611,12 @@ def test_fused_last_level_matches_oracles_in_every_shape(rng):
 
 def test_kernel_enters_no_frame_per_last_level_candidate():
     # the last level is read inside the penultimate one: the recursion
-    # enters no frame for a last-level candidate, in any mode
-    h, g = cycle(5), random_graph(random.Random(7), 40, 0.2)
+    # enters no frame for a last-level candidate, in any mode. The house (a
+    # square 0123 with a roof 4 on 01) is no cycle, so every mode runs the
+    # kernel; its plan is built first, as planning runs pinned searches
+    h = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 4)])
+    g = random_graph(random.Random(7), 40, 0.2)
+    counting._compile(h)
     code = counting._search.__code__
     levels: Counter = Counter()
 

@@ -446,3 +446,37 @@ def test_strong_peel_uses_strong_threshold():
 def test_degree_product_scales():
     params = make_params(delta=1.0, eps=0.25)
     assert 0 < degree_product_floor(params) < 1
+
+
+def test_cycle_peels_match_the_oracle_on_planted_hosts(rng, monkeypatch):
+    # K3 and C4 count and peel from closed walks; the survivors must be the
+    # oracle's, and the witness the kernel's judgement of them
+    hosts = []
+    for _ in range(6):
+        g = random_graph(rng, 9, rng.uniform(0.2, 0.5))
+        clique = sorted(rng.sample(range(9), rng.randint(4, 6)))
+        pairs = [(a, b) for i, a in enumerate(clique) for b in clique[i + 1:]]
+        hosts.append(from_edge_list(9, list(g.edges) + pairs))
+    rungs = (("core", "core_min_edge_threshold", is_core),
+             ("strong-core", "strong_min_edge_threshold", is_strong_core))
+    cases, partial = [], 0
+    # (delta, eps, p, c_bar): the last two leave the survivors short of
+    # copies and over their edge budget
+    contexts = [(delta, 0.5, 0.8, 0.0) for delta in (1.0, 3.0, 6.0, 12.0)]
+    contexts += [(2.0, 0.1, 0.8, 0.0), (0.5, 0.5, 0.5, 0.5)]
+    for pattern in (complete(3), cycle(4)):
+        for delta, eps, p, c_bar in contexts:
+            params = make_params(delta=delta, eps=eps, ctx=SparsityContext(10, p),
+                                 pattern=validate_pattern(pattern), c_bar=c_bar)
+            for g in hosts:
+                for rung, floor, judge in rungs:
+                    peeled, witness = peel(g, params, rung)
+                    kept = oracle_peel(pattern, g, getattr(params, floor))
+                    assert peeled.edge_set() == kept
+                    partial += 0 < len(kept) < g.edge_count
+                    cases.append((peeled, params, judge, witness))
+    assert partial >= 10
+    assert {witness.violated_clause for *_, witness in cases} == {None, "copies", "edges"}
+    monkeypatch.setattr(counting, "_short_cycle", lambda h: 0)
+    for peeled, params, judge, witness in cases:
+        assert _witness(witness) == _witness(judge(peeled, params))
