@@ -5,6 +5,11 @@ Isolated vertices are representable on purpose: edge peeling leaves them
 behind, and copy counts never depend on them. A graph stores its adjacency
 once, as one int bitmask per vertex; ``bits`` iterates a mask and
 ``layers`` is the one breadth-first search over masks.
+
+Every graph is checked in ``from_edge_list``, which refuses more than
+MAX_VERTICES vertices, a self-loop, an endpoint out of range and masks above
+MAX_MASK_BYTES, in that order, before any mask is built. ``parse_edge_list``
+checks only the text, and its header cap, with a line number, comes first.
 """
 
 from __future__ import annotations
@@ -157,12 +162,6 @@ class Graph(_Frozen):
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
 
-    def without_edges(self, removed: set[Edge] | frozenset[Edge]) -> "Graph":
-        removed = {_canon(*e) for e in removed}
-        return from_edge_list(
-            self.vertex_count, [e for e in self.edges if e not in removed]
-        )
-
     def is_connected(self) -> bool:
         full = (1 << self.vertex_count) - 1
         return next(components(self.adjacency_masks), (0, 0))[0] == full
@@ -194,10 +193,26 @@ class Graph(_Frozen):
 _set_vertex_count, _set_edges, _set_adjacency_masks = _setters(Graph)
 
 
+# Largest vertex count from_edge_list accepts. Building a graph costs O(n)
+# memory before any edge is read, so an untrusted count is capped here rather
+# than trusted.
+MAX_VERTICES = 100_000
+
+# Largest total mask size from_edge_list accepts, in bytes. A graph stores one
+# bitmask per vertex, as wide as its largest neighbour label, so a few edges
+# on high labels can cost n^2/8 bytes: a star on the top label at
+# MAX_VERTICES needs 1.25 GB. The benchmark's largest host, G(1000, 4995),
+# needs about 114 KB and a random host with 20000 vertices and edges about
+# 28 MB; 32 MiB admits both and refuses the star from 2700 leaves on.
+MAX_MASK_BYTES = 1 << 25
+
+
 def from_edge_list(n: int, pairs) -> Graph:
     """Build a Graph on n vertices; duplicate pairs collapse, order canonical."""
     if n < 0:
         raise GraphInputError(f"negative vertex count {n}")
+    if n > MAX_VERTICES:
+        raise GraphInputError(f"vertex count {n} exceeds {MAX_VERTICES}")
     seen: set[Edge] = set()
     for u, v in pairs:
         if u == v:
@@ -206,6 +221,17 @@ def from_edge_list(n: int, pairs) -> Graph:
             raise GraphInputError(f"endpoint out of range in ({u}, {v})")
         seen.add(_canon(u, v))
     edges = tuple(sorted(seen))
+    # over sorted edges, the last label a vertex gets is its widest mask bit
+    top: dict[int, int] = {}
+    for u, v in edges:
+        top[u] = v
+        top[v] = u
+    mask_bytes = sum(w // 8 + 1 for w in top.values())
+    if mask_bytes > MAX_MASK_BYTES:
+        raise GraphInputError(
+            f"adjacency masks would take {mask_bytes} bytes, above the limit "
+            f"of {MAX_MASK_BYTES}"
+        )
     masks = [0] * n
     for u, v in edges:
         masks[u] |= 1 << v
@@ -228,8 +254,7 @@ def double_cover(h: Graph) -> Graph:
 
 
 def span_of_edges(pairs) -> Graph:
-    """Graph carrying exactly ``pairs``, on the densely relabelled endpoint set."""
-    pairs = [_canon(u, v) for u, v in pairs]
+    """Graph carrying exactly the collection ``pairs``, densely relabelled."""
     verts = sorted({x for e in pairs for x in e})
     index = {v: i for i, v in enumerate(verts)}
     return from_edge_list(len(verts), [(index[u], index[v]) for u, v in pairs])
@@ -369,20 +394,6 @@ def petersen() -> Graph:
 # ---------------------------------------------------------------------------
 # edge-list text format: header "n m", then m lines "u v"; '#' starts a comment
 
-# Largest header vertex count parse_edge_list accepts. Building a graph costs
-# O(n) memory before any edge is read, so an untrusted header is capped here
-# rather than trusted.
-MAX_VERTICES = 100_000
-
-# Largest total mask size parse_edge_list accepts, in bytes. A graph stores one
-# bitmask per vertex, as wide as its largest neighbour label, so a few edges
-# on high labels can cost n^2/8 bytes: a star on the top label at
-# MAX_VERTICES needs 1.25 GB. The benchmark's largest host, G(1000, 4995),
-# needs about 114 KB and a random host with 20000 vertices and edges about
-# 28 MB; 32 MiB admits both and refuses the star from 2700 leaves on.
-MAX_MASK_BYTES = 1 << 25
-
-
 def _int_pair(lineno: int, line: str, what: str) -> tuple[int, int]:
     parts = line.split()
     if len(parts) != 2:
@@ -413,17 +424,4 @@ def parse_edge_list(text: str) -> Graph:
     if len(rows) - 1 != m:
         raise GraphInputError(f"header promises {m} edges, found {len(rows) - 1}")
     pairs = [_int_pair(lineno, line, "edge line") for lineno, line in rows[1:]]
-    # the mask bytes follow from each vertex's largest neighbour label; an
-    # out-of-range pair is left to from_edge_list's own error
-    top: dict[int, int] = {}
-    for u, v in pairs:
-        if u < n and v < n:
-            top[u] = max(top.get(u, 0), v)
-            top[v] = max(top.get(v, 0), u)
-    mask_bytes = sum(w // 8 + 1 for w in top.values())
-    if mask_bytes > MAX_MASK_BYTES:
-        raise GraphInputError(
-            f"adjacency masks would take {mask_bytes} bytes, above the limit "
-            f"of {MAX_MASK_BYTES}"
-        )
     return from_edge_list(n, pairs)

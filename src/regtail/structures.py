@@ -189,7 +189,7 @@ def _peel(g: Graph, h: PatternGraph, threshold: float, per: dict[Edge, int]) -> 
         masks[x] ^= 1 << y
         masks[y] ^= 1 << x
         del per[e]
-    return g.without_edges(g.edge_set().difference(per))
+    return Graph(g.vertex_count, tuple(sorted(per)), tuple(masks))
 
 
 def peel(g: Graph, params: CoreParams, rung: str) -> tuple[Graph, PredicateWitness]:

@@ -219,6 +219,22 @@ def test_mask_heavy_file_is_refused_before_building(capsys, tmp_path):
     assert peak < 64 << 20
 
 
+@pytest.mark.parametrize("bad, message", [
+    (f"0 {MAX_VERTICES}", f"endpoint out of range in (0, {MAX_VERTICES})"),
+    ("5 5", "self-loop at vertex 5"),
+])
+def test_bad_pair_is_reported_before_the_mask_bound(capsys, tmp_path, bad, message):
+    # the pairs are checked before the masks are sized, so a file that is
+    # both mask-heavy and malformed names its bad pair
+    star = _star_on_top_label(3000).split("\n", 1)[1]
+    path = tmp_path / "star.txt"
+    path.write_text(f"{MAX_VERTICES} 3001\n{star}{bad}\n")
+    code, out, err = run_cli(
+        capsys, "count", "--pattern", "k3", "--graph", str(path)
+    )
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["rate", "--pattern", "k3"])  # --delta, --n, --p missing

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -12,6 +13,7 @@ from regtail.cli import PATTERNS
 from regtail.counting import count_hom, count_labelled, count_N11, count_with_edges
 from regtail.decompose import cycle_edge_cover_avoiding, double_cover, ordered_cover
 from regtail.graphs import (
+    MAX_MASK_BYTES,
     MAX_VERTICES,
     Graph,
     GraphInputError,
@@ -47,6 +49,7 @@ from regtail.independence import (
     independent_set_counts,
     tilted_root,
 )
+from regtail.structures import CoreParams, peel
 
 
 def test_from_edge_list_dedups_and_canonicalizes():
@@ -62,6 +65,65 @@ def test_from_edge_list_rejects_bad_input():
         from_edge_list(3, [(1, 1)])
     with pytest.raises(GraphInputError):
         from_edge_list(-1, [])
+
+
+def test_from_edge_list_caps_the_vertex_count():
+    # refused before the per-vertex list is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphInputError) as exc:
+            from_edge_list(10**12, [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == f"vertex count {10**12} exceeds {MAX_VERTICES}"
+    assert peak < 1 << 16
+    with pytest.raises(GraphInputError, match="exceeds"):
+        from_edge_list(MAX_VERTICES + 1, [])
+    assert empty(MAX_VERTICES).vertex_count == MAX_VERTICES
+
+
+def test_from_edge_list_bounds_the_masks_before_building():
+    # every leaf's mask is MAX_VERTICES bits wide: 37.5 MB for 3000 leaves
+    top = MAX_VERTICES - 1
+    pairs = [(i, top) for i in range(3000)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphInputError) as exc:
+            from_edge_list(MAX_VERTICES, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = 3000 * (top // 8 + 1) + 2999 // 8 + 1
+    assert str(exc.value) == (
+        f"adjacency masks would take {want} bytes, above the limit of "
+        f"{MAX_MASK_BYTES}"
+    )
+    assert peak < 1 << 20
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(-2, 10),
+    st.lists(st.tuples(st.integers(-2, 12), st.integers(-2, 12)), max_size=12),
+    st.booleans(),
+)
+def test_from_edge_list_builds_or_refuses_in_one_line(n, pairs, mirror):
+    if mirror:  # each pair in both orientations
+        pairs = pairs + [(v, u) for u, v in pairs]
+    bad = n < 0 or any(u == v or not (0 <= u < n and 0 <= v < n) for u, v in pairs)
+    try:
+        g = from_edge_list(n, pairs)
+    except GraphInputError as exc:
+        assert bad
+        assert str(exc) and "\n" not in str(exc)
+        return
+    assert not bad
+    assert g.vertex_count == n
+    assert g.edges == tuple(sorted({(min(e), max(e)) for e in pairs}))
+    arcs = edge_arcs(g)
+    for v in range(n):
+        assert g.adjacency_masks[v] == sum(1 << w for w in range(n) if (v, w) in arcs)
 
 
 def test_generators_shapes():
@@ -106,11 +168,7 @@ def test_connectivity_and_components():
     assert not empty(2).is_connected()
 
 
-def test_without_edges_and_span():
-    g = complete(4)
-    trimmed = g.without_edges([(0, 1)])
-    assert trimmed.edge_count == 5
-    assert (0, 1) not in trimmed.edge_set()
+def test_span_of_edges():
     # the span keeps only the endpoints of its edges, relabelled from 0
     sub = span_of_edges([(3, 1), (1, 2)])
     assert sub.vertex_count == 3
@@ -361,10 +419,14 @@ def test_masks_are_the_edge_list(seed):
     rng = random.Random(seed)
     g = random_graph(rng, rng.randint(1, 10), rng.uniform(0.1, 0.6))
     dropped = set(rng.sample(g.edges, len(g.edges) // 2))
+    h = validate_pattern(rng.choice([complete(3), cycle(4)]))
+    params = CoreParams(1.0, 0.5, SparsityContext(10, 0.8), h)
+    peeled = peel(g, params, rng.choice(["core", "strong-core"]))[0]
     built = [
         g,
-        g.without_edges(dropped),
-        g.without_edges(dropped).relabelled_span(),
+        peeled,
+        peeled.relabelled_span(),
+        from_edge_list(g.vertex_count, set(g.edges) - dropped),
         span_of_edges(dropped),
         double_cover(g),
     ]

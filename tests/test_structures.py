@@ -473,6 +473,10 @@ def test_cycle_peels_match_the_oracle_on_planted_hosts(rng, monkeypatch):
                     peeled, witness = peel(g, params, rung)
                     kept = oracle_peel(pattern, g, getattr(params, floor))
                     assert peeled.edge_set() == kept
+                    # the peel's own masks are those a fresh build makes
+                    built = from_edge_list(g.vertex_count, kept)
+                    assert peeled == built
+                    assert peeled.adjacency_masks == built.adjacency_masks
                     partial += 0 < len(kept) < g.edge_count
                     cases.append((peeled, params, judge, witness))
     assert partial >= 10
