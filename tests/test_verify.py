@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from regtail.counting import count_labelled
 from regtail.graphs import (
     SparsityContext,
     complete,
@@ -36,6 +37,7 @@ from regtail.verify import (
 from conftest import (
     disjoint_union,
     oracle_canonical_form,
+    oracle_count_injective,
     oracle_connected_catalogue,
     oracle_isomorphic,
     oracle_low_low_masks,
@@ -204,6 +206,87 @@ def test_alpha_checker_counts_instances():
     assert result.instances > 0
 
 
+def _colex_graph(k, mask):
+    """The labelled graph on k vertices whose edges are the set bits of a
+    census mask: pair i < j at bit j(j-1)/2 + i."""
+    colex = [(i, j) for j in range(k) for i in range(j)]
+    return from_edge_list(k, [e for b, e in enumerate(colex) if mask >> b & 1])
+
+
+def _fields(entry):
+    full = (1 << verify._FIELD) - 1
+    return [entry >> i * verify._FIELD & full for i in range(30)]
+
+
+def test_census_tables_count_injective_maps(rng):
+    patterns = connected_graphs_up_to(5)
+    tables = dict(zip(range(2, 6), verify._census_tables()))
+    for k, table in tables.items():
+        assert len(table) == 2 ** (k * (k - 1) // 2)
+        masks = range(len(table)) if k < 5 else rng.sample(range(len(table)), 200)
+        for mask in masks:
+            f = _colex_graph(k, mask)
+            expect = [
+                oracle_count_injective(h, f) if h.vertex_count == k else 0
+                for h in patterns
+            ]
+            assert _fields(table[mask]) == expect, (k, f.edges)
+
+
+def test_census_tables_are_built_once():
+    assert verify._census_tables() is verify._census_tables()
+
+
+def test_census_matches_the_kernel(rng):
+    patterns = connected_graphs_up_to(5)
+    hosts = [from_edge_list(10, []), complete(10)]
+    for _ in range(300):
+        nv = rng.randint(2, 10)
+        g = random_graph(rng, nv, rng.choice([0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]))
+        hosts.append(g)
+        if len(hosts) % 10 == 0:
+            hosts.append(_relabel(rng, g))
+    tables = verify._census_tables()
+    for g in hosts:
+        got = verify._census(g.adjacency_masks, tables)
+        assert got == [count_labelled(h, g) for h in patterns], g.edges
+
+
+def _kernel_alpha_reference(seed, graphs):
+    """check_alpha_count_bound rebuilt from the backtracking kernel."""
+    patterns = [
+        (h, int(2 * verify.fractional_independence(h).value))
+        for h in connected_graphs_up_to(5)
+    ]
+
+    def cases(rng):
+        for i in range(graphs):
+            nv = rng.randint(2, 10)
+            g = verify._random_graph(rng, nv, rng.choice([0.2, 0.4, 0.6, 0.8]))
+            for h, alpha2 in patterns:
+                n_copies = count_labelled(h, g)
+                yield None if n_copies**2 <= (2 * g.edge_count) ** alpha2 else (
+                    f"graph#{i} pattern={list(h.edges)}", g, n_copies,
+                    (2 * g.edge_count) ** (alpha2 / 2),
+                )
+
+    return verify._seeded("alpha-count-bound", seed, cases)
+
+
+@pytest.mark.parametrize(
+    "seed, graphs", [(101, 40), (102, 40), (103, 40), (104, 40), (105, 40), (101, 200)]
+)
+def test_alpha_checker_matches_the_kernel_without_calling_it(monkeypatch, seed, graphs):
+    expect = _kernel_alpha_reference(seed, graphs)
+    calls = []
+    monkeypatch.setattr(
+        verify, "count_labelled", lambda *a: calls.append(a) or count_labelled(*a)
+    )
+    assert check_alpha_count_bound(seed=seed, graphs=graphs) == expect
+    assert calls == []
+    assert expect.instances == 30 * graphs
+
+
 def _random_host(lo, hi, densities):
     def draw(rng):
         nv = rng.randint(lo, hi)
@@ -238,6 +321,9 @@ def test_violation_descriptor_replays_the_host(monkeypatch):
     # every instance fails: the counts dwarf every bound at these sizes
     huge = 10**30
     monkeypatch.setattr(verify, "count_labelled", lambda h, g: huge)
+    monkeypatch.setattr(
+        verify, "_census", lambda gmask, tables: [huge] * len(connected_graphs_up_to(5))
+    )
     monkeypatch.setattr(verify, "count_N11", lambda h, g, D: (huge,) * 3)
     monkeypatch.setattr(
         verify, "signed_path_counts",
