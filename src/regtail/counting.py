@@ -19,12 +19,15 @@ c(u, w) = |N(u) & N(w)| = (A^2)_uw for u != w:
 - C5: hom = tr A^5 = 2 sum_{uw in E} sum_v (A^2)_uv (A^2)_wv; labelled =
   tr A^5 - 5 sum_v (d_v - 1) (A^3)_vv.
 
-``count_labelled`` and ``count_hom`` take this route for C3 to C5,
-``count_with_edges`` for C3 and C4 and ``count_through`` for C3; the
-route reads only the pattern's order and degrees. The rows of A^2 are
-kept as bit planes, so each sum over v is a few popcounts. Every other
-count, ``count_N11`` and the Monte Carlo trials run the kernel, which
-stays the independent oracle for these identities in the tests.
+An injective total on adjacency masks picks its route in one place,
+``_injective``: ``count_labelled``, ``count_N11``'s count on the low-low
+subgraph and the Monte Carlo trials outside the homomorphism basis all
+call it, and it takes the walks for C3 to C5. ``count_hom`` takes them for
+C3 to C5 too, ``count_with_edges`` for C3 and C4 and ``count_through``
+for C3; the route reads only the pattern's order and degrees. The rows of
+A^2 are kept as bit planes, so each sum over v is a few popcounts. Every
+other count runs the kernel, which stays the independent oracle for these
+identities in the tests.
 
 The search walks a connected search order of the pattern; each
 candidate set is a host-degree floor mask minus the used vertices,
@@ -51,8 +54,7 @@ are closed under them, so neither the planner nor the peel lists Aut(h)
 ``copy_edge_lists(h, h)``). The search runs in these modes:
 
 - counting: injective maps, with each leaf mask of the last search level
-  counted by popcount (``count_labelled``, and ``count_N11`` on the
-  low-low subgraph of the host);
+  counted by popcount (``_injective`` for every pattern but C3 to C5);
 - visiting: injective maps; ``visit(assign, m)`` gets each placement of all
   pattern vertices but the last (``assign[u]`` is the host image of u) with
   the bitmask m of the last vertex's images, so a visitor tallies a whole
@@ -78,6 +80,7 @@ from __future__ import annotations
 import operator
 from collections import Counter, defaultdict, namedtuple
 from functools import cache, lru_cache
+from itertools import islice
 from math import perm
 
 from .graphs import (
@@ -417,12 +420,27 @@ def _cycle_walks(k: int, gmask, edges, per=None) -> tuple[int, int]:
     return 2 * tr, 2 * tr - 5 * bad
 
 
+def _injective(h: Graph, gmask, edges=None) -> int:
+    """Number of injective edge-preserving maps of h into the host with
+    adjacency masks ``gmask``, the one place such a total picks its route:
+    closed walks for C3 to C5, the kernel otherwise. The walks read the
+    host's edge list ``edges``, or the pairs u < w of the masks in edge
+    order when it is None. Fewer than k host vertices of degree >= 2 hold
+    no C_k; the kernel makes that exit itself."""
+    k = _short_cycle(h)
+    if not k:
+        return _search(_compile(h), gmask)
+    # m & (m - 1) keeps m's bits but its lowest; the scan stops at the k-th
+    if len(list(islice((m for m in gmask if m & (m - 1)), k))) < k:
+        return 0
+    if edges is None:
+        edges = ((u, w) for u, m in enumerate(gmask) for w in bits(m & -(2 << u)))
+    return _cycle_walks(k, gmask, edges)[1]
+
+
 def count_labelled(h: Graph, g: Graph) -> int:
     """Number of injective maps V(h) -> V(g) preserving all edges of h."""
-    k = _short_cycle(h)
-    if k:
-        return _cycle_walks(k, g.adjacency_masks, g.edges)[1]
-    return _search(_compile(h), g.adjacency_masks)
+    return _injective(h, g.adjacency_masks, g.edges)
 
 
 def _tally(c: _Compiled, per, weight: int):
@@ -545,7 +563,7 @@ def count_N11(h: Graph, g: Graph, D: int) -> tuple[int, int, int]:
     """
     if D < 1:
         raise ValueError(f"D must be >= 1, got {D}")
-    c, gmask = _compile(h), g.adjacency_masks
+    gmask = g.adjacency_masks
     low = low_degree_mask(gmask, D)
     low_low = [m & low if low >> v & 1 else 0 for v, m in enumerate(gmask)]
     masks, n11 = list(gmask), 0
@@ -556,7 +574,7 @@ def count_N11(h: Graph, g: Graph, D: int) -> tuple[int, int, int]:
             masks[a] ^= 1 << b
             masks[b] ^= 1 << a
     # a copy uses only low-low edges iff it lies in the low-low subgraph
-    tilde = _search(c, low_low)
+    tilde = _injective(h, low_low)
     return n11, tilde, n11 - tilde
 
 

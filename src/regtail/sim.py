@@ -10,14 +10,16 @@ Cycles of order v at most 7 on 2(v - 1) to 64 vertices are counted from
 their homomorphism basis, inj(H, G) = sum over set partitions pi of V(H) of
 mu(0, pi) hom(H/pi, G): a block of trials is scattered into a float64
 (block, n, n) adjacency stack and each quotient is contracted by einsum.
-Every other pattern and n feeds the kept pairs to the backtracking kernel
-as adjacency masks. Both give the same integer per trial. Count reduction
-is exact integer summation, converted to float once. Only the CLI's
-``simulate`` verb imports this module, and with it numpy.
+Every other pattern and n counts the kept pairs as adjacency masks by
+``counting._injective``, as ``count_labelled`` does. Both give the same
+integer per trial. Count reduction is exact integer summation, converted
+to float once. Only the CLI's ``simulate`` verb imports this module, and
+with it numpy.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import islice
@@ -25,7 +27,7 @@ from math import factorial, prod, sqrt
 
 import numpy as np
 
-from .counting import _compile, _search
+from .counting import _injective
 from .graphs import Graph, PatternGraph, SparsityContext, _canon, from_edge_list
 
 # Largest n the sampler draws on. Its pair table holds n(n-1)/2 rows, so an
@@ -77,13 +79,11 @@ class RngSpec(namedtuple("RngSpec", "seed")):
     __slots__ = ()
 
     def stream(self, index: int) -> np.random.Generator:
-        bits = np.random.Philox(key=self.seed, counter=_counter(index))
+        if not 0 <= index < 2**128:
+            raise ValueError(f"stream index must lie in [0, 2**128), got {index}")
+        # words 2 and 3 of one int; numpy rounds a list word >= 2**63
+        bits = np.random.Philox(key=self.seed, counter=operator.index(index) << 128)
         return np.random.Generator(bits)
-
-
-def _counter(index: int) -> list[int]:
-    """Philox counter at the start of stream ``index``."""
-    return [0, 0, index % 2**64, index >> 64]
 
 
 def _streams(spec: RngSpec, indices):
@@ -91,7 +91,7 @@ def _streams(spec: RngSpec, indices):
     gen = spec.stream(0)
     state = gen.bit_generator.state  # at a stream start, buffer empty
     for t in indices:
-        state["state"]["counter"] = _counter(t)
+        state["state"]["counter"] = [0, 0, t % 2**64, t >> 64]
         gen.bit_generator.state = state
         yield gen
 
@@ -148,8 +148,7 @@ def _takes_basis(h: Graph, n: int) -> bool:
     """Whether trials of h on n vertices are counted from the homomorphism
     basis: cycles of order v at most BASIS_MAX_ORDER, on at least 2(v - 1)
     and at most BASIS_MAX_VERTICES vertices. Reads the pattern's size and
-    degree only, so no partition is enumerated for a pattern that the
-    kernel serves."""
+    degree only: no partition is enumerated for a trial counted on masks."""
     return (
         h.max_degree() == 2
         and h.vertex_count <= BASIS_MAX_ORDER
@@ -260,8 +259,9 @@ def _trial_counts(
 ) -> list[int]:
     """Copy counts of h in trials 0 .. trials-1, each sample unioned with
     ``planted`` when one is given. Cycles on small samples are counted from
-    the homomorphism basis, every other case by the kernel on adjacency
-    masks; both give the same integers."""
+    the homomorphism basis, every other case by ``_injective`` on adjacency
+    masks; both give the same integers. The table's kernel column predates
+    the closed walks for C3 to C5; ``_takes_basis`` keeps its range."""
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials}")
     if planted is not None and planted.vertex_count != n:
@@ -273,14 +273,13 @@ def _trial_counts(
     if _takes_basis(h, n):
         return _basis_counts(h, n, p, trials, spec, planted)
     base = planted.adjacency_masks if planted is not None else (0,) * n
-    plan, pairs = _compile(h), _pairs(n)
-    counts = []
+    pairs, counts = _pairs(n), []
     for gen in _streams(spec, range(trials)):
         masks = list(base)
         for u, v in _kept_pairs(gen, pairs, p):
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        counts.append(_search(plan, masks))
+        counts.append(_injective(h, masks))
     return counts
 
 

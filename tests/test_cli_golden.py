@@ -59,6 +59,11 @@ CASES = {
                       "--trials", "20", "--seed", "5", "--tail-delta", "0.5"],
     "simulate-planted": ["simulate", "--pattern", "k3", "--n", "8", "--p", "0.25",
                          "--trials", "20", "--planted", "{tmp}/planted.txt"],
+    # above the basis range: these trials are counted on adjacency masks
+    "simulate-sparse": ["simulate", "--pattern", "c5", "--n", "80", "--p", "0.05",
+                        "--trials", "20", "--seed", "5"],
+    "simulate-tail-sparse": ["simulate", "--pattern", "k3", "--n", "100", "--p", "0.1",
+                             "--trials", "20", "--seed", "5", "--tail-delta", "0.05"],
 }
 
 JSON_VERBS = {"rate", "theta", "count", "cond-exp", "classify", "peel", "partition",

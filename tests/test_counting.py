@@ -288,29 +288,35 @@ def test_signed_path_counts_match_oracle_and_single_query(rng):
 
 
 def test_count_N11_searches_only_low_low_edges(rng, monkeypatch):
-    # every search is pinned to one low-low edge per arc orbit, or runs on
-    # the low-low subgraph once; none covers the whole host
+    # every search is pinned to one low-low edge per arc orbit, and one
+    # injective total runs on the low-low subgraph; none covers the whole host
     patterns = [cycle(3), cycle(4), cycle(5), path(2), from_edge_list(4, [(0, 1), (2, 3)])]
     hosts = [random_graph(rng, 8, 0.5) for _ in range(8)]
     for h in patterns:
         for root, _ in counting._arc_orbits(h):
             counting._compile(h, root)  # plans search h in itself; warm them
-    searched = []
-    search = counting._search
+    searched, totals = [], []
+    search, injective = counting._search, counting._injective
     monkeypatch.setattr(
         counting, "_search",
         lambda c, gmask, *a, pin=(), **k: searched.append((list(gmask), pin))
         or search(c, gmask, *a, pin=pin, **k),
+    )
+    monkeypatch.setattr(
+        counting, "_injective",
+        lambda h, gmask, *a: totals.append(list(gmask)) or injective(h, gmask, *a),
     )
     pinned_any = 0
     for g in hosts:
         for h in patterns:
             for D in (1, 2, 3, 4):
                 searched.clear()
+                totals.clear()
                 low_low = oracle_low_low_masks(g, D)
                 got = count_N11(h, g, D)
                 pins = [pin for _, pin in searched if pin]
-                assert [m for m, pin in searched if not pin] == [low_low]
+                assert totals == [low_low]
+                assert all(m == low_low for m, pin in searched if not pin)
                 assert all(len(pin) == 2 and low_low[pin[0]] >> pin[1] & 1 for pin in pins)
                 assert len(pins) == len(counting._arc_orbits(h)) * sum(
                     low_low[a] >> b & 1 for a, b in g.edges
@@ -769,7 +775,9 @@ def test_counts_invariant_under_pattern_relabelling(seed):
 
 
 def test_plan_built_once_per_distinct_pattern(monkeypatch):
+    # _arc_orbits reads the plain plan; K3 and C4 totals take no plan
     counting._compile.cache_clear()
+    counting._arc_orbits.cache_clear()
     planned = []
     plan = counting._plan
     monkeypatch.setattr(

@@ -196,3 +196,54 @@ def test_other_patterns_stay_on_the_kernel(monkeypatch):
     assert count_hom(c4_iso, g) == count_hom(cycle(4), g) * g.vertex_count
     small = random_graph(rng, 5, 0.6)
     assert count_hom(c4_iso, small) == oracle_count_hom(c4_iso, small)
+
+
+# every route of the injective total: the walks for C3 to C5, the kernel
+# for K4 and C6
+INJECTIVE = [*CYCLES, complete(4), cycle(6)]
+
+
+def test_injective_total_matches_the_kernel_and_the_oracle():
+    rng = random.Random(32)
+    hosts = [
+        empty(0), empty(1), empty(6),
+        disjoint_union(complete(4), empty(3)),
+        # fewer than v(H) vertices of degree >= 2 for some of the patterns
+        complete_bipartite(1, 6),
+        from_edge_list(8, [(0, 1), (2, 3), (4, 5), (6, 7)]),
+        disjoint_union(complete(3), path(1)),
+        disjoint_union(cycle(4), empty(2)),
+        disjoint_union(path(3), complete_bipartite(1, 3)),
+    ]
+    hosts += [random_graph(rng, rng.randint(0, 8), rng.uniform(0.1, 0.9))
+              for _ in range(30)]
+    for g in hosts:
+        for h in INJECTIVE:
+            want = oracle_count_injective(h, g)
+            assert counting._injective(h, g.adjacency_masks) == want
+            assert counting._injective(h, list(g.adjacency_masks), g.edges) == want
+            assert kernel_labelled(h, g) == want
+
+
+def test_injective_total_reads_the_edges_off_the_masks():
+    g = planted_host(random.Random(8), 200, 0.05, 12)
+    for h in INJECTIVE[:4]:
+        assert counting._injective(h, list(g.adjacency_masks)) == kernel_labelled(h, g)
+
+
+def test_injective_total_exits_below_the_degree_floor(monkeypatch):
+    def walk(*args):
+        raise AssertionError("_cycle_walks called")
+
+    # k - 1 vertices of degree >= 2, any number of leaves and isolated ones
+    hosts = {
+        3: disjoint_union(path(3), path(1)),
+        4: disjoint_union(complete(3), complete_bipartite(1, 1)),
+        5: disjoint_union(cycle(4), empty(3)),
+    }
+    forbid_search(monkeypatch)
+    monkeypatch.setattr(counting, "_cycle_walks", walk)
+    for h in CYCLES:
+        g = hosts[h.vertex_count]
+        assert counting._injective(h, g.adjacency_masks, g.edges) == 0
+        assert counting._injective(h, g.adjacency_masks) == 0

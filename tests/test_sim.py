@@ -1,10 +1,11 @@
 import json
+import re
 from math import perm
 
 import numpy as np
 import pytest
 
-from regtail import sim
+from regtail import counting, sim
 from regtail.graphs import (
     SparsityContext,
     complete,
@@ -45,6 +46,38 @@ def test_streams_equal_jumped_oracle(seed):
     for t, gen in zip(STREAM_INDICES, sim._streams(spec, STREAM_INDICES)):
         assert (gen.random(45) == oracle_philox_stream(seed, t).random(45)).all()
         gen.integers(0, 7, size=3)
+
+
+@pytest.mark.parametrize("index", [-1, 2**128])
+def test_stream_index_outside_the_counter_is_refused(index):
+    message = re.escape(f"stream index must lie in [0, 2**128), got {index}")
+    with pytest.raises(ValueError, match=message):
+        RngSpec(3).stream(index)
+    with pytest.raises(ValueError, match=message):
+        sample_gnp(5, 0.5, 0, index=index)
+
+
+@pytest.mark.parametrize("index", [2**63 + 1, 2**64 - 1, 2**127 + 3 * 2**64 + 1, 2**128 - 1])
+def test_high_stream_indices_keep_every_counter_word(index):
+    # words of 2**63 and above, which a float64 would round
+    spec = RngSpec(3)
+    counter = np.array([0, 0, index % 2**64, index >> 64], dtype=np.uint64)
+    want = np.random.Philox(key=3, counter=counter).random_raw(8)
+    assert (spec.stream(index).bit_generator.random_raw(8) == want).all()
+    (gen,) = sim._streams(spec, [index])
+    assert (gen.bit_generator.random_raw(8) == want).all()
+    g = sample_gnp(9, 0.5, spec, index=index)
+    (gen,) = sim._streams(spec, [index])
+    assert g == from_edge_list(9, sim._kept_pairs(gen, sim._pairs(9), 0.5))
+
+
+def test_stream_index_is_an_integer():
+    # a numpy integer names the same stream; a float names none
+    want = RngSpec(3).stream(5).random(4)
+    assert (RngSpec(3).stream(np.int64(5)).random(4) == want).all()
+    assert (RngSpec(3).stream(np.uint64(5)).random(4) == want).all()
+    with pytest.raises(TypeError):
+        RngSpec(3).stream(1.5)
 
 
 # name -> (pattern, counted from the homomorphism basis at small n)
@@ -338,3 +371,43 @@ def test_estimators_sum_integer_counts(monkeypatch):
     upper_tail_frequency(K3, 10, 0.3, 0.1, 5, 1)
     assert len(seen) == 3
     assert all(type(x) is int for values in seen for x in values)
+
+
+def _kernel_trials(h, n, p, trials, seed, planted):
+    """The kernel's count of each trial's sample unioned with ``planted``."""
+    plan = counting._compile(h)
+    extra = list(planted.edges) if planted is not None else []
+    return [
+        counting._search(plan, from_edge_list(
+            n, [*sample_gnp(n, p, seed, index=t).edges, *extra]).adjacency_masks)
+        for t in range(trials)
+    ]
+
+
+@pytest.mark.parametrize("name", ["k3", "c4", "c5", "c6", "k4"])
+def test_trials_outside_the_basis_match_the_kernel(name):
+    h, _ = TRIAL_PATTERNS[name]
+    below = 2 * (h.vertex_count - 1) - 1
+    # planted K8 edges on 70 vertices: at p = 0.1 trials draw some of them too
+    clique = [(u, v) for u in range(8) for v in range(u + 1, 8)]
+    overlap = [set(sample_gnp(70, 0.1, 7, index=t).edges) & set(clique) for t in range(6)]
+    assert any(overlap)
+    for n, p, seed, planted in [(80, 0.08, 5, None), (below, 0.7, 6, None),
+                                (70, 0.1, 7, from_edge_list(70, clique))]:
+        assert not sim._takes_basis(h, n)
+        counts = sim._trial_counts(h, n, p, 6, seed, planted)
+        assert counts == _kernel_trials(h, n, p, 6, seed, planted)
+        assert all(type(c) is int for c in counts)
+
+
+def test_cycle_trials_outside_the_basis_make_no_kernel_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("_search called")
+
+    want = {name: _kernel_trials(TRIAL_PATTERNS[name][0], 80, 0.08, 5, 2, None)
+            for name in ("k3", "c4", "c5")}
+    for module in (sim, counting):
+        monkeypatch.setattr(module, "_search", refuse, raising=False)
+    for name, counts in want.items():
+        assert sim._trial_counts(TRIAL_PATTERNS[name][0], 80, 0.08, 5, 2) == counts
+        assert any(counts)

@@ -393,9 +393,10 @@ def test_path_and_cycle_checkers_share_host_work(monkeypatch):
     assert verify.check_path_lemma(seed=202, graphs=3).instances > 0
 
     # the cycle checker never searches a whole host: each search is pinned
-    # to an edge or runs on the host's low-low subgraph for one threshold
-    hosts, searched = [], []
-    draw, search = verify._random_graph, counting._search
+    # to an edge, and one injective total runs on the host's low-low
+    # subgraph for each threshold and length
+    hosts, searched, totals = [], [], []
+    draw, search, injective = verify._random_graph, counting._search, counting._injective
     monkeypatch.setattr(
         verify, "_random_graph", lambda *a: hosts.append(draw(*a)) or hosts[-1]
     )
@@ -404,12 +405,16 @@ def test_path_and_cycle_checkers_share_host_work(monkeypatch):
         lambda c, gmask, *a, pin=(), **k: searched.append((list(gmask), pin))
         or search(c, gmask, *a, pin=pin, **k),
     )
+    monkeypatch.setattr(
+        counting, "_injective",
+        lambda h, gmask, *a: totals.append(list(gmask)) or injective(h, gmask, *a),
+    )
     verify.check_cycle_barN11(seed=303, graphs=3)
     assert len(hosts) == 3
     low_lows = [oracle_low_low_masks(g, D) for g in hosts for D in (2, 3)]
-    unpinned = [gmask for gmask, pin in searched if not pin]
-    assert len(unpinned) == 3 * 2 * 4  # hosts, thresholds, ell = 3..6
-    assert all(gmask in low_lows for gmask in unpinned)
+    assert len(totals) == 3 * 2 * 4  # hosts, thresholds, ell = 3..6
+    assert all(gmask in low_lows for gmask in totals)
+    assert all(gmask in low_lows for gmask, pin in searched if not pin)
     assert any(pin for _, pin in searched)
 
 
