@@ -67,7 +67,7 @@ are closed under them, so neither the planner nor the peel lists Aut(h)
   (a, b) onto that edge (``count_through`` and ``count_N11``, once per
   Aut(h)-orbit of oriented pattern edges); stopped at its first leaf, it
   returns the map found there, or None if there is none (the automorphisms
-  above, and isomorphism in ``verify``);
+  above);
 - non-injective: every edge-preserving map, counted without symmetry
   breaking (``count_hom``).
 

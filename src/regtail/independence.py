@@ -83,7 +83,7 @@ def tilted_root(g: Graph, delta: float) -> float:
     Newton steps to polish. Residual |P(x) - (1 + delta)| stays within
     1e-12 * (1 + delta).
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
     coeffs = independent_set_counts(g)
     if len(coeffs) < 2:

@@ -94,7 +94,7 @@ def rate_function(
     h: PatternGraph, delta: float, ctx: SparsityContext
 ) -> tuple[float, Regime]:
     """Tail cost per n^2 p^Delta log(1/p), with the regime that chose it."""
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
     regime = classify_regime(h, ctx)
     clique_cost = 0.5 * delta ** (2.0 / h.v_h)
@@ -359,7 +359,7 @@ def variational_upper_bound(
     descriptors = sorted(tuple(k) for k in family)
     if not descriptors:
         raise ValueError("search family is empty")
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
     # refuse a misfit or oversized candidate before any work
     layouts = [_layout(desc, ctx.n) for desc in descriptors]

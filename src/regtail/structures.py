@@ -32,18 +32,18 @@ class CoreParams(namedtuple("CoreParams", "delta eps context pattern c_bar c_sta
         cls, delta: float, eps: float, context: SparsityContext,
         pattern: PatternGraph, c_bar: float = 0.0, c_star: float = 0.0,
     ) -> CoreParams:
-        if delta <= 0:
+        if not delta > 0:
             raise ValueError(f"delta must be positive, got {delta}")
         if not 0 < eps < 1:
             raise ValueError(f"eps must lie in (0,1), got {eps}")
-        if c_bar < 0:
+        if not c_bar >= 0:
             raise ValueError(f"c_bar must be nonnegative, got {c_bar}")
         floor = 32.0 * delta ** (2.0 / pattern.v_h)
         if c_bar == 0.0:
             c_bar = 10.0 / (delta * eps)
         if c_star == 0.0:
             c_star = floor
-        elif c_star < floor * (1.0 - 1e-12):
+        elif not c_star >= floor * (1.0 - 1e-12):
             raise ValueError(f"c_star={c_star} below 32*delta^(2/v)={floor}")
         return tuple.__new__(cls, (delta, eps, context, pattern, c_bar, c_star))
 

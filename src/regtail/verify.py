@@ -12,14 +12,11 @@ from __future__ import annotations
 import json
 import random
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
 from functools import cache
-from itertools import combinations, product
-from math import factorial, log, perm
+from itertools import combinations, permutations, product
+from math import log, perm
 
 from .counting import (
-    _compile,
-    _exists,
     count_labelled,
     count_N11,
     count_with_edges,
@@ -31,7 +28,6 @@ from .graphs import (
     bits,
     complete,
     complete_bipartite,
-    components,
     cycle,
     from_edge_list,
     low_degree_mask,
@@ -163,113 +159,6 @@ def cube_graph() -> Graph:
     return from_edge_list(8, edges)
 
 
-def _mask_invariant(g: Graph) -> tuple:
-    """Cheap isomorphism-invariant fingerprint used to bucket candidates:
-    order, size, and the sorted triangle and co-degree counts."""
-    n, masks = g.vertex_count, g.adjacency_masks
-    tri = [0] * n
-    codeg = []
-    for u in range(n):
-        mu = masks[u]
-        for w in range(u + 1, n):
-            c = (mu & masks[w]).bit_count()
-            codeg.append(c)
-            if (mu >> w) & 1:
-                tri[u] += c
-                tri[w] += c
-    codeg.sort()
-    return (n, g.edge_count, tuple(sorted(tri)), tuple(codeg))
-
-
-def _isomorphic(a: Graph, b: Graph) -> bool:
-    """Isomorphism by the counting kernel: with equal order and size, an
-    injective edge-preserving map sends the edges of a onto all edges of b,
-    so it is an isomorphism, and the kernel's search stops at the first
-    one. Equal degree multisets give equal numbers of isolated vertices, so
-    both sides drop theirs before the search.
-    """
-    if a.vertex_count != b.vertex_count or a.edge_count != b.edge_count:
-        return False
-    if sorted(a.degrees()) != sorted(b.degrees()):
-        return False
-    found = _exists(_compile(a.relabelled_span()), b.relabelled_span().adjacency_masks)
-    return found is not None
-
-
-def _first_of_each_class(candidates: Iterable[Graph]) -> list[Graph]:
-    """The first candidate of each isomorphism class, in enumeration order.
-
-    Candidates are bucketed by ``_mask_invariant``; only candidates in one
-    bucket are tested against each other.
-    """
-    buckets: dict[tuple, list[Graph]] = {}
-    out: list[Graph] = []
-    for g in candidates:
-        bucket = buckets.setdefault(_mask_invariant(g), [])
-        # the rep is the kernel's pattern, so its search plan is reused
-        if not any(_isomorphic(rep, g) for rep in bucket):
-            bucket.append(g)
-            out.append(g)
-    return out
-
-
-# Only tests call this, but it stays here: it generated
-# tests/data/regular_graphs_frozen.json.
-def connected_regular_graphs(n: int, d: int) -> list[Graph]:
-    """One representative per isomorphism class of connected d-regular
-    graphs on n vertices.
-
-    Enumerates labelled graphs whose first vertex is joined to exactly the
-    next d (every class admits such a labelling) and keeps the first
-    connected one of each class.
-    """
-    if n < 2 or d < 1 or d >= n or (n * d) % 2:
-        return []
-    masks = [0] * n
-    for w in range(1, d + 1):
-        masks[0] |= 1 << w
-        masks[w] |= 1
-
-    def toggle(v: int, chosen: tuple[int, ...]) -> None:
-        for w in chosen:
-            masks[v] ^= 1 << w
-            masks[w] ^= 1 << v
-
-    def extend(v: int) -> Iterator[Graph]:
-        if v == n:
-            # connected iff vertex 0's component is every vertex
-            if next(components(masks))[0] == (1 << n) - 1:
-                yield from_edge_list(
-                    n,
-                    [(u, w) for u in range(n) for w in range(u + 1, n)
-                     if (masks[u] >> w) & 1],
-                )
-            return
-        need = d - masks[v].bit_count()
-        if need == 0:
-            yield from extend(v + 1)
-            return
-        lack = [d - masks[w].bit_count() for w in range(v + 1, n)]
-        cands = [w for w, k in enumerate(lack, v + 1) if k]
-        if need > len(cands):
-            return
-        # deficiency left above v after filling v; every later edge
-        # consumes two units, so an odd remainder is a dead end, and a
-        # single vertex must never hold more than half of it plus one
-        after = sum(lack) - need
-        if after % 2:
-            return
-        worst = max(lack)
-        if worst - 1 > after - worst + 1:
-            return
-        for chosen in combinations(cands, need):
-            toggle(v, chosen)
-            yield from extend(v + 1)
-            toggle(v, chosen)
-
-    return _first_of_each_class(extend(1))
-
-
 # ---------------------------------------------------------------------------
 # gating checkers
 
@@ -290,47 +179,49 @@ def _census_tables() -> tuple[list[int], ...]:
     ``connected_graphs_up_to(5)``.
 
     A mask numbers the pairs colex, i < j at bit j(j-1)/2 + i, so a subset's
-    mask grows by its new vertex's bits. The labelled copies of h are its
-    catalogue mask's orbit under the adjacent transpositions, and each
-    copy stands for k!/|orbit| = |Aut(h)| maps; a subset-sum transform
-    then sums the copies inside each F.
+    mask grows by its new vertex's bits. A labelled map of h into F is a
+    permutation sigma of the k vertices with sigma(E(h)) inside E(F), so
+    each of the k! permutations adds one at the mask of its image of h; a
+    subset-sum transform then sums the maps inside each F.
     """
     tables = []
     shift = 0
     for k in range(2, 6):
-        colex = [(i, j) for j in range(k) for i in range(j)]
-        bit_of = {pair: b for b, pair in enumerate(colex)}
-        from_lex = [bit_of[pair] for pair in combinations(range(k), 2)]
-        swaps = []
-        for t in range(k - 1):
-            sigma = list(range(k))
-            sigma[t], sigma[t + 1] = t + 1, t
-            swaps.append(
-                [bit_of[tuple(sorted((sigma[i], sigma[j])))] for i, j in colex]
-            )
-        size = 1 << len(colex)
+        bit = {}
+        for j in range(k):
+            for i in range(j):
+                bit[i, j] = bit[j, i] = 1 << j * (j - 1) // 2 + i
+        # per permutation, the colex bit of each catalogue pair's image
+        images = [
+            [bit[s[i], s[j]] for i, j in combinations(range(k), 2)]
+            for s in permutations(range(k))
+        ]
+        pairs = k * (k - 1) // 2
+        size = 1 << pairs
         table = [0] * size
         for lex in _CATALOGUE[k]:
-            start = sum(1 << from_lex[b] for b in bits(lex))
-            orbit, frontier = {start}, [start]
-            while frontier:
-                m = frontier.pop()
-                for swap in swaps:
-                    image = sum(1 << swap[b] for b in bits(m))
-                    if image not in orbit:
-                        orbit.add(image)
-                        frontier.append(image)
-            weight = factorial(k) // len(orbit) << shift
-            for m in orbit:
-                table[m] = weight
+            edges = list(bits(lex))
+            for image in images:
+                table[sum(image[b] for b in edges)] += 1 << shift
             shift += _FIELD
-        for b in range(len(colex)):
+        for b in range(pairs):
             step = 1 << b
             for base in range(0, size, 2 * step):
                 for m in range(base + step, base + 2 * step):
                     table[m] += table[m - step]
         tables.append(table)
     return tuple(tables)
+
+
+@cache
+def _alpha_patterns() -> tuple[tuple[Graph, int], ...]:
+    """Each pattern of ``connected_graphs_up_to(5)`` with 2 alpha*, an
+    integer since alpha* is half-integral; built once per process, like the
+    census tables."""
+    return tuple(
+        (h, int(2 * fractional_independence(h).value))
+        for h in connected_graphs_up_to(5)
+    )
 
 
 def _census(gmask, tables) -> list[int]:
@@ -372,10 +263,7 @@ def check_alpha_count_bound(seed: int = 101, graphs: int = 40) -> CheckResult:
     census of the host's subsets of 2..5 vertices (``_census``) gives the
     counts of all 30 patterns at once.
     """
-    patterns = [
-        (h, int(2 * fractional_independence(h).value))
-        for h in connected_graphs_up_to(5)
-    ]
+    patterns = _alpha_patterns()
     tables = _census_tables()
 
     def cases(rng):

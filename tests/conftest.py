@@ -14,6 +14,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import perm
@@ -22,8 +23,8 @@ from pathlib import Path
 import pytest
 
 import regtail
-from regtail.counting import count_labelled
-from regtail.graphs import Graph, from_edge_list, span_of_edges
+from regtail.counting import _compile, _exists, count_labelled
+from regtail.graphs import Graph, components, from_edge_list, span_of_edges
 
 
 def edge_arcs(g: Graph) -> set:
@@ -237,13 +238,6 @@ def oracle_canonical_form(g: Graph) -> int:
     )
 
 
-def oracle_isomorphic(a: Graph, b: Graph) -> bool:
-    """Equal order and equal canonical forms."""
-    return a.vertex_count == b.vertex_count and (
-        oracle_canonical_form(a) == oracle_canonical_form(b)
-    )
-
-
 def oracle_connected_catalogue(max_vertices: int) -> list[Graph]:
     """For each order 2..max_vertices, the first connected graph of each
     isomorphism class in edge-mask order, deduplicated by canonical form."""
@@ -332,6 +326,103 @@ def random_regular_bipartite(delta: int, m: int, rng_seed: int) -> Graph:
                 break
         if ok:
             return from_edge_list(2 * m, sorted(pairs))
+
+
+def same_regular_class(a: Graph, b: Graph) -> bool:
+    """Isomorphism of two d-regular graphs of order n: an injective
+    edge-preserving map of a into b sends its edges onto all edges of b, so
+    it is an isomorphism, and the kernel's search stops at the first one."""
+    return _exists(_compile(a), b.adjacency_masks) is not None
+
+
+def _mask_invariant(g: Graph) -> tuple:
+    """Cheap isomorphism-invariant fingerprint used to bucket candidates:
+    order, size, and the sorted triangle and co-degree counts."""
+    n, masks = g.vertex_count, g.adjacency_masks
+    tri = [0] * n
+    codeg = []
+    for u in range(n):
+        mu = masks[u]
+        for w in range(u + 1, n):
+            c = (mu & masks[w]).bit_count()
+            codeg.append(c)
+            if (mu >> w) & 1:
+                tri[u] += c
+                tri[w] += c
+    codeg.sort()
+    return (n, g.edge_count, tuple(sorted(tri)), tuple(codeg))
+
+
+def _first_of_each_class(candidates: Iterable[Graph]) -> list[Graph]:
+    """The first candidate of each isomorphism class, in enumeration order.
+
+    Candidates are bucketed by ``_mask_invariant``; only candidates in one
+    bucket are tested against each other, each bucket's representative as
+    the kernel's pattern, so its plan is reused.
+    """
+    buckets: dict[tuple, list[Graph]] = {}
+    out: list[Graph] = []
+    for g in candidates:
+        bucket = buckets.setdefault(_mask_invariant(g), [])
+        if not any(same_regular_class(rep, g) for rep in bucket):
+            bucket.append(g)
+            out.append(g)
+    return out
+
+
+def connected_regular_graphs(n: int, d: int) -> list[Graph]:
+    """One representative per isomorphism class of connected d-regular
+    graphs on n vertices; it generated ``data/regular_graphs_frozen.json``.
+
+    Enumerates labelled graphs whose first vertex is joined to exactly the
+    next d (every class admits such a labelling) and keeps the first
+    connected one of each class.
+    """
+    if n < 2 or d < 1 or d >= n or (n * d) % 2:
+        return []
+    masks = [0] * n
+    for w in range(1, d + 1):
+        masks[0] |= 1 << w
+        masks[w] |= 1
+
+    def toggle(v: int, chosen: tuple[int, ...]) -> None:
+        for w in chosen:
+            masks[v] ^= 1 << w
+            masks[w] ^= 1 << v
+
+    def extend(v: int) -> Iterator[Graph]:
+        if v == n:
+            # connected iff vertex 0's component is every vertex
+            if next(components(masks))[0] == (1 << n) - 1:
+                yield from_edge_list(
+                    n,
+                    [(u, w) for u in range(n) for w in range(u + 1, n)
+                     if (masks[u] >> w) & 1],
+                )
+            return
+        need = d - masks[v].bit_count()
+        if need == 0:
+            yield from extend(v + 1)
+            return
+        lack = [d - masks[w].bit_count() for w in range(v + 1, n)]
+        cands = [w for w, k in enumerate(lack, v + 1) if k]
+        if need > len(cands):
+            return
+        # deficiency left above v after filling v; every later edge
+        # consumes two units, so an odd remainder is a dead end, and a
+        # single vertex must never hold more than half of it plus one
+        after = sum(lack) - need
+        if after % 2:
+            return
+        worst = max(lack)
+        if worst - 1 > after - worst + 1:
+            return
+        for chosen in combinations(cands, need):
+            toggle(v, chosen)
+            yield from extend(v + 1)
+            toggle(v, chosen)
+
+    return _first_of_each_class(extend(1))
 
 
 def format_edge_list(g: Graph) -> str:

@@ -50,13 +50,13 @@ from regtail.verify import (
     check_path_lemma,
     check_small_count,
     check_tildeN11_bound,
-    connected_regular_graphs,
     report_jsonl,
     run_all,
     summary_table,
 )
 
 from conftest import (
+    connected_regular_graphs,
     oracle_count_injective,
     random_graph,
     random_regular_bipartite,

@@ -39,9 +39,9 @@ from regtail.graphs import (
     validate_pattern,
 )
 from regtail.ratefn import _orbit_table
-from regtail.verify import connected_regular_graphs
 
 from conftest import (
+    connected_regular_graphs,
     disjoint_union,
     oracle_copy_edge_lists,
     oracle_count_hom,

@@ -27,9 +27,12 @@ from regtail.graphs import (
     from_edge_list,
     petersen,
 )
-from regtail.verify import connected_regular_graphs
 
-from conftest import disjoint_union, random_regular_bipartite
+from conftest import (
+    connected_regular_graphs,
+    disjoint_union,
+    random_regular_bipartite,
+)
 
 
 def bipartite_random(rng, a, b, p):

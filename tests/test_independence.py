@@ -137,6 +137,11 @@ def test_tilted_root_validation():
         tilted_root(empty(0), 1.0)
 
 
+def test_tilted_root_refuses_nan():
+    with pytest.raises(ValueError, match="^delta must be positive, got nan$"):
+        tilted_root(complete(3), float("nan"))
+
+
 def test_fractional_independence_vs_oracle(rng):
     for _ in range(30):
         g = random_graph(rng, rng.randint(0, 8), rng.uniform(0.1, 0.9))

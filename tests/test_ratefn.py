@@ -91,6 +91,12 @@ def test_rate_refuses_out_of_scope_regimes():
         rate_function(K3, 0.0, SparsityContext(100, 0.5))
 
 
+def test_rate_refuses_nan():
+    # in the dense regime a NaN delta once came back as the rate
+    with pytest.raises(ValueError, match="^delta must be positive, got nan$"):
+        rate_function(K3, math.nan, SparsityContext(10**4, 0.3))
+
+
 def oracle_completion_expectation(g, h, ctx):
     """Average N(h, g + S) over all completions S of the missing edges,
     weighted by the exact Fraction edge probability."""
@@ -555,3 +561,11 @@ def test_variational_bound_errors():
         variational_upper_bound(K3, -1.0, ctx, [("clique", 5)])
     with pytest.raises(InfeasibleFamilyError):
         variational_upper_bound(K3, 50.0, ctx, [("clique", 3)])
+
+
+def test_variational_bound_refuses_nan():
+    # a NaN threshold made every candidate look feasible
+    with pytest.raises(ValueError, match="^delta must be positive, got nan$"):
+        variational_upper_bound(
+            K3, math.nan, SparsityContext(100, 0.1), [("clique", 5)]
+        )

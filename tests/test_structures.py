@@ -71,6 +71,19 @@ def test_core_params_record_contract():
         assert str(info.value) == message
 
 
+def test_core_params_refuse_nan():
+    # a NaN fails each check; c_bar and c_star once passed on their own
+    for kw, message in [
+        ({"delta": math.nan}, "delta must be positive, got nan"),
+        ({"eps": math.nan}, "eps must lie in (0,1), got nan"),
+        ({"c_bar": math.nan}, "c_bar must be nonnegative, got nan"),
+        ({"delta": 1.0, "c_star": math.nan}, "c_star=nan below 32*delta^(2/v)=32.0"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            make_params(**kw)
+        assert str(info.value) == message
+
+
 def test_predicate_witness_truth_and_slack():
     held = PredicateWitness(True)
     assert held and (held.violated_clause, held.attained, held.required) == (None,) * 3
