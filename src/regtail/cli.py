@@ -2,10 +2,10 @@
 
 Thirteen verbs covering rate evaluation, exact counting, conditional
 expectations, regime classification, structure peeling, decompositions,
-planted families, the checker suite, and Monte Carlo simulation. Output
-is a single JSON record per invocation (CSV with --csv); every record
-carries the command, its parameters, the result, the package version,
-and the seed when randomness is involved.
+planted families, the checker suite, and Monte Carlo simulation. Every
+verb but verify prints one JSON record (CSV with --csv) through _emit:
+its command is the verb, then its parameters, the result, the package
+version, and the verb's own --seed (null for verbs without one).
 """
 
 from __future__ import annotations
@@ -157,17 +157,15 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _emit(
-    args: argparse.Namespace, command: str, parameters: dict, result: dict, seed=None
-) -> None:
-    """Print the record of one verb: command, parameters, result, version
-    and seed."""
+def _emit(args: argparse.Namespace, parameters: dict, result: dict) -> int:
+    """Print the record of one verb and return exit code 0. Its command is
+    the verb and its seed the verb's own --seed (None for verbs without)."""
     record = {
-        "command": command,
+        "command": args.verb,
         "parameters": parameters,
         "result": result,
         "version": __version__,
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
     }
     # strict JSON: a NaN or infinite value raises ValueError in either format
     text = json.dumps(record, allow_nan=False)
@@ -179,6 +177,7 @@ def _emit(
         print(",".join(_csv_cell(flat[k]) for k in keys))
     else:
         print(text)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +191,7 @@ def _cmd_rate(args) -> int:
     ctx = SparsityContext(args.n, args.p)
     value, regime = rate_function(h, args.delta, ctx)
     result = {"value": value, **_regime_fields(regime, h, ctx)}
-    _emit(args, "rate", _params(args, "pattern", "delta", "n", "p"), result)
-    return 0
+    return _emit(args, _params(args, "pattern", "delta", "n", "p"), result)
 
 
 def _cmd_theta(args) -> int:
@@ -202,9 +200,8 @@ def _cmd_theta(args) -> int:
     h = _resolve_pattern(args)
     theta = tilted_root(h, args.delta)
     residual = independence_polynomial(h, theta) - (1 + args.delta)
-    _emit(args, "theta", _params(args, "pattern", "delta"),
-          {"theta": theta, "residual": residual})
-    return 0
+    return _emit(args, _params(args, "pattern", "delta"),
+                 {"theta": theta, "residual": residual})
 
 
 def _cmd_count(args) -> int:
@@ -226,8 +223,7 @@ def _cmd_count(args) -> int:
         }
     else:
         result = {"count": count_labelled(h, g)}
-    _emit(args, "count", params, result)
-    return 0
+    return _emit(args, params, result)
 
 
 def _cmd_cond_exp(args) -> int:
@@ -250,9 +246,7 @@ def _cmd_cond_exp(args) -> int:
     if args.gain:
         result["asymptotic_gain"] = gain
     result["unconditional"] = expected_count(h, ctx)
-    _emit(args, "cond-exp", _params(args, "pattern", "graph", "n", "p", "exact"),
-          result)
-    return 0
+    return _emit(args, _params(args, "pattern", "graph", "n", "p", "exact"), result)
 
 
 def _cmd_classify(args) -> int:
@@ -261,9 +255,8 @@ def _cmd_classify(args) -> int:
     h = _resolve_pattern(args)
     ctx = SparsityContext(args.n, args.p)
     regime = classify_regime(h, ctx)
-    _emit(args, "classify", _params(args, "pattern", "n", "p"),
-          _regime_fields(regime, h, ctx))
-    return 0
+    return _emit(args, _params(args, "pattern", "n", "p"),
+                 _regime_fields(regime, h, ctx))
 
 
 def _cmd_peel(args) -> int:
@@ -286,8 +279,7 @@ def _cmd_peel(args) -> int:
     if args.emit_edges:
         result["kept_edges"] = _edges_out(peeled.edges)
     params = _params(args, "pattern", "graph", "n", "p", "delta", "eps", "strong")
-    _emit(args, "peel", params, result)
-    return 0
+    return _emit(args, params, result)
 
 
 def _cmd_partition(args) -> int:
@@ -306,8 +298,7 @@ def _cmd_partition(args) -> int:
             "e22": len(part.e22),
         },
     }
-    _emit(args, "partition", _params(args, "graph", "degree_threshold"), result)
-    return 0
+    return _emit(args, _params(args, "graph", "degree_threshold"), result)
 
 
 def _cmd_decompose(args) -> int:
@@ -346,8 +337,7 @@ def _cmd_decompose(args) -> int:
             ],
             "attachments": [list(e) for e in oc.attachments],
         }
-    _emit(args, "decompose", params, result)
-    return 0
+    return _emit(args, params, result)
 
 
 def _cmd_color(args) -> int:
@@ -372,8 +362,7 @@ def _cmd_color(args) -> int:
             "num_colors": coloring.num_colors,
             "classes": [_edges_out(cls) for cls in coloring.classes()],
         }
-    _emit(args, "color", params, result)
-    return 0
+    return _emit(args, params, result)
 
 
 def _cmd_plant(args) -> int:
@@ -390,8 +379,7 @@ def _cmd_plant(args) -> int:
     }
     if args.emit_edges:
         result["edges"] = _edges_out(g.edges)
-    _emit(args, "plant", _params(args, "kind", "n", "p"), result)
-    return 0
+    return _emit(args, _params(args, "kind", "n", "p"), result)
 
 
 def _cmd_varbound(args) -> int:
@@ -425,8 +413,7 @@ def _cmd_varbound(args) -> int:
     }
     params = _params(args, "pattern", "delta", "n", "p")
     params["candidates"] = len(family)
-    _emit(args, "varbound", params, result)
-    return 0
+    return _emit(args, params, result)
 
 
 def _cmd_verify(args) -> int:
@@ -449,40 +436,25 @@ def _cmd_simulate(args) -> int:
         raise ValueError("--planted cannot be combined with --tail-delta")
     h = _resolve_pattern(args)
     params = _params(args, "pattern", "n", "p", "trials")
+    key = "mean"
     if args.tail_delta is not None:
+        key = "frequency"
         est = upper_tail_frequency(h, args.n, args.p, args.tail_delta,
                                    args.trials, args.seed)
         params["tail_delta"] = args.tail_delta
-        result = {
-            "frequency": est.mean,
-            "std_error": est.std_error,
-            "trials": est.trials,
-            "threshold": tail_threshold(h, args.n, args.p, args.tail_delta),
-        }
+        extra = {"threshold": tail_threshold(h, args.n, args.p, args.tail_delta)}
     elif args.planted:
         g = _load_graph(args.planted)
         # a bad (n, p) is refused before any trial runs
         ctx = SparsityContext(args.n, args.p)
-        unconditional = expected_count(h, ctx)
+        extra = {"unconditional": expected_count(h, ctx)}
         est = mc_conditional_mean(g, h, ctx, args.trials, args.seed)
         params["planted"] = args.planted
-        result = {
-            "mean": est.mean,
-            "std_error": est.std_error,
-            "trials": est.trials,
-            "unconditional": unconditional,
-        }
     else:
-        expected = expected_count(h, SparsityContext(args.n, args.p))
+        extra = {"expected": expected_count(h, SparsityContext(args.n, args.p))}
         est = mc_mean_count(h, args.n, args.p, args.trials, args.seed)
-        result = {
-            "mean": est.mean,
-            "std_error": est.std_error,
-            "trials": est.trials,
-            "expected": expected,
-        }
-    _emit(args, "simulate", params, result, seed=args.seed)
-    return 0
+    result = {key: est.mean, "std_error": est.std_error, "trials": est.trials, **extra}
+    return _emit(args, params, result)
 
 
 # ---------------------------------------------------------------------------

@@ -561,7 +561,7 @@ def count_N11(h: Graph, g: Graph, D: int) -> tuple[int, int, int]:
     through as ``count_through`` roots it, counting only, and then removed
     from the host, so no search covers the whole host.
     """
-    if D < 1:
+    if not D >= 1:
         raise ValueError(f"D must be >= 1, got {D}")
     gmask = g.adjacency_masks
     low = low_degree_mask(gmask, D)

@@ -15,6 +15,7 @@ checks only the text, and its header cap, with a line number, comes first.
 from __future__ import annotations
 
 from math import log
+from operator import index
 
 
 class GraphInputError(ValueError):
@@ -305,11 +306,15 @@ def validate_pattern(g: Graph) -> PatternGraph:
 
 
 class SparsityContext(_Frozen):
-    """Ambient scale (n, p) with 0 < p < 1."""
+    """Ambient scale (n, p): an integer n >= 1 and 0 < p < 1."""
 
     __slots__ = _fields = _shown = ("n", "p")
 
     def __init__(self, n: int, p: float) -> None:
+        try:
+            n = index(n)
+        except TypeError:
+            raise ValueError(f"n must be an integer, got {n}") from None
         if n < 1:
             raise ValueError(f"n must be positive, got {n}")
         if not (0.0 < p < 1.0):

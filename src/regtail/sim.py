@@ -313,6 +313,8 @@ def upper_tail_frequency(
 
     Direct Monte Carlo; informative only where the event is not rare.
     """
+    if not delta >= 0:
+        raise ValueError(f"delta must be >= 0, got {delta}")
     counts = _trial_counts(h, n, p, trials, rng)
     threshold = tail_threshold(h, n, p, delta)
     return _estimate([int(c >= threshold) for c in counts])

@@ -162,7 +162,7 @@ class EdgePartition(namedtuple("EdgePartition", "low_vertices e11 e12 e22")):
 
 
 def edge_partition(g: Graph, D: int) -> EdgePartition:
-    if D < 0:
+    if not D >= 0:
         raise ValueError(f"degree threshold must be >= 0, got {D}")
     low = low_degree_mask(g.adjacency_masks, D)
     e11, e12, e22 = set(), set(), set()

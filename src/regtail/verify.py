@@ -335,6 +335,7 @@ def check_cycle_barN11(seed: int = 303, graphs: int = 18) -> CheckResult:
     """Mixed cycle copies (some low-low edge, some other edge) against the
     closed-form bound in the mixed edge count.
     """
+    cycles = {ell: cycle(ell) for ell in range(3, 7)}
 
     def cases(rng):
         for i in range(graphs):
@@ -342,8 +343,8 @@ def check_cycle_barN11(seed: int = 303, graphs: int = 18) -> CheckResult:
             g = _random_graph(rng, nv, rng.choice([0.25, 0.4, 0.55]))
             for D in (2, 3):
                 ebar = _mixed_edges(g, D)
-                for ell in range(3, 7):
-                    _, _, mixed = count_N11(cycle(ell), g, D)
+                for ell, c in cycles.items():
+                    _, _, mixed = count_N11(c, g, D)
                     bound = (
                         ell * 2 ** (ell + 1) * D**ell * (2 * ebar) ** ((ell - 1) // 2)
                     )
@@ -586,12 +587,12 @@ def check_mixed_growth_exponent(ks: tuple[int, ...] = (5, 7, 9, 11)) -> CheckRes
     violations = []
     observations = []
     instances = 0
+    hosts = [(g, _mixed_edges(g, D)) for g in map(_hub_ring_graph, ks)]
     for ell in (4, 6):
+        c = cycle(ell)
         xs, ys = [], []
-        for k in ks:
-            g = _hub_ring_graph(k)
-            ebar = _mixed_edges(g, D)
-            _, _, mixed = count_N11(cycle(ell), g, D)
+        for g, ebar in hosts:
+            _, _, mixed = count_N11(c, g, D)
             if mixed > 0 and ebar > 0:
                 xs.append(log(2 * ebar))
                 ys.append(log(mixed))

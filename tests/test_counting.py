@@ -4,7 +4,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from itertools import product
-from math import factorial
+from math import factorial, nan
 from pathlib import Path
 
 import pytest
@@ -174,6 +174,9 @@ def test_count_N11_consistency(rng):
 def test_count_N11_refuses_threshold_below_one():
     with pytest.raises(ValueError, match="D must be >= 1, got 0"):
         count_N11(complete(3), complete(4), 0)
+    # a NaN threshold would mark no vertex low and return (0, 0, 0)
+    with pytest.raises(ValueError, match="^D must be >= 1, got nan$"):
+        count_N11(complete(3), complete(4), nan)
 
 
 def test_layers_match_edge_relaxation(rng):

@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -304,8 +305,15 @@ def test_sparsity_context_equality_and_refusals():
     assert ctx != SparsityContext(10, 0.25) and ctx != SparsityContext(11, 0.5)
     assert ctx != (10, 0.5)
     assert len({ctx, SparsityContext(10, 0.5), SparsityContext(10, 0.25)}) == 2
+    # any integer type is stored as a plain int
+    wide = SparsityContext(np.int64(10), 0.5)
+    assert type(wide.n) is int and wide == ctx and hash(wide) == hash((10, 0.5))
     for n, p, message in [
         (0, 0.5, "n must be positive, got 0"),
+        (math.nan, 0.5, "n must be an integer, got nan"),
+        (math.inf, 0.5, "n must be an integer, got inf"),
+        (10.5, 0.5, "n must be an integer, got 10.5"),
+        (10.0, 0.5, "n must be an integer, got 10.0"),
         (10, 0.0, "p must lie strictly inside (0, 1), got 0.0"),
         (10, 1.0, "p must lie strictly inside (0, 1), got 1.0"),
         (10, math.nan, "p must lie strictly inside (0, 1), got nan"),

@@ -359,6 +359,15 @@ def test_upper_tail_threshold_uses_plain_powers():
     assert est.mean == 0.0
 
 
+@pytest.mark.parametrize("delta", [float("nan"), -0.5])
+def test_upper_tail_refuses_nan_and_negative_delta(monkeypatch, delta):
+    # a NaN threshold would read as never reached, a negative one as cleared
+    # by most samples; both are refused before any trial is drawn
+    monkeypatch.setattr(sim, "_trial_counts", lambda *args, **kw: pytest.fail("drew"))
+    with pytest.raises(ValueError, match=f"^delta must be >= 0, got {delta}$"):
+        upper_tail_frequency(K3, 12, 0.3, delta, 10, 1)
+
+
 def test_estimators_sum_integer_counts(monkeypatch):
     seen = []
     estimate = sim._estimate

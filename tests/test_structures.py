@@ -251,8 +251,11 @@ def test_edge_partition_classifies_endpoints():
     assert part2.low_vertices == frozenset({0, 1, 3, 4})
     assert part2.e11 == frozenset({(0, 1), (3, 4)})
     assert part2.e22 == frozenset()
-    with pytest.raises(ValueError):
-        edge_partition(g, -1)
+    for D in (-1, math.nan):
+        # a NaN threshold would put every edge in e22
+        message = f"^degree threshold must be >= 0, got {D}$"
+        with pytest.raises(ValueError, match=message):
+            edge_partition(g, D)
 
 
 def test_edge_partition_covers_all_edges(rng):
