@@ -2,9 +2,9 @@
 
 Every pattern count here is a number of edge-preserving maps of a pattern h
 into a host g, and one backtracking search, ``_search``, finds them all,
-with these exceptions. ``signed_path_counts`` tallies every signed host
-path of one start vertex in a single walk, and ``count_paths_signed`` reads
-one signature and endpoint off that walk pruned to the signature.
+with these exceptions. ``signed_path_counts`` tallies the signed host paths
+from one start vertex to a mask of end vertices in a single walk, and
+``count_paths_signed`` reads one signature and endpoint off such a walk.
 ``expected_count`` is a closed form. A short cycle C_k, 3 <= k <= 5, is
 counted from closed walks by ``_cycle_walks``: the labelled count is
 tr A^k less the closed walks that revisit a vertex (Harary & Manvel, *On
@@ -578,9 +578,7 @@ def count_N11(h: Graph, g: Graph, D: int) -> tuple[int, int, int]:
     return n11, tilde, n11 - tilde
 
 
-def count_paths_signed(
-    g: Graph, s, v1: int, v2: int, D: int
-) -> int:
+def count_paths_signed(g: Graph, s, v1: int, v2: int, D: int) -> int:
     """Simple paths from v1 to v2 whose i-th edge class matches s.
 
     Bit 0 marks an edge with both endpoints of degree <= D, bit 1 any other
@@ -599,36 +597,28 @@ def count_paths_signed(
         raise ValueError(
             f"signature has {len(sig)} edges, above the limit of {MAX_PATTERN_VERTICES}"
         )
+    if not D >= 1:
+        raise ValueError(f"D must be >= 1, got {D}")
     for v in (v1, v2):
         if not (0 <= v < g.vertex_count):
             raise ValueError(f"vertex {v} out of range")
-    if v1 == v2:
-        return 0
-    gmask, code = g.adjacency_masks, 1
-    for b in sig:
-        code = code << 1 | b
-    tally = signed_path_counts(gmask, low_degree_mask(gmask, D), v1, len(sig), sig)
-    return tally[code][v2]
+    gmask, code = g.adjacency_masks, int("1" + "".join(map(str, sig)), 2)
+    low = low_degree_mask(gmask, D)
+    return signed_path_counts(gmask, low, v1, len(sig), 1 << v2, sig)[code, v2]
 
 
-def signed_path_counts(
-    gmask, low: int, v1: int, maxlen: int, sig=None
-) -> defaultdict[int, list[int]]:
-    """Every signed path count from v1 of 1 .. maxlen edges, in one walk.
+def signed_path_counts(gmask, low, v1, maxlen, ends, sig=None) -> defaultdict:
+    """Signed path counts from v1 to the vertices of ``ends``, in one walk.
 
-    In the host with adjacency masks ``gmask`` and ``low`` =
-    ``low_degree_mask(gmask, D)``, ``tally[c][v2]`` is
-    ``count_paths_signed(g, s, v1, v2, D)`` for the signature s whose
-    binary digits, first edge highest, follow a leading 1 in c, so c =
-    2**len(s) + i for the i-th signature of its length in ``product((0, 1),
-    repeat=len(s))`` order. An entry with v2 = v1 is 0. Each simple path
-    from v1 of at most maxlen >= 1 edges is visited once, so paths sharing
-    a prefix share its walk. Given a signature ``sig`` of length maxlen,
-    the walk follows only the paths whose classes start like it. A code's
-    row is made when the walk first reaches it; others read as zeros.
+    With ``low`` = ``low_degree_mask(gmask, D)``, ``tally[c, v2]`` is
+    ``count_paths_signed(g, s, v1, v2, D)`` for v2 in the mask ``ends`` and
+    s of 1 .. maxlen edges, c = 2**len(s) + s read in binary, first edge
+    highest; other keys read 0. Each simple path from v1 of fewer than
+    maxlen edges is walked once, and the last edge of a longest path is read
+    by mask, towards ``ends`` only. Given ``sig`` of length maxlen, only the
+    paths whose classes start like it are walked.
     """
-    n, last = len(gmask), maxlen - 1
-    tally = defaultdict(lambda: [0] * n)
+    tally, deep = defaultdict(int), maxlen - 2
 
     def rec(u: int, i: int, code: int, used: int) -> None:
         m = gmask[u] & ~used
@@ -642,9 +632,19 @@ def signed_path_counts(
             m ^= b
             w = b.bit_length() - 1
             c = code if zero & b else code | 1
-            tally[c][w] += 1
-            if i < last:
+            if ends & b:
+                tally[c, w] += 1
+            if i < deep:
                 rec(w, i + 1, c, used | b)
+            elif i == deep:
+                f = gmask[w] & ends & ~used
+                z = f & low if low >> w & 1 else 0
+                if sig is not None:
+                    f = f ^ z if sig[-1] else z
+                while f:
+                    e = f & -f
+                    f ^= e
+                    tally[c << 1 if z & e else c << 1 | 1, e.bit_length() - 1] += 1
 
     rec(v1, 0, 1, 1 << v1)
     return tally

@@ -125,6 +125,10 @@ def _pairs(n: int) -> np.ndarray:
 def _check_gnp(n: int, p: float) -> None:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
+    try:
+        operator.index(n)
+    except TypeError:
+        raise ValueError(f"n must be an integer, got {n}") from None
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n > MAX_SAMPLE_VERTICES:

@@ -13,7 +13,7 @@ import json
 import random
 from collections import namedtuple
 from functools import cache
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations, repeat
 from math import log, perm
 
 from .counting import (
@@ -33,7 +33,6 @@ from .graphs import (
     low_degree_mask,
     validate_pattern,
 )
-from .independence import fractional_independence
 from .structures import (
     CoreParams,
     _rung,
@@ -133,6 +132,15 @@ _CATALOGUE = {
     5: (15, 29, 31, 58, 59, 62, 63, 126, 127, 185, 187, 191, 207, 220, 221,
         223, 254, 255, 495, 511, 1023),
 }
+# 2 alpha* of each catalogue pattern, in the order of
+# connected_graphs_up_to(5): an integer, as alpha* is half-integral.
+# tests/test_verify.py solves each fractional-independence LP again.
+_ALPHA2 = (
+    2,
+    4, 3,
+    6, 4, 4, 4, 4, 4,
+    8, 6, 6, 6, 6, 6, 6, 6, 6, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5,
+)
 
 
 def connected_graphs_up_to(max_vertices: int) -> list[Graph]:
@@ -213,17 +221,6 @@ def _census_tables() -> tuple[list[int], ...]:
     return tuple(tables)
 
 
-@cache
-def _alpha_patterns() -> tuple[tuple[Graph, int], ...]:
-    """Each pattern of ``connected_graphs_up_to(5)`` with 2 alpha*, an
-    integer since alpha* is half-integral; built once per process, like the
-    census tables."""
-    return tuple(
-        (h, int(2 * fractional_independence(h).value))
-        for h in connected_graphs_up_to(5)
-    )
-
-
 def _census(gmask, tables) -> list[int]:
     """inj(h, g) for every pattern h of ``connected_graphs_up_to(5)``, in
     that order, from the host's adjacency masks: one walk over the
@@ -263,7 +260,7 @@ def check_alpha_count_bound(seed: int = 101, graphs: int = 40) -> CheckResult:
     census of the host's subsets of 2..5 vertices (``_census``) gives the
     counts of all 30 patterns at once.
     """
-    patterns = _alpha_patterns()
+    patterns = connected_graphs_up_to(5)
     tables = _census_tables()
 
     def cases(rng):
@@ -271,20 +268,13 @@ def check_alpha_count_bound(seed: int = 101, graphs: int = 40) -> CheckResult:
             nv = rng.randint(2, _ALPHA_MAX_VERTICES)
             g = _random_graph(rng, nv, rng.choice([0.2, 0.4, 0.6, 0.8]))
             counts = _census(g.adjacency_masks, tables)
-            for (h, alpha2), n_copies in zip(patterns, counts):
+            for h, alpha2, n_copies in zip(patterns, _ALPHA2, counts):
                 yield None if n_copies**2 <= (2 * g.edge_count) ** alpha2 else (
                     f"graph#{i} pattern={list(h.edges)}", g, n_copies,
                     (2 * g.edge_count) ** (alpha2 / 2),
                 )
 
     return _seeded("alpha-count-bound", seed, cases)
-
-
-def _path_bound(s: tuple[int, ...], D: int, ebar: int) -> int:
-    ell = len(s)
-    if any(s):
-        return D**ell * (2 * ebar) ** (ell // 2)
-    return D**ell
 
 
 # endpoint pairs drawn per host graph and degree threshold
@@ -301,32 +291,42 @@ def check_path_lemma(seed: int = 202, graphs: int = 25) -> CheckResult:
         for i in range(graphs):
             nv = rng.randint(4, 12)
             g = _random_graph(rng, nv, rng.choice([0.2, 0.35, 0.5]))
+            gmask = g.adjacency_masks
+            passed = 0
             for D in (2, 3):
                 ebar = _mixed_edges(g, D)
                 pairs = [
                     (rng.randrange(nv), rng.randrange(nv))
                     for _ in range(_ENDPOINT_PAIRS)
                 ]
-                # one walk per start vertex tallies all its signed paths
-                gmask = g.adjacency_masks
+                pairs = [(v1, v2) for v1, v2 in pairs if v1 != v2]
+                # one walk per start vertex tallies its paths to its endpoints
+                ends = {}
+                for v1, v2 in pairs:
+                    ends[v1] = ends.get(v1, 0) | 1 << v2
                 low = low_degree_mask(gmask, D)
                 tallies = {
-                    v1: signed_path_counts(gmask, low, v1, 5)
-                    for v1, v2 in pairs if v1 != v2
+                    v1: signed_path_counts(gmask, low, v1, 5, m)
+                    for v1, m in ends.items()
                 }
+                # code 2^l + i is the i-th signature of length l, spelled by
+                # its bits after the leading 1; its bound is D^l for the
+                # all-zero signature, the mixed-edge bound for the others
+                bound = [0, 0]
                 for ell in range(1, 6):
-                    # a signature's code is its bits after a leading 1
-                    signatures = product((0, 1), repeat=ell)
-                    for code, s in enumerate(signatures, 1 << ell):
-                        for v1, v2 in pairs:
-                            if v1 == v2:
-                                continue
-                            got = tallies[v1][code][v2]
-                            bound = _path_bound(s, D, ebar)
-                            yield None if got <= bound else (
-                                f"graph#{i} D={D} s={''.join(map(str, s))}"
-                                f" v1={v1} v2={v2}", g, got, bound,
+                    mixed = D**ell * (2 * ebar) ** (ell // 2)
+                    bound += [D**ell] + [mixed] * ((1 << ell) - 1)
+                passed += (len(bound) - 2) * len(pairs)
+                for code in range(2, len(bound)):
+                    for v1, v2 in pairs:
+                        got = tallies[v1].get((code, v2), 0)
+                        if got > bound[code]:
+                            passed -= 1
+                            yield (
+                                f"graph#{i} D={D} s={bin(code)[3:]} v1={v1} v2={v2}",
+                                g, got, bound[code],
                             )
+            yield from repeat(None, passed)
 
     return _seeded("path-signature-bound", seed, cases)
 
@@ -477,16 +477,16 @@ def check_degree_product_strong_core(
             continue
         instances += 1
         floor = degree_product_floor(params) * params.edge_scale
+        scale = 4 * h.e_h * (2 * g.edge_count) ** (
+            h.v_h / 2 - (2 * h.delta - 1) / h.delta
+        )
+        power = (h.delta - 1) / h.delta
+        degree = g.degrees()
         for (u, v), through in report.per_edge.items():
-            prod = g.degree(u) * g.degree(v)
+            prod = degree[u] * degree[v]
             if prod < floor:
                 violations.append((f"{tag} edge=({u},{v})", float(prod), floor))
-            per_edge_cap = (
-                4
-                * h.e_h
-                * (2 * g.edge_count) ** (h.v_h / 2 - (2 * h.delta - 1) / h.delta)
-                * (4 * prod) ** ((h.delta - 1) / h.delta)
-            )
+            per_edge_cap = scale * (4 * prod) ** power
             if through > per_edge_cap:
                 violations.append(
                     (f"{tag} edge=({u},{v}) copy-cap", float(through), per_edge_cap)

@@ -27,6 +27,7 @@ from regtail.counting import (
 from regtail.graphs import (
     Graph,
     SparsityContext,
+    bits,
     complete,
     complete_bipartite,
     cycle,
@@ -253,13 +254,15 @@ def test_paths_signed_matches_oracle_per_signature(rng):
 
 
 def test_signed_path_counts_match_oracle_and_single_query(rng):
-    # one walk per start vertex tallies every signature and endpoint; the
-    # oracle's classified paths pin every entry, and the single query,
-    # which walks only one signature's paths, agrees on one threshold and
-    # one endpoint per start and signature, rotating
+    # one walk per start vertex tallies every signature towards the vertices
+    # of ``ends``, a random mask or every vertex; given a signature, only
+    # the codes of its prefixes. The oracle's classified paths pin every
+    # entry, and the walk makes none that reads 0. The single query agrees
+    # on one threshold and one endpoint per start and signature, rotating
     for _ in range(40):
         nv = rng.randint(1, 9)
         g = random_graph(rng, nv, rng.uniform(0.25, 0.55))
+        gmask = g.adjacency_masks
         degree = Counter(x for e in g.edges for x in e)
         for v1 in range(nv):
             paths = [
@@ -272,22 +275,28 @@ def test_signed_path_counts_match_oracle_and_single_query(rng):
                     (tuple(int(not {a, b} <= low) for a, b in zip(p, p[1:])), p[-1])
                     for p in paths
                 )
-                tally = signed_path_counts(
-                    g.adjacency_masks, low_degree_mask(g.adjacency_masks, D), v1, 5
-                )
-                # codes 0 and 1 hold no signature, and a row is made only
-                # where the walk counted a path
-                assert set(tally) <= set(range(2, 64))
-                assert all(any(row) for row in tally.values())
+                maxlen = rng.randint(1, 5)
+                for ends in (rng.randrange(1 << nv), (1 << nv) - 1):
+                    for sig in (None, tuple(rng.randrange(2) for _ in range(maxlen))):
+                        tally = signed_path_counts(
+                            gmask, low_degree_mask(gmask, D), v1, maxlen, ends, sig
+                        )
+                        expect = {}
+                        for ell in range(1, maxlen + 1):
+                            signatures = product((0, 1), repeat=ell)
+                            for code, s in enumerate(signatures, 1 << ell):
+                                if sig is not None and s != sig[:ell]:
+                                    continue
+                                for v2 in bits(ends):
+                                    if want[s, v2]:
+                                        expect[code, v2] = want[s, v2]
+                        assert tally == expect
                 for ell in range(1, 6):
                     signatures = product((0, 1), repeat=ell)
                     for code, s in enumerate(signatures, 1 << ell):
-                        row = tally[code]
-                        assert row[v1] == 0
-                        assert row == [want[s, v2] for v2 in range(nv)]
                         if D == 1 + v1 % 3:
                             v2 = (v1 + code) % nv
-                            assert row[v2] == count_paths_signed(g, s, v1, v2, D)
+                            assert count_paths_signed(g, s, v1, v2, D) == want[s, v2]
 
 
 def test_count_N11_searches_only_low_low_edges(rng, monkeypatch):
@@ -385,8 +394,8 @@ def test_paths_signed_classification():
 
 
 def test_paths_signed_long_signature():
-    # the tally holds rows only for the codes the walk reaches, so a
-    # 70-edge signature costs 70 rows rather than 2**71 codes
+    # the tally holds entries only for the codes the walk reaches, so a
+    # 70-edge signature costs at most 70 entries rather than 2**71 codes
     g = path(70)
     assert count_paths_signed(g, (0,) * 70, 0, 70, 2) == 1
     assert count_paths_signed(g, (1,) * 70, 0, 70, 2) == 0
@@ -418,6 +427,10 @@ def test_paths_signed_validation():
         with pytest.raises(ValueError, match="out of range"):
             count_paths_signed(g, (0,), v1, v2, 2)
     assert count_paths_signed(g, (0,), 1, 1, 2) == 0
+    # the degree threshold is checked as count_N11 checks it
+    for D in (nan, 0, 0.5, -1):
+        with pytest.raises(ValueError, match=f"^D must be >= 1, got {D}$"):
+            count_paths_signed(g, (0,), 0, 1, D)
 
 
 def test_expected_count_formula():

@@ -257,6 +257,15 @@ def test_sample_gnp_extremes():
         sample_gnp(-1, 0.5, 1)
 
 
+@pytest.mark.parametrize("n", [float("nan"), 5.5, 5.0, "5"])
+def test_sample_gnp_refuses_an_n_that_is_not_an_integer(n):
+    # as SparsityContext does: a float is refused before numpy sees it
+    with pytest.raises(ValueError, match=r"^n must be an integer, got "):
+        sample_gnp(n, 0.5, 0)
+    with pytest.raises(ValueError, match=r"^n must be an integer, got "):
+        upper_tail_frequency(K3, n, 0.5, 0.1, 2, 0)
+
+
 def test_sample_gnp_refuses_n_above_limit():
     with pytest.raises(ValueError, match="sampling limit"):
         sample_gnp(sim.MAX_SAMPLE_VERTICES + 1, 0.5, 1)

@@ -2,7 +2,6 @@ import json
 import random
 import re
 from ast import literal_eval
-from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -10,11 +9,13 @@ import pytest
 from regtail.counting import count_labelled
 from regtail.graphs import (
     SparsityContext,
+    bits,
     complete,
     from_edge_list,
     validate_pattern,
 )
 from regtail import verify
+from regtail.independence import fractional_independence
 from regtail.structures import CoreParams
 from regtail.verify import (
     CHECKS,
@@ -208,7 +209,7 @@ def test_census_matches_the_kernel(rng):
 def _kernel_alpha_reference(seed, graphs):
     """check_alpha_count_bound rebuilt from the backtracking kernel."""
     patterns = [
-        (h, int(2 * verify.fractional_independence(h).value))
+        (h, int(2 * fractional_independence(h).value))
         for h in connected_graphs_up_to(5)
     ]
 
@@ -280,7 +281,9 @@ def test_violation_descriptor_replays_the_host(monkeypatch):
     monkeypatch.setattr(verify, "count_N11", lambda h, g, D: (huge,) * 3)
     monkeypatch.setattr(
         verify, "signed_path_counts",
-        lambda gmask, low, v1, maxlen: defaultdict(lambda: [huge] * len(gmask)),
+        lambda gmask, low, v1, maxlen, ends: {
+            (code, v2): huge for code in range(2, 2 << maxlen) for v2 in bits(ends)
+        },
     )
     for checker, seed, size, tag, first_host in SEEDED_CASES:
         result = checker(seed=seed, **{size: 2})
@@ -316,27 +319,28 @@ def test_strong_core_checker_skips_rejected_instances():
 def test_checkers_compute_shared_quantities_once(monkeypatch):
     from regtail.structures import is_strong_core
 
-    verify._alpha_patterns.cache_clear()
     suite = verify._strong_core_suite()
     accepted = sum(bool(is_strong_core(g, params)) for _, g, params in suite)
     calls = []
-    for name in ("count_with_edges", "fractional_independence"):
-        real = getattr(verify, name)
-        monkeypatch.setattr(
-            verify, name,
-            lambda *args, real=real, name=name: calls.append(name) or real(*args),
-        )
+    real = verify.count_with_edges
+    monkeypatch.setattr(
+        verify, "count_with_edges",
+        lambda *args: calls.append("count_with_edges") or real(*args),
+    )
     result = check_degree_product_strong_core()
     # one per-edge count per host serves both the ladder and the checker
     assert calls == ["count_with_edges"] * len(suite)
     assert result.instances == accepted
-    # alpha* of the 30 catalogue patterns is solved once per process
-    calls.clear()
-    check_alpha_count_bound(seed=101, graphs=5)
-    assert calls == ["fractional_independence"] * len(connected_graphs_up_to(5))
-    calls.clear()
-    check_alpha_count_bound(seed=102, graphs=5)
-    assert calls == []
+
+
+def test_alpha_table_is_twice_the_fractional_independence_number():
+    # the pinned 2 alpha* of each catalogue pattern, in catalogue order, is
+    # the fractional-independence LP solved again
+    patterns = connected_graphs_up_to(5)
+    assert len(verify._ALPHA2) == len(patterns) == 30
+    for h, alpha2 in zip(patterns, verify._ALPHA2):
+        assert type(alpha2) is int
+        assert alpha2 == 2 * fractional_independence(h).value, h.edges
 
 
 def test_path_and_cycle_checkers_share_host_work(monkeypatch):
