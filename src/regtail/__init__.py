@@ -25,6 +25,7 @@ _EXPORTS = {
         "complete_bipartite",
         "cycle",
         "double_cover",
+        "expected_count",
         "from_edge_list",
         "parse_edge_list",
         "path",
@@ -37,7 +38,6 @@ _EXPORTS = {
         "count_hom",
         "count_labelled",
         "count_with_edges",
-        "expected_count",
     ),
     "independence": (
         "fractional_independence",

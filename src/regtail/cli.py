@@ -24,6 +24,7 @@ from .graphs import (
     SparsityContext,
     complete,
     cycle,
+    expected_count,
     parse_edge_list,
     petersen,
     validate_pattern,
@@ -229,7 +230,6 @@ def _cmd_count(args) -> int:
 def _cmd_cond_exp(args) -> int:
     from fractions import Fraction
 
-    from .counting import expected_count
     from .ratefn import conditional_expectation_and_gain, exact_conditional_expectation
 
     h = _resolve_pattern(args)
@@ -429,7 +429,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from .counting import expected_count
     from .sim import mc_conditional_mean, mc_mean_count, tail_threshold, upper_tail_frequency
 
     if args.tail_delta is not None and args.planted:
@@ -439,8 +438,11 @@ def _cmd_simulate(args) -> int:
     key = "mean"
     if args.tail_delta is not None:
         key = "frequency"
-        est = upper_tail_frequency(h, args.n, args.p, args.tail_delta,
-                                   args.trials, args.seed)
+        try:
+            est = upper_tail_frequency(h, args.n, args.p, args.tail_delta,
+                                       args.trials, args.seed)
+        except OverflowError as exc:
+            raise ValueError(f"--tail-delta {args.tail_delta}: {exc}") from None
         params["tail_delta"] = args.tail_delta
         extra = {"threshold": tail_threshold(h, args.n, args.p, args.tail_delta)}
     elif args.planted:

@@ -5,11 +5,11 @@ into a host g, and one backtracking search, ``_search``, finds them all,
 with these exceptions. ``signed_path_counts`` tallies the signed host paths
 from one start vertex to a mask of end vertices in a single walk, and
 ``count_paths_signed`` reads one signature and endpoint off such a walk.
-``expected_count`` is a closed form. A short cycle C_k, 3 <= k <= 5, is
-counted from closed walks by ``_cycle_walks``: the labelled count is
-tr A^k less the closed walks that revisit a vertex (Harary & Manvel, *On
-the number of cycles in a graph*, 1971; Alon, Yuster & Zwick, *Finding and
-counting given length cycles*, 1997). With d_v the degree of v and
+A short cycle C_k, 3 <= k <= 5, is counted from closed walks by
+``_cycle_walks``: the labelled count is tr A^k less the closed walks that
+revisit a vertex (Harary & Manvel, *On the number of cycles in a graph*,
+1971; Alon, Yuster & Zwick, *Finding and counting given length cycles*,
+1997). With d_v the degree of v and
 c(u, w) = |N(u) & N(w)| = (A^2)_uw for u != w:
 
 - C3: labelled = hom = tr A^3 = 2 sum_{uw in E} c(u, w); through an edge
@@ -81,11 +81,9 @@ import operator
 from collections import Counter, defaultdict, namedtuple
 from functools import cache, lru_cache
 from itertools import islice
-from math import perm
 
 from .graphs import (
-    Edge, Graph, PatternError, PatternGraph, SparsityContext, bits, layers,
-    low_degree_mask,
+    Edge, Graph, PatternError, PatternGraph, bits, layers, low_degree_mask,
 )
 
 
@@ -649,9 +647,3 @@ def signed_path_counts(gmask, low, v1, maxlen, ends, sig=None) -> defaultdict:
     rec(v1, 0, 1, 1 << v1)
     return tally
 
-
-def expected_count(h: PatternGraph, ctx: SparsityContext) -> float:
-    """Falling-factorial expectation of the copy count under edge density p."""
-    if ctx.n < h.v_h:
-        raise ValueError(f"n={ctx.n} smaller than pattern order {h.v_h}")
-    return perm(ctx.n, h.v_h) * ctx.p ** h.e_h

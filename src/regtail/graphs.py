@@ -14,7 +14,7 @@ checks only the text, and its header cap, with a line number, comes first.
 
 from __future__ import annotations
 
-from math import log
+from math import log, perm
 from operator import index
 
 
@@ -348,6 +348,13 @@ class SparsityContext(_Frozen):
 
 
 _set_n, _set_p = _setters(SparsityContext)
+
+
+def expected_count(h: PatternGraph, ctx: SparsityContext) -> float:
+    """Falling-factorial expectation of the copy count under edge density p."""
+    if ctx.n < h.v_h:
+        raise ValueError(f"n={ctx.n} smaller than pattern order {h.v_h}")
+    return perm(ctx.n, h.v_h) * ctx.p ** h.e_h
 
 
 # ---------------------------------------------------------------------------

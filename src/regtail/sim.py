@@ -8,13 +8,15 @@ before each trial.
 
 Cycles of order v at most 7 on 2(v - 1) to 64 vertices are counted from
 their homomorphism basis, inj(H, G) = sum over set partitions pi of V(H) of
-mu(0, pi) hom(H/pi, G): a block of trials is scattered into a float64
-(block, n, n) adjacency stack and each quotient is contracted by einsum.
-Every other pattern and n counts the kept pairs as adjacency masks by
-``counting._injective``, as ``count_labelled`` does. Both give the same
-integer per trial. Count reduction is exact integer summation, converted
-to float once. Only the CLI's ``simulate`` verb imports this module, and
-with it numpy.
+mu(0, pi) hom(H/pi, G). A block of trials draws its uniforms into one
+float64 buffer, a row per trial, compares the whole buffer with p at once,
+scatters the result into a float64 (block, n, n) adjacency stack and
+contracts each quotient by one einsum call. Every other pattern and n
+counts the kept pairs as adjacency masks by ``counting._injective``, as
+``count_labelled`` does, and only that route imports ``counting``. Both
+give the same integer per trial. Count reduction is exact integer
+summation, converted to float once. Only the CLI's ``simulate`` verb
+imports this module, and with it numpy.
 """
 
 from __future__ import annotations
@@ -23,11 +25,10 @@ import operator
 from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import islice
-from math import factorial, prod, sqrt
+from math import factorial, inf, isfinite, prod, sqrt
 
 import numpy as np
 
-from .counting import _injective
 from .graphs import Graph, PatternGraph, SparsityContext, _canon, from_edge_list
 
 # Largest n the sampler draws on. Its pair table holds n(n-1)/2 rows, so an
@@ -40,37 +41,46 @@ BASIS_MAX_ORDER = 7
 # The basis serves samples of at most this many vertices, and of at least
 # 2(v(H) - 1). Milliseconds per trial, kernel / basis, best of 3 runs of 64
 # or more trials after a warm-up call (numpy 2.4, OpenBLAS 0.3.31, 2-vCPU
-# Xeon VM; the kernel reads its last level inside the one before it):
+# Xeon VM). The kernel column predates the closed walks for C3 to C5 and
+# reads its last level inside the one before it. The basis column was
+# re-measured on 2026-10-22, when BLOCK_ENTRIES went from 2**12 to 2**14,
+# best of 5 runs:
 #
 #   pattern  n=8,p=.3     n=16,p=.3    n=30,p=.2    n=64,p=.1    n=100,p=.05
-#   K3       0.026/0.009  0.059/0.013  0.114/0.039  0.225/0.110  0.313/0.233
-#   C4       0.031/0.011  0.107/0.022  0.249/0.061  0.526/0.280  0.763/0.353
-#   C5       0.034/0.020  0.249/0.040  0.539/0.172  2.300/0.658  1.842/1.103
-#   C6       0.028/0.062  0.531/0.131  1.977/0.485  10.00/3.893  10.39/5.269
-#   C7       0.038/0.222  2.021/0.679  13.35/2.941  64.19/14.01  30.97/22.17
+#   K3       0.026/0.005  0.059/0.007  0.114/0.018  0.225/0.077  0.313/0.216
+#   C4       0.031/0.006  0.107/0.012  0.249/0.036  0.526/0.125  0.763/0.400
+#   C5       0.034/0.013  0.249/0.021  0.539/0.069  2.300/0.288  1.842/1.199
+#   C6       0.028/0.038  0.531/0.083  1.977/0.287  10.00/0.984  10.39/4.716
+#   C7       0.038/0.107  2.021/0.211  13.35/0.797  64.19/3.490  30.97/17.07
 #
-# and at p = .3 near the lower bound:
+# Near the lower bound, the same day, the whole route of ``_trial_counts``
+# is timed, masks / basis, best of 5 interleaved runs of 200 trials:
 #
-#   pattern  n=9          n=10         n=11         n=12         n=13
-#   C5       0.058/0.032  0.081/0.035  0.099/0.041  0.128/0.046  0.160/0.041
-#   C6       0.073/0.105  0.120/0.117  0.166/0.128  0.225/0.149  0.332/0.166
-#   C7       0.078/0.331  0.154/0.444  0.271/0.435  0.400/0.519  0.646/0.564
+#   pattern  n=8          n=9          n=10         n=11         n=12
+#   C6 p=.3  0.024/0.018  0.038/0.031  0.059/0.040  0.082/0.044  0.111/0.045
+#   C6 p=.35 0.035/0.020  0.059/0.032  0.086/0.040  0.122/0.044  0.171/0.046
+#   C7 p=.3  0.024/0.069  0.048/0.094  0.081/0.126  0.132/0.142  0.200/0.143
+#   C7 p=.35 0.038/0.067  0.077/0.095  0.139/0.128  0.233/0.142  0.362/0.146
 #
-# The basis wins every row from n = 16 on. Below 2(v(H) - 1) vertices the
-# kernel wins (C6 at n = 8 and 9, C7 up to n = 11), and C7 crosses at
-# n = 12: the kernel leads at p = .3, the basis at p = .35 (0.370 ms
-# against 0.411). A sparser sample favours the kernel longer, but the rule
-# reads only v(H) and n, so it takes the crossing of dense samples. Above
-# n = 64 a matrix product exceeds OpenBLAS's 64^3 single-thread GEMM limit,
-# and threaded GEMM was seen to stall at 24 ms a call for about a second,
-# so the basis stops there.
+# With 2**14-entry blocks the dense crossings sit below 2(v(H) - 1): C6
+# crosses at n = 8, and C7 at n = 12 for p = .3 but at n = 10 for p = .35.
+# A sparser sample favours the masks longer (at p = .2 they lead C6 up to
+# n = 11 and C7 up to n = 15, 0.028 against 0.130 ms at n = 10), and the
+# rule reads only v(H) and n, so it keeps 2(v(H) - 1) rather than follow
+# the dense crossing down. Above n = 64 a matrix product exceeds
+# OpenBLAS's 64^3 single-thread GEMM limit, and threaded GEMM was seen to
+# stall at 24 ms a call for about a second, so the basis stops there.
 BASIS_MAX_VERTICES = 64
 # Every einsum intermediate counts partial maps, at most n^v(H) of them, so
 # float64 holds each one exactly.
 assert BASIS_MAX_VERTICES**BASIS_MAX_ORDER < 2**53
+# A trial's weighted sum of hom values is kept in int64: the absolute
+# Moebius weights over the partitions of V(H) add up to v(H)!, so no
+# partial sum exceeds v(H)! n^v(H).
+assert factorial(BASIS_MAX_ORDER) * BASIS_MAX_VERTICES**BASIS_MAX_ORDER < 2**63
 # Adjacency entries in one block of trials; the block never grows with the
 # trial count.
-BLOCK_ENTRIES = 2**12
+BLOCK_ENTRIES = 2**14
 
 
 class RngSpec(namedtuple("RngSpec", "seed")):
@@ -228,7 +238,8 @@ def _basis_counts(
 ) -> list[int]:
     """Copy counts of h from its homomorphism basis, each block of trials a
     float64 (block, n, n) adjacency stack; every hom value is an integer
-    below n^v(h) <= 2^53, so the floats are exact."""
+    below n^v(h) <= 2^53, so the floats are exact, and each trial's weighted
+    sum is exact in int64."""
     plan, block = _basis_plan(h), _block_size(n)
     pairs = _pairs(n)
     upper = pairs[:, 0] * n + pairs[:, 1]
@@ -236,24 +247,25 @@ def _basis_counts(
     base = np.zeros((n, n))
     for u, v in planted.edges if planted is not None else ():
         base[u, v] = base[v, u] = 1.0
+    draws = np.empty((block, len(pairs)))
     keep = np.empty((block, len(pairs)), dtype=bool)
     stack = np.zeros((block, n * n))
     streams = _streams(spec, range(trials))
     counts: list[int] = []
     for start in range(0, trials, block):
         size = min(block, trials - start)
-        for row, gen in zip(keep, islice(streams, size)):
-            np.less(gen.random(len(pairs)), p, out=row)
+        for row, gen in zip(draws, islice(streams, size)):
+            gen.random(out=row)
+        np.less(draws[:size], p, out=keep[:size])
         stack[:size, upper] = keep[:size]
         stack[:size, lower] = keep[:size]
         adj = stack[:size].reshape(size, n, n)
         np.maximum(adj, base, out=adj)
-        totals = [0] * size
+        totals = np.zeros(size, dtype=np.int64)
         for weight, subscripts, arity, path in plan:
             homs = np.einsum(subscripts, *(adj,) * arity, optimize=path)
-            for t, hom in enumerate(homs.tolist()):
-                totals[t] += weight * int(hom)
-        counts.extend(totals)
+            totals += weight * homs.astype(np.int64)
+        counts.extend(totals.tolist())
     return counts
 
 
@@ -264,8 +276,7 @@ def _trial_counts(
     """Copy counts of h in trials 0 .. trials-1, each sample unioned with
     ``planted`` when one is given. Cycles on small samples are counted from
     the homomorphism basis, every other case by ``_injective`` on adjacency
-    masks; both give the same integers. The table's kernel column predates
-    the closed walks for C3 to C5; ``_takes_basis`` keeps its range."""
+    masks; both give the same integers."""
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials}")
     if planted is not None and planted.vertex_count != n:
@@ -277,6 +288,8 @@ def _trial_counts(
     if _takes_basis(h, n):
         return _basis_counts(h, n, p, trials, spec, planted)
     base = planted.adjacency_masks if planted is not None else (0,) * n
+    from .counting import _injective
+
     pairs, counts = _pairs(n), []
     for gen in _streams(spec, range(trials)):
         masks = list(base)
@@ -319,11 +332,21 @@ def upper_tail_frequency(
     """
     if not delta >= 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
-    counts = _trial_counts(h, n, p, trials, rng)
+    _check_gnp(n, p)
+    # refused before any trial: past the float range the threshold reads inf,
+    # or NaN once p = 0 multiplies it
     threshold = tail_threshold(h, n, p, delta)
+    if not isfinite(threshold):
+        raise OverflowError("the tail threshold (1 + delta) n^v p^e is outside "
+                            "the float range")
+    counts = _trial_counts(h, n, p, trials, rng)
     return _estimate([int(c >= threshold) for c in counts])
 
 
 def tail_threshold(h: PatternGraph, n: int, p: float, delta: float) -> float:
-    """(1 + delta) n^v p^e in plain floats; unlike copies_scale, p = 1 works."""
-    return (1 + delta) * float(n) ** h.v_h * p**h.e_h
+    """(1 + delta) n^v p^e in plain floats, inf past the float range;
+    unlike copies_scale, p = 1 works."""
+    try:
+        return (1 + delta) * float(n) ** h.v_h * p**h.e_h
+    except OverflowError:
+        return inf

@@ -24,6 +24,9 @@ class CoreParams(namedtuple("CoreParams", "delta eps context pattern c_bar c_sta
     n^2 p^Delta alone and must stay >= 32 delta^(2/v) for the strong-core
     per-edge threshold to be meaningful. A zero c_bar or c_star takes the
     default; a negative c_bar would make the budget and the floor negative.
+    The core's per-edge threshold divides by the edge budget, so a budget
+    that underflows to 0, or reads NaN as an infinite c_bar times a 0 scale,
+    is refused; an underflowed n^v p^e only makes the copy floors 0.
     """
 
     __slots__ = ()
@@ -45,7 +48,12 @@ class CoreParams(namedtuple("CoreParams", "delta eps context pattern c_bar c_sta
             c_star = floor
         elif not c_star >= floor * (1.0 - 1e-12):
             raise ValueError(f"c_star={c_star} below 32*delta^(2/v)={floor}")
-        return tuple.__new__(cls, (delta, eps, context, pattern, c_bar, c_star))
+        params = tuple.__new__(cls, (delta, eps, context, pattern, c_bar, c_star))
+        budget = params.core_edge_budget
+        if not budget > 0:
+            raise ValueError(f"the edge budget c_bar n^2 p^Delta log(1/p) = {budget} "
+                             f"is not positive at n={context.n}, p={context.p}")
+        return params
 
     @property
     def degree_threshold(self) -> int:

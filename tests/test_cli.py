@@ -310,6 +310,7 @@ def test_simulate_refuses_huge_n_before_pair_table(capsys, monkeypatch, pattern,
 
 BAD_P = "p must lie strictly inside (0, 1), got 1.0"
 SMALL_N = "n=3 smaller than pattern order 4"
+THRESHOLD_RANGE = "the tail threshold (1 + delta) n^v p^e is outside the float range"
 
 
 @pytest.mark.parametrize("argv, planted, message", [
@@ -317,7 +318,13 @@ SMALL_N = "n=3 smaller than pattern order 4"
     (["--pattern", "c4", "--n", "300", "--p", "1"], "300 0\n", BAD_P),
     (["--pattern", "k4", "--n", "3", "--p", "0.5"], None, SMALL_N),
     (["--pattern", "k4", "--n", "3", "--p", "0.5"], "3 0\n", SMALL_N),
-], ids=["p-one", "p-one-planted", "small-n", "small-n-planted"])
+    # (1 + delta) n^3 overflows before p^3 brings it back to 2.16e307
+    (["--pattern", "k3", "--n", "30", "--p", "0.2", "--tail-delta", "1e305"], None,
+     "--tail-delta 1e+305: " + THRESHOLD_RANGE),
+    (["--pattern", "k3", "--n", "30", "--p", "0.2", "--tail-delta", "1e308"], None,
+     "--tail-delta 1e+308: " + THRESHOLD_RANGE),
+], ids=["p-one", "p-one-planted", "small-n", "small-n-planted", "tail-overflow",
+        "tail-max"])
 def test_simulate_refuses_bad_scale_before_sampling(
     capsys, monkeypatch, tmp_path, argv, planted, message
 ):
@@ -348,6 +355,13 @@ def test_simulate_tail_accepts_p_one(capsys):
     (["peel", "--pattern", "k3", "--graph", "{graph}", "--n", "100", "--p", "0.05",
       "--delta", "1", "--eps", "0.5", "--c-bar", "-2"],
      "c_bar must be nonnegative, got -2.0"),
+    (["peel", "--pattern", "k3", "--graph", "{graph}", "--n", "5", "--p", "1e-300",
+      "--delta", "1e300", "--eps", "0.5"],
+     "the edge budget c_bar n^2 p^Delta log(1/p) = 0.0 is not positive at n=5, p=1e-300"),
+    # the default c_bar = 10/(delta eps) is inf, and inf times a 0 scale is NaN
+    (["peel", "--pattern", "k3", "--graph", "{graph}", "--n", "5", "--p", "1e-300",
+      "--delta", "1e-320", "--eps", "0.5"],
+     "the edge budget c_bar n^2 p^Delta log(1/p) = nan is not positive at n=5, p=1e-300"),
     (["plant", "--kind", "clique:x", "--n", "30", "--p", "0.1"],
      "bad structure sizes in 'clique:x'"),
     (["color"], "need --graph, --pattern, or --pattern-file"),
@@ -368,8 +382,9 @@ def test_simulate_tail_accepts_p_one(capsys):
      "--graph cannot be combined with --pattern or --pattern-file"),
     (["decompose", "--pattern", "k4", "--mode", "ordered"],
      "mode 'ordered' needs --cherry A B C"),
-], ids=["count-hom-per-edge", "peel-negative-c-bar", "plant-bad-size", "color-no-graph",
-        "varbound-bad-clique-range", "varbound-bad-hub-range",
+], ids=["count-hom-per-edge", "peel-negative-c-bar", "peel-underflow", "peel-nan-budget",
+        "plant-bad-size", "color-no-graph", "varbound-bad-clique-range",
+        "varbound-bad-hub-range",
         "simulate-tail-planted", "simulate-negative-seed", "simulate-seed-too-large",
         "color-graph-pattern", "color-graph-pattern-file",
         "decompose-ordered-no-cherry"])

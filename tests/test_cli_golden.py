@@ -190,7 +190,9 @@ LOADS = {
     "plant": (RATEFN, False),
     "varbound": (RATEFN, False),
     "verify": ({"graphs", "counting", "structures", "verify"}, False),
-    "simulate-planted": ({"graphs", "counting", "sim"}, True),
+    # the homomorphism basis counts without counting; the masks need it
+    "simulate-planted": ({"graphs", "sim"}, True),
+    "simulate-sparse": ({"graphs", "counting", "sim"}, True),
 }
 ARGV = {**CASES, "--version": ["--version"],
         "verify": ["verify", "--seed", "0", "--trials", "1"]}

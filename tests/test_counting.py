@@ -21,7 +21,6 @@ from regtail.counting import (
     count_paths_signed,
     count_through,
     count_with_edges,
-    expected_count,
     signed_path_counts,
 )
 from regtail.graphs import (
@@ -32,6 +31,7 @@ from regtail.graphs import (
     complete_bipartite,
     cycle,
     empty,
+    expected_count,
     from_edge_list,
     layers,
     low_degree_mask,

@@ -94,6 +94,16 @@ def _with_planted(n, planted_edges):
     return None if planted_edges is None else from_edge_list(n, planted_edges)
 
 
+def _sample_counts(h, n, p, trials, seed, planted=None):
+    """count_labelled of each trial's sample unioned with ``planted``."""
+    extra = list(planted.edges) if planted is not None else []
+    return [
+        count_labelled(h, from_edge_list(
+            n, [*sample_gnp(n, p, seed, index=t).edges, *extra]))
+        for t in range(trials)
+    ]
+
+
 @pytest.mark.parametrize("planted_edges", [None, PLANTED], ids=["gnp", "planted"])
 @pytest.mark.parametrize("name", sorted(TRIAL_PATTERNS))
 def test_trial_counts_match_count_labelled_of_samples(name, planted_edges):
@@ -102,14 +112,24 @@ def test_trial_counts_match_count_labelled_of_samples(name, planted_edges):
     assert sim._takes_basis(h, n) is takes_basis
     planted = _with_planted(n, planted_edges)
     counts = sim._trial_counts(h, n, p, trials, seed, planted)
-    want = []
-    for t in range(trials):
-        sample = sample_gnp(n, p, seed, index=t)
-        extra = list(planted.edges) if planted is not None else []
-        want.append(count_labelled(h, from_edge_list(n, [*sample.edges, *extra])))
-    assert counts == want
+    assert counts == _sample_counts(h, n, p, trials, seed, planted)
     assert all(type(c) is int for c in counts)
     assert len(set(counts)) > 1
+
+
+@pytest.mark.parametrize("planted_edges", [None, PLANTED], ids=["gnp", "planted"])
+@pytest.mark.parametrize("name", ["k3", "c4", "c5", "c7"])
+def test_trial_counts_do_not_depend_on_the_block_size(monkeypatch, name, planted_edges):
+    h, _ = TRIAL_PATTERNS[name]
+    n, p, seed, trials = 12, 0.35, 5, 9
+    assert sim._takes_basis(h, n)
+    planted = _with_planted(n, planted_edges)
+    want = _sample_counts(h, n, p, trials, seed, planted)
+    # one trial per block; blocks of 4, the last one short; one block of all
+    for block in (1, 4, trials):
+        monkeypatch.setattr(sim, "BLOCK_ENTRIES", block * n * n)
+        assert sim._block_size(n) == block
+        assert sim._trial_counts(h, n, p, trials, seed, planted) == want
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0])
@@ -230,7 +250,7 @@ def test_basis_block_shape_depends_on_n_only(monkeypatch):
             shapes.clear()
             sim._trial_counts(K3, n, 0.3, trials, 1)
             assert max(shapes) == (min(block, trials), n, n)
-    assert sim._block_size(64) == 1
+    assert [sim._block_size(n) for n in (5, 20, 64, 128)] == [655, 40, 4, 1]
 
 
 def test_sample_gnp_reproducible():
@@ -375,6 +395,15 @@ def test_upper_tail_refuses_nan_and_negative_delta(monkeypatch, delta):
     monkeypatch.setattr(sim, "_trial_counts", lambda *args, **kw: pytest.fail("drew"))
     with pytest.raises(ValueError, match=f"^delta must be >= 0, got {delta}$"):
         upper_tail_frequency(K3, 12, 0.3, delta, 10, 1)
+
+
+@pytest.mark.parametrize("p, delta", [(0.2, 1e305), (0.0, 1e308)], ids=["inf", "nan"])
+def test_upper_tail_refuses_a_threshold_past_the_float_range(monkeypatch, p, delta):
+    # (1 + delta) n^3 overflows before p^3 could bring it back, or p = 0 makes
+    # it NaN; either is refused before any trial is drawn
+    monkeypatch.setattr(sim, "_trial_counts", lambda *args, **kw: pytest.fail("drew"))
+    with pytest.raises(OverflowError, match="outside the float range$"):
+        upper_tail_frequency(K3, 30, p, delta, 10, 1)
 
 
 def test_estimators_sum_integer_counts(monkeypatch):
