@@ -589,5 +589,31 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    """Process entry point of ``python -m regtail.cli`` and the ``regtail``
+    script: main(), a flush of stdout and stderr, then os._exit, which skips
+    interpreter teardown (10-40 ms per process on a 2-vCPU VM). An uncaught
+    exception, a failed flush or an attached tracer or profiler (from Python
+    3.12 cProfile is a sys.monitoring tool) keeps the normal exit."""
+    try:
+        status = main()
+    except SystemExit as exc:  # argparse: --help, --version, usage errors
+        if exc.code is not None and not isinstance(exc.code, int):
+            raise
+        status = exc.code or 0
+    monitoring = getattr(sys, "monitoring", None)  # its tool ids are 0 to 5
+    hooked = sys.gettrace() or sys.getprofile() or (monitoring and any(
+        monitoring.get_tool(tool) is not None for tool in range(6)))
+    if not hooked:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except (AttributeError, OSError, ValueError):
+            pass  # a stream that is None, closed or failing: exit as before
+        else:
+            os._exit(status)
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -412,12 +412,13 @@ def _int_pair(lineno: int, line: str, what: str) -> tuple[int, int]:
         raise GraphInputError(
             f"line {lineno}: {what} must be two integers, got {line!r}"
         )
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise GraphInputError(
-            f"line {lineno}: non-integer value in {what} {line!r}"
-        ) from None
+    # int() also reads digit underscores and non-ASCII digits and spaces
+    if line.isascii() and "_" not in line:
+        try:
+            return int(parts[0]), int(parts[1])
+        except ValueError:
+            pass
+    raise GraphInputError(f"line {lineno}: non-integer value in {what} {line!r}")
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -81,10 +81,13 @@ def tilted_root(g: Graph, delta: float) -> float:
 
     Bisection on a doubling bracket down to near machine width, then a few
     Newton steps to polish. Residual |P(x) - (1 + delta)| stays within
-    1e-12 * (1 + delta).
+    1e-12 * (1 + delta). A delta so small that 1 + delta rounds to 1 is
+    refused, as the bisection on that target would run down to 0.
     """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
+    if 1.0 + delta == 1.0:
+        raise ValueError(f"delta {delta} is below float resolution: 1 + delta rounds to 1")
     coeffs = independent_set_counts(g)
     if len(coeffs) < 2:
         raise ValueError("graph has no vertices; polynomial is constant 1")

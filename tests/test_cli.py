@@ -382,12 +382,16 @@ def test_simulate_tail_accepts_p_one(capsys):
      "--graph cannot be combined with --pattern or --pattern-file"),
     (["decompose", "--pattern", "k4", "--mode", "ordered"],
      "mode 'ordered' needs --cherry A B C"),
+    (["theta", "--pattern", "k3", "--delta", "1e-17"],
+     "delta 1e-17 is below float resolution: 1 + delta rounds to 1"),
+    (["rate", "--pattern", "k3", "--delta", "1e-17", "--n", "1000000", "--p", "0.5"],
+     "delta 1e-17 is below float resolution: 1 + delta rounds to 1"),
 ], ids=["count-hom-per-edge", "peel-negative-c-bar", "peel-underflow", "peel-nan-budget",
         "plant-bad-size", "color-no-graph", "varbound-bad-clique-range",
         "varbound-bad-hub-range",
         "simulate-tail-planted", "simulate-negative-seed", "simulate-seed-too-large",
         "color-graph-pattern", "color-graph-pattern-file",
-        "decompose-ordered-no-cherry"])
+        "decompose-ordered-no-cherry", "theta-tiny-delta", "rate-tiny-delta"])
 def test_refusals_are_one_line_errors(capsys, tmp_path, argv, message):
     path = tmp_path / "k3.txt"
     path.write_text("3 3\n0 1\n1 2\n0 2\n")
@@ -858,6 +862,81 @@ def test_closed_stdout_ends_without_a_traceback(argv):
     finally:
         os.close(write)
     assert (done.returncode, done.stderr) == (1, "")
+
+
+def _start(*argv: str) -> subprocess.Popen:
+    """A new interpreter on this regtail, at a fixed usage-line width."""
+    src = Path(regtail.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "COLUMNS": "80"}
+    return subprocess.Popen([sys.executable, *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def test_process_exit_matches_main(monkeypatch, tmp_path):
+    # run() ends the process by os._exit once the output is flushed: stdout
+    # bytes, stderr and the exit status are main()'s, a record larger than
+    # one 64 KiB pipe buffer included
+    host = tmp_path / "k110.txt"
+    host.write_text(format_edge_list(complete(110)))
+    planted = tmp_path / "k5.txt"
+    planted.write_text(format_edge_list(from_edge_list(20, complete(5).edges)))
+    cases = [
+        ["count", "--pattern", "k3", "--graph", str(host), "--per-edge"],
+        ["cond-exp", "--pattern", "k3", "--graph", str(planted), "--n", "20",
+         "--p", "0.3", "--exact", "--gain"],
+        ["simulate", "--pattern", "c4", "--n", "12", "--p", "0.3", "--trials", "20",
+         "--seed", "3"],
+        ["verify", "--lemma", "strong", "--jsonl"],
+        ["theta", "--pattern", "k3", "--delta", "1e-17"],
+        ["rate", "--pattern", "k3"],
+        ["--version"],
+    ]
+    procs = [_start("-m", "regtail.cli", *argv) for argv in cases]
+    monkeypatch.setenv("COLUMNS", "80")
+    sizes = []
+    for argv, proc in zip(cases, procs):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        stdout, stderr = proc.communicate()
+        assert (proc.returncode, stdout, stderr.decode()) == (
+            code, out.getvalue().encode(), err.getvalue()), argv
+        sizes.append(len(stdout))
+    assert [proc.returncode for proc in procs] == [0, 0, 0, 0, 1, 2, 0]
+    assert sizes[0] > 64 * 1024
+
+
+def test_process_exit_skips_teardown_only_when_it_is_safe():
+    # an atexit hook does not run, and the status survives; a profiler is
+    # attached, or stdout is closed (sys.stdout is None, so argparse prints
+    # the version on stderr and the flush fails), so the process exits
+    # normally
+    closed = _start("-c", "import os, sys; os.close(1); "
+                    "os.execv(sys.executable, [sys.executable, '-m', 'regtail.cli', '--version'])")
+    wrapper = _start("-c", "import atexit, runpy, sys; "
+                     "atexit.register(print, 'atexit ran'); "
+                     "sys.argv = ['regtail', 'theta', '--pattern', 'k3', '--delta', '1e-17']; "
+                     "runpy.run_module('regtail.cli', run_name='__main__')")
+    profiled = _start("-m", "cProfile", "-m", "regtail.cli",
+                      "theta", "--pattern", "k3", "--delta", "1")
+    stdout, stderr = wrapper.communicate()
+    assert (wrapper.returncode, stdout, stderr) == (
+        1, b"", b"error: delta 1e-17 is below float resolution: 1 + delta rounds to 1\n")
+    stdout, stderr = profiled.communicate()
+    record, table = stdout.decode().split("\n", 1)
+    assert (profiled.returncode, stderr) == (0, b"")
+    assert json.loads(record)["result"]["theta"] == pytest.approx(1 / 3)
+    assert "function calls" in table and "ncalls" in table
+    assert closed.communicate() == (b"", f"{__version__}\n".encode())
+    assert closed.returncode == 0
+
+
+def test_console_script_takes_the_process_exit():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert 'regtail = "regtail.cli:run"' in pyproject.read_text().splitlines()
 
 
 def test_peel_rejects_the_removed_copy_budget(capsys, tmp_path):

@@ -350,6 +350,24 @@ def test_parse_names_the_bad_line():
         parse_edge_list("2 1\n\n0 1 2\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("12 3\n1_0 2\n2 3\n3 1_0\n", "line 2: non-integer value in edge line '1_0 2'"),
+    ("1_2 3\n10 2\n2 3\n3 10\n", "line 1: non-integer value in header 'n m' '1_2 3'"),
+    ("2 1\n\uff10 1\n", "line 2: non-integer value in edge line '\uff10 1'"),
+    ("\u0663 1\n0 1\n", "line 1: non-integer value in header 'n m' '\u0663 1'"),
+    # repr() escapes the unprintable no-break space
+    ("2 1\n0\u00a01\n", r"line 2: non-integer value in edge line '0\xa01'"),
+], ids=["edge-underscore", "header-underscore", "full-width-digit", "arabic-indic-digit",
+        "no-break-space"])
+def test_parse_refuses_python_only_integer_syntax(text, message):
+    # int() reads each of these; the edge-list format is ASCII digits only
+    with pytest.raises(GraphInputError) as info:
+        parse_edge_list(text)
+    assert str(info.value) == message
+    # a comment may still hold any text
+    assert parse_edge_list("# n_m \uff10 \u00e9\n2 1\n0 1 # 1_0\n").edge_count == 1
+
+
 def test_parse_caps_the_header_vertex_count():
     # refused before any per-vertex storage is allocated
     with pytest.raises(GraphInputError, match=r"line 2: .*1000000000000 exceeds"):

@@ -137,6 +137,17 @@ def test_tilted_root_validation():
         tilted_root(empty(0), 1.0)
 
 
+@pytest.mark.parametrize("delta", [1e-16, 1e-17, 1e-30, 5e-324])
+def test_tilted_root_refuses_delta_below_float_resolution(delta):
+    # 1 + delta rounds to 1: the float target would bisect toward 0
+    message = f"^delta {delta} is below float resolution: 1 \\+ delta rounds to 1$"
+    for g in (complete(3), petersen()):
+        with pytest.raises(ValueError, match=message):
+            tilted_root(g, delta)
+    # the least delta that moves 1.0 is still solved
+    assert tilted_root(complete(3), 2.0**-52) > 0
+
+
 def test_tilted_root_refuses_nan():
     with pytest.raises(ValueError, match="^delta must be positive, got nan$"):
         tilted_root(complete(3), float("nan"))
